@@ -18,6 +18,7 @@ from .config import (
     CONFIG_SCHEMA,
     LOSS_KINDS,
     ConfigError,
+    _coerce,
     apply_overrides,
     corpus_spec_from,
     load_config,
@@ -134,17 +135,7 @@ def cmd_eval(args):
 
 
 def _parse_axis_values(axis, text):
-    typ = CONFIG_SCHEMA[axis][0]
-    vals = []
-    for item in text.split(","):
-        item = item.strip()
-        if typ is bool:
-            vals.append(item.lower() in ("true", "1", "yes"))
-        elif typ is int:
-            vals.append(int(item))
-        else:
-            vals.append(item)
-    return vals
+    return [_coerce(axis, item, CONFIG_SCHEMA[axis][0]) for item in text.split(",")]
 
 
 def cmd_ablate(args):
@@ -154,12 +145,14 @@ def cmd_ablate(args):
     axis_values = ABLATION_AXES[args.axis]
     if args.values:
         axis_values = _parse_axis_values(args.axis, args.values)
+    # build every config first, so a bad value fails before any run
+    cfgs = [train_config_from({**values, args.axis: val}, seed_override=args.seed)
+            for val in axis_values]
     os.makedirs(args.out, exist_ok=True)
     header = ("axis,value,map_video_search,map_sentence_search,"
               "rec_at_5_video_search,rec_at_5_sentence_search,final_z0_fraction")
     rows = [header]
-    for val in axis_values:
-        cfg = train_config_from({**values, args.axis: val}, seed_override=args.seed)
+    for val, cfg in zip(axis_values, cfgs):
         run_dir = os.path.join(args.out, f"{args.axis}={val}")
         params, metrics = train(cfg, corpus, run_dir=run_dir)
         report = bidirectional_retrieval(params, test_records)

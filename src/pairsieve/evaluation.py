@@ -1,11 +1,12 @@
 """Bidirectional retrieval evaluation.
 
-Every test sentence is scored against every test clip with the same
-attention pooling used in training, so a clip's pooled vector depends on
-which sentence is querying it. Video search ranks clips for each
-sentence (rows of the score matrix); sentence search ranks sentences for
-each clip (columns). Each query has exactly one relevant item, so
-average precision reduces to 1/rank.
+Every test sentence is scored against every test clip with the
+embedding and attention pooling that training runs (model.embed and
+model.attend, one clip against all queries at a time), so a clip's
+pooled vector depends on which sentence is querying it. Video search
+ranks clips for each sentence (rows of the score matrix); sentence
+search ranks sentences for each clip (columns). Each query has exactly
+one relevant item, so average precision reduces to 1/rank.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, embed, softmax
+from .model import attend, embed
 
 DEFAULT_RECALL_KS = (1, 5, 10)
 
@@ -38,18 +39,6 @@ def rank_of(scores, rel_idx):
     return 1 + greater + ties_before
 
 
-def average_precision(scores, rel_idx):
-    """AP with a single relevant item: 1 / rank."""
-    return 1.0 / rank_of(scores, rel_idx)
-
-
-def recall_at_k(scores, rel_idx, k):
-    """1.0 if the relevant item ranks in the top k, else 0.0."""
-    if k < 1:
-        raise EvalError("k must be >= 1")
-    return 1.0 if rank_of(scores, rel_idx) <= k else 0.0
-
-
 def score_matrix(params, records):
     """Score every sentence against every clip: out[i, j] = s_i . v_ij.
 
@@ -58,25 +47,10 @@ def score_matrix(params, records):
     """
     if not records:
         raise EvalError("no records to evaluate")
-    att = params.attention
-    s = embed(params.language, np.stack([r.sentence_raw for r in records]))
-    n = len(records)
-    out = np.empty((n, n))
+    s = embed(params.language, np.stack([r.sentence_raw for r in records]))[0]
+    out = np.empty((len(records), len(records)))
     for j, rec in enumerate(records):
-        h = embed(params.vision, rec.frames_raw)  # (F, E)
-        if att.kind == "uniform":
-            e = np.zeros((n, h.shape[0]))
-        elif att.kind == "dot":
-            e = s @ h.T
-        elif att.kind == "multiplicative":
-            e = (s @ att.w_mult) @ h.T
-        elif att.kind == "additive":
-            t = np.tanh((s @ att.w1)[:, None, :] + (h @ att.w2)[None, :, :])
-            e = t @ att.w_score
-        else:
-            raise ModelError(f"unknown attention kind {att.kind!r}")
-        alpha = softmax(e)          # (n, F)
-        v = alpha @ h               # (n, E)
+        v, _, _ = attend(params.attention, s, embed(params.vision, rec.frames_raw)[0])
         out[:, j] = (s * v).sum(axis=1)
     return out
 
@@ -167,22 +141,10 @@ def export_attention(params, records):
     """
     if not records:
         raise EvalError("no records to dump")
-    att = params.attention
     rows = []
     for rec in records:
-        s = embed(params.language, rec.sentence_raw)
-        h = embed(params.vision, rec.frames_raw)
-        if att.kind == "uniform":
-            e = np.zeros(h.shape[0])
-        elif att.kind == "dot":
-            e = h @ s
-        elif att.kind == "multiplicative":
-            e = h @ (att.w_mult.T @ s)
-        elif att.kind == "additive":
-            e = np.tanh(s @ att.w1 + h @ att.w2) @ att.w_score
-        else:
-            raise ModelError(f"unknown attention kind {att.kind!r}")
-        alpha = softmax(e)
+        s = embed(params.language, rec.sentence_raw)[0]
+        _, alpha, _ = attend(params.attention, s, embed(params.vision, rec.frames_raw)[0])
         top = alpha.max()
         for f in range(alpha.shape[0]):
             rows.append({

@@ -22,6 +22,12 @@ row and column hardest negatives, anchors are weighted by their keep
 weight, and the hinges average over members. During the warm-up phase
 the discriminator is frozen: the gate still filters pairs but
 contributes no gradient, and the adversarial term is not optimized.
+
+The forward formulas are not written here: embedding, attention,
+pooling, the gate logit and the gate sampler come from model, and the
+triplet hinges from losses, the same code eval and attention-dump run.
+This module assembles the batch objective from them and holds the
+backward pass.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import bce_loss, sigmoid, softplus
-from .model import ModelError, param_tensors, sample_gumbel, softmax
+from .losses import bce_loss, sigmoid, softplus, triplet_hinges
+from .model import ModelError, adv_logit, attend, embed, param_tensors, sample_gate
 
 PHASES = ("freeze", "joint")
 
@@ -86,42 +92,12 @@ class BatchForward:
     loss: float              # the optimized objective
 
 
-def _embed_cached(weight, bias, x):
-    pre = x @ weight + bias
-    act = np.maximum(pre, 0.0)
-    norm = np.linalg.norm(act, axis=-1, keepdims=True)
-    out = np.divide(act, norm, out=np.zeros_like(act), where=norm > 0)
-    return out, pre, norm
-
-
 def _l2relu_backward(d_out, unit, norm, pre):
     # through y = act / ||act|| then relu; zero where the vector died
     inner = (unit * d_out).sum(axis=-1, keepdims=True)
     d_act = np.divide(d_out - unit * inner, norm,
                       out=np.zeros_like(d_out), where=norm > 0)
     return d_act * (pre > 0)
-
-
-def _attention_forward(att, s, H):
-    """Per-pair scores e (B, F) plus the cache backward needs."""
-    cache = {}
-    if att.kind == "uniform":
-        e = np.zeros(H.shape[:2])
-    elif att.kind == "dot":
-        e = np.einsum("be,bfe->bf", s, H)
-    elif att.kind == "multiplicative":
-        u = s @ att.w_mult
-        e = np.einsum("be,bfe->bf", u, H)
-        cache["u"] = u
-    elif att.kind == "additive":
-        p = s @ att.w1
-        q = H @ att.w2
-        t = np.tanh(p[:, None, :] + q)
-        e = t @ att.w_score
-        cache["t"] = t
-    else:
-        raise ModelError(f"unknown attention kind {att.kind!r}")
-    return e, cache
 
 
 def _attention_backward(att, de, s, H, cache, ds, dH, grads):
@@ -144,16 +120,6 @@ def _attention_backward(att, de, s, H, cache, ds, dH, grads):
         grads["attention.w2"] += np.einsum("bfe,bfa->ea", H, dt)
 
 
-def _adv_logit_batch(disc, p_lvc, p_adv):
-    if disc.input_mode == "residual":
-        return disc.a_adv[0] * (p_adv - p_lvc) + disc.b_adv[0]
-    if disc.input_mode == "concat":
-        return disc.a_adv[0] * p_adv + disc.a_adv[1] * p_lvc + disc.b_adv[0]
-    if disc.input_mode == "adv_only":
-        return disc.a_adv[0] * p_adv + disc.b_adv[0]
-    raise ModelError(f"unknown discriminator input mode {disc.input_mode!r}")
-
-
 def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
     if phase not in PHASES:
         raise ModelError(f"unknown phase {phase!r}")
@@ -161,12 +127,9 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
     b = batch.xs.shape[0]
     labels = batch.labels.astype(float)
 
-    s, pre_s, ns = _embed_cached(params.language.weight, params.language.bias, batch.xs)
-    H, pre_h, nh = _embed_cached(params.vision.weight, params.vision.bias, batch.xf)
-
-    e, att_cache = _attention_forward(params.attention, s, H)
-    alpha = softmax(e)
-    v = np.einsum("bf,bfe->be", alpha, H)
+    s, pre_s, ns = embed(params.language, batch.xs)
+    H, pre_h, nh = embed(params.vision, batch.xf)
+    v, alpha, att_cache = attend(params.attention, s, H)
     p_lvc = np.einsum("be,be->b", s, v)
     f_lvc = params.a_lvc[0] * p_lvc + params.b_lvc[0]
 
@@ -176,18 +139,8 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
         q = s @ params.disc.bvf.T
         jstar = q.argmax(axis=1)
         p_adv = q[np.arange(b), jstar]
-        f_adv = _adv_logit_batch(params.disc, p_lvc, p_adv)
-        if hard:
-            if gumbels is None:
-                if rng is None:
-                    raise ModelError("gumbel_hard needs an rng or pre-drawn gumbels")
-                gumbels = sample_gumbel(rng, size=(b, 2))
-            margin = f_adv + gumbels[:, 1] - gumbels[:, 0]
-            z = (margin > 0).astype(int)
-            w = sigmoid(margin / cfg.tau)
-        else:
-            w = sigmoid(f_adv / cfg.tau)
-            z = (w > 0.5).astype(int)
+        f_adv = adv_logit(params.disc, p_lvc, p_adv)
+        z, w, gumbels = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng, gumbels)
         if z_override is not None:
             z = np.asarray(z_override, dtype=int)
             if z.shape != (b,) or not np.all((z == 0) | (z == 1)):
@@ -205,7 +158,10 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
 
     if cfg.loss_kind == "bce":
         pair_lvc = bce_loss(labels, f_lvc)
-        lvc_term = float((keep * pair_lvc).sum() / b)
+        kept_lvc = (keep * pair_lvc).sum()
+        lvc_term = float(kept_lvc / b)
+        kept_mass = keep.sum()
+        loss_lvc = float(kept_lvc / kept_mass) if kept_mass > 0 else 0.0
         member_idx = np.array([], dtype=int)
         hinges = np.array([])
         member_keep = np.array([])
@@ -217,24 +173,20 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
             member_idx = pos_idx[z[pos_idx] == 0]
         else:
             member_idx = pos_idx
-        member_keep = keep[member_idx] if (disc_on and not hard) else np.ones(member_idx.shape[0])
-        if member_idx.shape[0] >= 2:
-            S = s[member_idx] @ v[member_idx].T  # sentence a against clip b's own pooled vector
-            m = S.shape[0]
-            pos = np.diag(S).copy()
-            off = S.copy()
-            np.fill_diagonal(off, -np.inf)
-            jr = off.argmax(axis=1)
-            jc = off.argmax(axis=0)
-            r_h = np.maximum(0.0, cfg.triplet_margin + off[np.arange(m), jr] - pos)
-            c_h = np.maximum(0.0, cfg.triplet_margin + off[jc, np.arange(m)] - pos)
+        m = member_idx.shape[0]
+        member_keep = keep[member_idx] if (disc_on and not hard) else np.ones(m)
+        if m >= 2:
+            # sentence a against clip b's own pooled vector
+            r_h, c_h, jr, jc = triplet_hinges(s[member_idx] @ v[member_idx].T,
+                                              cfg.triplet_margin)
             hinges = r_h + c_h
             trip_cache = {"jr": jr, "jc": jc, "r_active": r_h > 0, "c_active": c_h > 0}
             lvc_term = float((member_keep * hinges).sum() / m)
         else:
-            hinges = np.zeros(member_idx.shape[0])
+            hinges = np.zeros(m)
             trip_cache = None
             lvc_term = 0.0
+        loss_lvc = lvc_term
 
     joint = phase == "joint"
     gate = 1.0 - keep
@@ -244,13 +196,7 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss; check learning rate and inputs")
 
-    kept_mass = keep.sum()
     gated_mass = gate.sum()
-    if cfg.loss_kind == "bce":
-        loss_lvc = float((keep * pair_lvc).sum() / kept_mass) if kept_mass > 0 else 0.0
-    else:
-        m = member_idx.shape[0]
-        loss_lvc = float((member_keep * hinges).sum() / m) if m >= 2 else 0.0
     loss_adv = float((gate * pair_adv).sum() / gated_mass) if (disc_on and gated_mass > 0) else 0.0
 
     fwd = BatchForward(

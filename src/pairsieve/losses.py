@@ -39,19 +39,14 @@ def bce_loss(y, f):
     return out if out.ndim else float(out)
 
 
-def adversarial_loss(f):
-    """Loss pushing logit f toward 'mismatched': bce_loss(0, f) = softplus(f)."""
-    out = softplus(f)
-    return out if np.ndim(out) else float(out)
-
-
-def triplet_batch_loss(sim, margin):
-    """Hardest-negative triplet loss over a square similarity matrix.
+def triplet_hinges(sim, margin):
+    """Hardest-negative triplet hinges over a square similarity matrix.
 
     sim[i, j] scores sentence i against clip j; diagonal entries are the
-    matched pairs. For each anchor the single hardest negative in its row
-    and in its column is hinged against the diagonal, and the hinges are
-    averaged over anchors.
+    matched pairs. Each anchor i is hinged against the single hardest
+    negative in its row (best wrong clip, index jr[i]) and in its column
+    (best wrong sentence, index jc[i]). Returns (row_hinge, col_hinge,
+    jr, jc); the batch loss is (row_hinge + col_hinge).mean().
     """
     sim = np.asarray(sim, dtype=float)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
@@ -61,11 +56,12 @@ def triplet_batch_loss(sim, margin):
         raise LossError("triplet loss needs at least 2 items")
     if margin < 0:
         raise LossError("margin must be >= 0")
-    pos = np.diag(sim)
+    idx = np.arange(n)
+    pos = np.diag(sim).copy()
     off = sim.copy()
     np.fill_diagonal(off, -np.inf)
-    hardest_row = off.max(axis=1)  # best wrong clip for each sentence
-    hardest_col = off.max(axis=0)  # best wrong sentence for each clip
-    row_hinge = np.maximum(0.0, margin + hardest_row - pos)
-    col_hinge = np.maximum(0.0, margin + hardest_col - pos)
-    return float((row_hinge + col_hinge).mean())
+    jr = off.argmax(axis=1)
+    jc = off.argmax(axis=0)
+    row_hinge = np.maximum(0.0, margin + off[idx, jr] - pos)
+    col_hinge = np.maximum(0.0, margin + off[jc, idx] - pos)
+    return row_hinge, col_hinge, jr, jc

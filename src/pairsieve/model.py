@@ -6,6 +6,13 @@ through one of several attention scorers conditioned on the sentence.
 The discriminator compares the pair score against the best match over a
 small bank of background video features and turns that margin into a
 keep-or-discard gate via the Gumbel trick.
+
+This module is the only home of the forward formulas; training, eval
+and attention-dump all call them. Shape contract: embed maps (..., d_in)
+to (..., E); attention_scores and attend take sentences s (..., E) and
+frames h (..., F, E), which covers one pair (E,) with (F, E), a batch
+(B, E) with (B, F, E), and every query against one clip (n, E) with
+(F, E); adv_logit and sample_gate work elementwise on arrays of logits.
 """
 
 from __future__ import annotations
@@ -73,17 +80,6 @@ class ModelParams:
     b_lvc: np.ndarray  # (1,) offset of the match logit
 
 
-@dataclass
-class GateDecision:
-    """Outcome of gating one pair."""
-
-    p_lvc: float
-    p_adv: float
-    f_adv: float
-    z: int             # 1 = treat the pair as a non-correspondence
-    soft_weight: float # sigma of the perturbed logit, used by the soft sampler
-
-
 def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
     """Random init; weights ~ N(0, 1/sqrt(fan_in)), biases zero.
 
@@ -133,28 +129,46 @@ def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
 
 
 def embed(channel, x):
-    """l2norm(relu(x @ W + b)) over the last axis.
+    """l2norm(relu(x @ W + b)) over the last axis; returns (y, pre, norm).
 
-    If ReLU zeroes every unit the embedding is the zero vector, not an
-    error; downstream scores with it are simply 0.
+    pre is the pre-activation and norm the ReLU output's L2 norm, both
+    kept for the backward pass. If ReLU zeroes every unit the embedding
+    is the zero vector, not an error; downstream scores with it are
+    simply 0.
     """
     pre = x @ channel.weight + channel.bias
     act = np.maximum(pre, 0.0)
     norm = np.linalg.norm(act, axis=-1, keepdims=True)
-    return np.divide(act, norm, out=np.zeros_like(act), where=norm > 0)
+    return np.divide(act, norm, out=np.zeros_like(act), where=norm > 0), pre, norm
+
+
+def _per_frame(a, h):
+    """Contract a (..., E) with every frame of h (..., F, E) -> (..., F).
+
+    A clip shared by every row of a (2-D h) goes through a plain matmul:
+    broadcasting einsum is about 7x slower on an eval-sized grid.
+    """
+    if h.ndim == 2:
+        return a @ h.T
+    return np.einsum("...e,...fe->...f", a, h)
 
 
 def attention_scores(attention, s, h):
-    """Raw frame scores e for one clip: s (E,), h (F, E) -> (F,)."""
+    """Raw frame scores e (..., F) and the cache backward needs.
+
+    s is (..., E) and h is (..., F, E): one pair, a batch of pairs, or
+    every query against one clip (s (n, E), h (F, E)).
+    """
     if attention.kind == "uniform":
-        return np.zeros(h.shape[0])
+        return np.zeros(np.broadcast_shapes(s.shape[:-1] + (1,), h.shape[:-1])), {}
     if attention.kind == "dot":
-        return h @ s
+        return _per_frame(s, h), {}
     if attention.kind == "multiplicative":
-        return h @ (attention.w_mult.T @ s)
+        u = s @ attention.w_mult
+        return _per_frame(u, h), {"u": u}
     if attention.kind == "additive":
-        t = np.tanh(s @ attention.w1 + h @ attention.w2)  # (F, A)
-        return t @ attention.w_score
+        t = np.tanh((s @ attention.w1)[..., None, :] + h @ attention.w2)  # (..., F, A)
+        return t @ attention.w_score, {"t": t}
     raise ModelError(f"unknown attention kind {attention.kind!r}")
 
 
@@ -165,26 +179,24 @@ def softmax(e):
 
 
 def attend(attention, s, h):
-    """Pool frames into one video vector; returns (v, alpha)."""
-    alpha = softmax(attention_scores(attention, s, h))
-    return alpha @ h, alpha
+    """Pool frames into video vectors; returns (v (..., E), alpha (..., F), cache).
 
-
-def pair_scores(params, s, v):
-    """(p_lvc, p_adv): sentence-video score and best background score."""
-    p_lvc = float(s @ v)
-    p_adv = float(np.max(params.disc.bvf @ s))
-    return p_lvc, p_adv
+    Shapes as in attention_scores; cache is its backward cache.
+    """
+    e, cache = attention_scores(attention, s, h)
+    alpha = softmax(e)
+    v = alpha @ h if h.ndim == 2 else np.einsum("...f,...fe->...e", alpha, h)
+    return v, alpha, cache
 
 
 def adv_logit(disc, p_lvc, p_adv):
-    """Gate logit from the two pair scores, per the input mode."""
+    """Gate logit from the two pair scores, per the input mode; elementwise."""
     if disc.input_mode == "residual":
-        return float(disc.a_adv[0] * (p_adv - p_lvc) + disc.b_adv[0])
+        return disc.a_adv[0] * (p_adv - p_lvc) + disc.b_adv[0]
     if disc.input_mode == "concat":
-        return float(disc.a_adv[0] * p_adv + disc.a_adv[1] * p_lvc + disc.b_adv[0])
+        return disc.a_adv[0] * p_adv + disc.a_adv[1] * p_lvc + disc.b_adv[0]
     if disc.input_mode == "adv_only":
-        return float(disc.a_adv[0] * p_adv + disc.b_adv[0])
+        return disc.a_adv[0] * p_adv + disc.b_adv[0]
     raise ModelError(f"unknown discriminator input mode {disc.input_mode!r}")
 
 
@@ -194,29 +206,28 @@ def sample_gumbel(rng, size=None):
 
 
 def sample_gate(f_adv, tau, sampler, rng=None, gumbels=None):
-    """Draw the keep/discard decision for logits (0, f_adv).
+    """Draw keep/discard decisions for logits (0, f_adv); returns (z, w, gumbels).
 
-    gumbel_hard perturbs both logits with Gumbel(0,1) noise and takes the
-    argmax; its marginal P(z=1) is sigma(f_adv) for any tau. The returned
-    soft_weight is the softmax weight of the discard side at temperature
-    tau. softmax_soft skips the noise: soft_weight = sigma(f_adv / tau)
-    and z is just the induced hard call (weight > 1/2).
+    gumbel_hard perturbs both logits with Gumbel(0,1) noise, gumbels
+    (..., 2) pre-drawn or drawn from rng, and takes the argmax; its
+    marginal P(z=1) is sigma(f_adv) for any tau. w is the softmax weight
+    of the discard side at temperature tau. softmax_soft skips the noise
+    (gumbels is None): w = sigma(f_adv / tau) and z is just the induced
+    hard call (w > 1/2).
     """
     if sampler not in SAMPLER_KINDS:
         raise ModelError(f"unknown sampler {sampler!r}")
     if tau <= 0:
         raise ModelError("tau must be > 0")
     if sampler == "softmax_soft":
-        w = float(sigmoid(f_adv / tau))
-        return int(w > 0.5), w
+        w = sigmoid(f_adv / tau)
+        return np.greater(w, 0.5).astype(int), w, None
     if gumbels is None:
         if rng is None:
             raise ModelError("gumbel_hard needs an rng or pre-drawn gumbels")
-        gumbels = sample_gumbel(rng, size=2)
-    g0, g1 = float(gumbels[0]), float(gumbels[1])
-    w = float(sigmoid((f_adv + g1 - g0) / tau))
-    z = int(f_adv + g1 > g0)
-    return z, w
+        gumbels = sample_gumbel(rng, size=np.shape(f_adv) + (2,))
+    margin = f_adv + gumbels[..., 1] - gumbels[..., 0]
+    return (margin > 0).astype(int), sigmoid(margin / tau), gumbels
 
 
 def init_bvf(params, clips, rng):
@@ -230,7 +241,7 @@ def init_bvf(params, clips, rng):
     n_bvf = params.disc.bvf.shape[0]
     if not clips:
         raise ModelError("cannot seed background bank from an empty corpus")
-    pooled = np.stack([embed(params.vision, c.frames_raw).mean(axis=0) for c in clips])
+    pooled = np.stack([embed(params.vision, c.frames_raw)[0].mean(axis=0) for c in clips])
     groups = np.array_split(rng.permutation(len(clips)), n_bvf)
     bank = np.empty_like(params.disc.bvf)
     for i, g in enumerate(groups):

@@ -1,5 +1,5 @@
-"""Shared test oracles: a frozen-noise surrogate objective and central
-finite differences over it.
+"""Shared test oracles: a frozen-noise surrogate objective, central
+finite differences over it, and the triplet loss by enumeration.
 
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
@@ -125,3 +125,15 @@ def random_problem(rng, attention="dot", input_mode="residual",
         labels=np.array([1] * half + [0] * (batch - half)),
     )
     return params, arrays, cfg
+
+
+def triplet_by_enumeration(sim, margin):
+    """Hardest-negative triplet loss by looping over every anchor and negative."""
+    n = sim.shape[0]
+    total = 0.0
+    for i in range(n):
+        row_hard = max(sim[i, j] for j in range(n) if j != i)
+        col_hard = max(sim[j, i] for j in range(n) if j != i)
+        total += max(0.0, margin - sim[i, i] + row_hard)
+        total += max(0.0, margin - sim[i, i] + col_hard)
+    return total / n

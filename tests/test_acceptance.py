@@ -128,8 +128,7 @@ def test_criterion_3_gate_distribution():
     for i, (tau, f) in enumerate(itertools.product((0.5, 1.0), (-2.0, 0.0, 1.0))):
         rng = np.random.default_rng(300 + i)
         noise = sample_gumbel(rng, size=(n, 2))
-        hits = sum(sample_gate(f, tau, "gumbel_hard", gumbels=noise[j])[0]
-                   for j in range(n))
+        hits = int(sample_gate(f, tau, "gumbel_hard", gumbels=noise)[0].sum())
         p = float(sigmoid(np.array(f)))
         se = np.sqrt(p * (1.0 - p) / n)
         worst = max(worst, abs(hits / n - p) / se)
@@ -262,7 +261,7 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
         att = atts[i % len(atts)]
         s = rng.normal(size=d)
         h = rng.normal(size=(1 + i % 8, d))
-        _, alpha = attend(att, s, h)
+        _, alpha, _ = attend(att, s, h)
         worst = max(worst, abs(float(alpha.sum()) - 1.0))
     sums_ok = worst <= 1e-12
 

@@ -141,6 +141,17 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]) == 1
     capsys.readouterr()
 
+    # bad ablation values fail before any training run starts
+    test_corpus = workspace / "corpus" / "test.corpus"
+    for axis, values in (("discriminator_enabled", "maybe"), ("bvf_count", "a,b"),
+                         ("attention_kind", "dot,bogus")):
+        out = tmp_path / f"ablate_{axis}"
+        assert main(["ablate", "--corpus", str(corpus), "--test-corpus", str(test_corpus),
+                     "--axis", axis, "--values", values, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 def test_exit_code_two_on_numeric_failure(workspace, capsys):
     import numpy as np

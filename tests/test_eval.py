@@ -6,13 +6,12 @@ import pytest
 from pairsieve.corpus import CorpusSpec, generate_corpus
 from pairsieve.evaluation import (
     EvalError,
-    average_precision,
+    _direction_report,
     bidirectional_retrieval,
     export_attention,
     random_baseline_map,
     random_baseline_recall,
     rank_of,
-    recall_at_k,
     report_csv,
     report_summary,
     score_matrix,
@@ -39,13 +38,13 @@ def test_rank_of_validation():
 
 
 def test_ap_and_recall_from_rank():
+    # AP with one relevant item is 1/rank; Rec@k counts ranks <= k
     scores = [0.1, 0.9, 0.5, 0.3]
-    assert average_precision(scores, 1) == 1.0
-    assert average_precision(scores, 2) == 0.5
-    assert recall_at_k(scores, 2, 1) == 0.0
-    assert recall_at_k(scores, 2, 2) == 1.0
-    with pytest.raises(EvalError):
-        recall_at_k(scores, 0, 0)
+    ranks = [rank_of(scores, 1), rank_of(scores, 2)]
+    assert ranks == [1, 2]
+    report = _direction_report(ranks, 4, (1, 2, 10))
+    assert report.mean_ap == 75.0
+    assert report.recall == {1: 50.0, 2: 100.0, 10: 100.0}
 
 
 def _records(n=6, seed=0):
@@ -59,10 +58,10 @@ def test_score_matrix_matches_per_pair_loop(kind):
     params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1))
     got = score_matrix(params, records)
     for i, qi in enumerate(records):
-        s = embed(params.language, qi.sentence_raw)
+        s = embed(params.language, qi.sentence_raw)[0]
         for j, cj in enumerate(records):
-            h = embed(params.vision, cj.frames_raw)
-            v, _ = attend(params.attention, s, h)
+            h = embed(params.vision, cj.frames_raw)[0]
+            v, _, _ = attend(params.attention, s, h)
             assert np.isclose(got[i, j], float(s @ v), atol=1e-12), (i, j)
 
 

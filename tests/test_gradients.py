@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from pairsieve.gradients import NumericError, PairBatchArrays, compute_gradients, forward_batch
-from pairsieve.losses import bce_loss, triplet_batch_loss
+from pairsieve.losses import bce_loss
 from pairsieve.model import ModelError
 
-from oracles import gradient_mismatches, random_problem
+from oracles import gradient_mismatches, random_problem, triplet_by_enumeration
 
 
 def test_forward_attention_rows_normalized():
@@ -109,7 +109,7 @@ def test_triplet_term_matches_loss_module():
     mi = fwd.member_idx
     assert mi.tolist() == [0, 1, 2, 3]
     sim = fwd.s[mi] @ fwd.v[mi].T
-    assert np.isclose(fwd.loss_lvc, triplet_batch_loss(sim, cfg.triplet_margin))
+    assert np.isclose(fwd.loss_lvc, triplet_by_enumeration(sim, cfg.triplet_margin))
 
 
 FD_CASES = [

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from pairsieve.losses import (
-    LossError,
-    adversarial_loss,
-    bce_loss,
-    sigmoid,
-    softplus,
-    triplet_batch_loss,
-)
+from pairsieve.losses import LossError, bce_loss, sigmoid, softplus, triplet_hinges
+
+from oracles import triplet_by_enumeration
 
 
 def test_sigmoid_basic_values():
@@ -66,38 +61,33 @@ def test_bce_convex_in_logit():
 
 
 def test_adversarial_loss_values_and_slope():
-    assert np.isclose(adversarial_loss(0.0), np.log(2.0))
+    # the adversarial loss on the gate logit is softplus(f) = bce_loss(0, f)
+    assert np.isclose(softplus(0.0), np.log(2.0))
     # evaluated by hand: log(1 + e)
-    assert np.isclose(adversarial_loss(1.0), 1.3132616875182228, atol=1e-15)
-    assert adversarial_loss(-30.0) <= 1e-12
+    assert np.isclose(softplus(1.0), 1.3132616875182228, atol=1e-15)
+    assert softplus(-30.0) <= 1e-12
     # the analytic slope sigma(f) is strictly positive everywhere, so
     # minimizing this loss always pushes the gate logit down
     grid = np.linspace(-30, 30, 61)
     assert np.all(sigmoid(grid) > 0)
 
 
-def _triplet_by_enumeration(sim, margin):
-    n = sim.shape[0]
-    total = 0.0
-    for i in range(n):
-        row_hard = max(sim[i, j] for j in range(n) if j != i)
-        col_hard = max(sim[j, i] for j in range(n) if j != i)
-        total += max(0.0, margin - sim[i, i] + row_hard)
-        total += max(0.0, margin - sim[i, i] + col_hard)
-    return total / n
+def _triplet_loss(sim, margin):
+    row, col, _, _ = triplet_hinges(sim, margin)
+    return float((row + col).mean())
 
 
 def test_triplet_margin_satisfied_is_zero():
     sim = np.full((3, 3), 0.1)
     np.fill_diagonal(sim, 0.9)
-    assert triplet_batch_loss(sim, 0.2) == 0.0
-    assert triplet_batch_loss(sim, 0.0) == 0.0
+    assert _triplet_loss(sim, 0.2) == 0.0
+    assert _triplet_loss(sim, 0.0) == 0.0
 
 
 def test_triplet_flat_matrix_hand_value():
     # every entry 0.5: both hinges violated by exactly the margin
     sim = np.full((2, 2), 0.5)
-    assert np.isclose(triplet_batch_loss(sim, 0.2), 0.4, atol=1e-15)
+    assert np.isclose(_triplet_loss(sim, 0.2), 0.4, atol=1e-15)
 
 
 def test_triplet_matches_enumeration():
@@ -106,15 +96,19 @@ def test_triplet_matches_enumeration():
         n = int(rng.integers(2, 7))
         sim = rng.uniform(-1, 1, size=(n, n))
         margin = float(rng.uniform(0, 0.5))
-        assert np.isclose(
-            triplet_batch_loss(sim, margin), _triplet_by_enumeration(sim, margin)
-        )
+        assert np.isclose(_triplet_loss(sim, margin), triplet_by_enumeration(sim, margin))
+        # the returned indices are each anchor's hardest negatives
+        _, _, jr, jc = triplet_hinges(sim, margin)
+        for i in range(n):
+            assert jr[i] != i and jc[i] != i
+            assert sim[i, jr[i]] == max(sim[i, j] for j in range(n) if j != i)
+            assert sim[jc[i], i] == max(sim[j, i] for j in range(n) if j != i)
 
 
 def test_triplet_input_validation():
     with pytest.raises(LossError):
-        triplet_batch_loss(np.zeros((2, 3)), 0.2)
+        triplet_hinges(np.zeros((2, 3)), 0.2)
     with pytest.raises(LossError):
-        triplet_batch_loss(np.zeros((1, 1)), 0.2)
+        triplet_hinges(np.zeros((1, 1)), 0.2)
     with pytest.raises(LossError):
-        triplet_batch_loss(np.zeros((2, 2)), -0.1)
+        triplet_hinges(np.zeros((2, 2)), -0.1)

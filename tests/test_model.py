@@ -31,15 +31,18 @@ def test_embed_unit_norm():
     rng = np.random.default_rng(0)
     ch = ChannelParams(weight=rng.normal(size=(6, 5)), bias=rng.normal(size=5))
     x = rng.normal(size=(10, 6))
-    y = embed(ch, x)
+    y, pre, norm = embed(ch, x)
     norms = np.linalg.norm(y, axis=1)
     assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
     assert np.all(y >= 0)  # relu output
+    # the backward cache: pre-activation and the norm of its relu
+    assert np.allclose(pre, x @ ch.weight + ch.bias)
+    assert np.allclose(norm[:, 0], np.linalg.norm(np.maximum(pre, 0.0), axis=1))
 
 
 def test_embed_dead_relu_gives_zero_vector():
     ch = ChannelParams(weight=-np.ones((3, 4)), bias=np.zeros(4))
-    y = embed(ch, np.ones(3))
+    y = embed(ch, np.ones(3))[0]
     assert np.array_equal(y, np.zeros(4))
     # downstream scores with a dead embedding are simply zero
     assert float(y @ np.ones(4)) == 0.0
@@ -58,34 +61,46 @@ def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(1)
     for kind in ATTENTION_KINDS:
         params = _model(kind=kind, seed=2)
-        s = embed(params.language, rng.normal(size=6))
-        h = embed(params.vision, rng.normal(size=(7, 6)))
-        v, alpha = attend(params.attention, s, h)
+        s = embed(params.language, rng.normal(size=6))[0]
+        h = embed(params.vision, rng.normal(size=(7, 6)))[0]
+        v, alpha, _ = attend(params.attention, s, h)
         assert np.isclose(alpha.sum(), 1.0, atol=1e-12)
         assert np.allclose(v, alpha @ h)
         if kind == "uniform":
             assert np.allclose(alpha, np.full(7, 1.0 / 7.0))
 
 
+def _manual_scores(att, s, h):
+    """Frame-by-frame score of one sentence s (E,) against frames h (F, E)."""
+    out = []
+    for frame in h:
+        if att.kind == "uniform":
+            out.append(0.0)
+        elif att.kind == "dot":
+            out.append(s @ frame)
+        elif att.kind == "multiplicative":
+            out.append(s @ att.w_mult @ frame)
+        else:
+            out.append(np.tanh(s @ att.w1 + frame @ att.w2) @ att.w_score)
+    return np.array(out)
+
+
 def test_attention_scores_match_manual_forms():
     rng = np.random.default_rng(3)
-    s = rng.normal(size=5)
-    h = rng.normal(size=(4, 5))
-
-    params = _model(kind="dot", d_in=5)
-    assert np.allclose(attention_scores(params.attention, s, h), h @ s)
-
-    params = _model(kind="multiplicative", d_in=5)
-    w = params.attention.w_mult
-    manual = np.array([s @ w @ h[f] for f in range(4)])
-    assert np.allclose(attention_scores(params.attention, s, h), manual)
-
-    params = _model(kind="additive", d_in=5)
-    att = params.attention
-    manual = np.array([
-        np.tanh(s @ att.w1 + h[f] @ att.w2) @ att.w_score for f in range(4)
-    ])
-    assert np.allclose(attention_scores(params.attention, s, h), manual)
+    s = rng.normal(size=(3, 5))
+    h = rng.normal(size=(3, 4, 5))
+    for kind in ATTENTION_KINDS:
+        att = _model(kind=kind, d_in=5).attention
+        pair, _ = attention_scores(att, s[0], h[0])
+        batch, _ = attention_scores(att, s, h)     # sentence i with clip i
+        grid, _ = attention_scores(att, s, h[0])   # every sentence with clip 0
+        assert pair.shape == (4,) and batch.shape == grid.shape == (3, 4), kind
+        assert np.allclose(pair, _manual_scores(att, s[0], h[0])), kind
+        v, alpha, _ = attend(att, s, h[0])
+        for i in range(3):
+            assert np.allclose(batch[i], _manual_scores(att, s[i], h[i])), kind
+            assert np.allclose(grid[i], _manual_scores(att, s[i], h[0])), kind
+            assert np.allclose(v[i], alpha[i] @ h[0]), kind
 
 
 def test_adv_logit_modes():
@@ -103,6 +118,9 @@ def test_adv_logit_modes():
     params.disc.a_adv[:] = [2.0]
     params.disc.b_adv[:] = [0.5]
     assert np.isclose(adv_logit(params.disc, 0.3, 0.8), 2.0 * 0.8 + 0.5)
+    # elementwise over arrays of pair scores
+    got = adv_logit(params.disc, np.array([0.3, 0.1]), np.array([0.8, -0.2]))
+    assert np.allclose(got, [2.0 * 0.8 + 0.5, 2.0 * -0.2 + 0.5])
 
 
 def test_sample_gumbel_moments():
@@ -114,19 +132,27 @@ def test_sample_gumbel_moments():
 
 
 def test_sample_gate_soft_is_deterministic():
-    z, w = sample_gate(1.0, 0.5, "softmax_soft")
+    z, w, gumbels = sample_gate(1.0, 0.5, "softmax_soft")
     assert w == pytest.approx(1.0 / (1.0 + np.exp(-2.0)))
     assert z == 1
-    z, w = sample_gate(-1.0, 1.0, "softmax_soft")
+    assert gumbels is None
+    z, w, _ = sample_gate(-1.0, 1.0, "softmax_soft")
     assert z == 0
 
 
 def test_sample_gate_hard_with_pinned_noise():
-    z, w = sample_gate(0.5, 1.0, "gumbel_hard", gumbels=np.array([0.2, 0.1]))
+    z, w, _ = sample_gate(0.5, 1.0, "gumbel_hard", gumbels=np.array([0.2, 0.1]))
     assert z == int(0.5 + 0.1 > 0.2) == 1
     assert w == pytest.approx(1.0 / (1.0 + np.exp(-0.4)))
-    z, _ = sample_gate(-2.0, 1.0, "gumbel_hard", gumbels=np.array([1.0, 0.5]))
+    z, _, _ = sample_gate(-2.0, 1.0, "gumbel_hard", gumbels=np.array([1.0, 0.5]))
     assert z == 0
+    # one call gates a whole array of logits, drawing (..., 2) noise
+    z, w, gumbels = sample_gate(np.array([0.5, -2.0]), 1.0, "gumbel_hard",
+                                gumbels=np.array([[0.2, 0.1], [1.0, 0.5]]))
+    assert z.tolist() == [1, 0]
+    assert w[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.4)))
+    _, _, drawn = sample_gate(np.zeros(3), 1.0, "gumbel_hard", rng=np.random.default_rng(0))
+    assert drawn.shape == (3, 2)
 
 
 def test_sample_gate_validation():
