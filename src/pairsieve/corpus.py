@@ -5,7 +5,8 @@ frame feature vectors, all composed from a shared bank of unit-norm
 concept vectors. Each record carries a ground-truth tag (clean / loose /
 noise) describing how well the two sides actually correspond -- the thing
 scraped video data never exposes -- so gate behaviour downstream can be
-checked against truth.
+checked against truth. Training batches are plain (sentence_idx,
+clip_idx) index arrays from epoch_batches.
 """
 
 from __future__ import annotations
@@ -33,32 +34,13 @@ def _unit(x):
     return x / n
 
 
-@dataclass(frozen=True)
-class ConceptBank:
-    """K unit-norm concept vectors that compose sentences and frames."""
-
-    concepts: np.ndarray  # (K, d)
-    seed: int
-
-    def validate(self):
-        if self.concepts.ndim != 2 or self.concepts.shape[0] < 2:
-            raise CorpusError("concept bank needs at least 2 vectors")
-        norms = np.linalg.norm(self.concepts, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
-            raise CorpusError("concept vectors must be unit norm")
-        if not np.all(np.isfinite(self.concepts)):
-            raise CorpusError("concept vectors must be finite")
-
-
 def build_concept_bank(k, d, seed):
-    """Draw k random unit vectors of dimension d."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
-    raw = rng.normal(size=(k, d))
-    concepts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    bank = ConceptBank(concepts=concepts, seed=int(ss.entropy) if ss.entropy is not None else 0)
-    bank.validate()
-    return bank
+    """Draw k random unit vectors of dimension d; returns the (k, d) array.
+
+    seed is an int or a SeedSequence.
+    """
+    raw = np.random.default_rng(seed).normal(size=(k, d))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 @dataclass(eq=False)
@@ -153,9 +135,8 @@ def _perturbed_unit(concepts, subset, sigma, rng):
     return base
 
 
-def _make_record(rec_id, tag, bank, spec, rng):
+def _make_record(rec_id, tag, concepts, spec, rng):
     m = spec.concepts_per_pair
-    concepts = bank.concepts
     n_frames = int(rng.integers(spec.frame_len_min, spec.frame_len_max + 1))
     own = rng.choice(spec.k, size=m, replace=False)
     rest = np.setdiff1d(np.arange(spec.k), own)
@@ -205,19 +186,19 @@ def generate_corpus(spec):
     spec.validate()
     root = np.random.SeedSequence(spec.seed)
     ss_bank, ss_train, ss_test = root.spawn(3)
-    bank = build_concept_bank(spec.k, spec.d, ss_bank)
+    concepts = build_concept_bank(spec.k, spec.d, ss_bank)
 
     rng_train = np.random.default_rng(ss_train)
     probs = np.array([spec.frac_clean, spec.frac_loose, spec.frac_noise])
     tag_idx = rng_train.choice(len(TAGS), size=spec.n_train, p=probs / probs.sum())
     train = [
-        _make_record(f"train-{i:05d}", TAGS[tag_idx[i]], bank, spec, rng_train)
+        _make_record(f"train-{i:05d}", TAGS[tag_idx[i]], concepts, spec, rng_train)
         for i in range(spec.n_train)
     ]
 
     rng_test = np.random.default_rng(ss_test)
     test = [
-        _make_record(f"test-{i:04d}", "clean", bank, spec, rng_test)
+        _make_record(f"test-{i:04d}", "clean", concepts, spec, rng_test)
         for i in range(spec.n_test)
     ]
     return train, test
@@ -241,36 +222,46 @@ def save_corpus(records, path):
             fh.write(line + "\n")
 
 
+def _field_array(obj, field, ndim, lineno):
+    try:
+        arr = np.asarray(obj[field], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CorpusError(f"line {lineno}: field {field!r} is not a numeric array: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise CorpusError(f"line {lineno}: field {field!r} must be a non-empty {ndim}-d array")
+    return arr
+
+
 def _parse_record_line(obj, lineno, d_expected):
+    if not isinstance(obj, dict):
+        raise CorpusError(f"line {lineno}: record is not a JSON object")
     for field in ("id", "tag", "sentence", "frames", "grounded"):
         if field not in obj:
             raise CorpusError(f"line {lineno}: missing field {field!r}")
-    sentence = np.asarray(obj["sentence"], dtype=float)
-    if sentence.ndim != 1:
-        raise CorpusError(f"line {lineno}: field 'sentence' is not a flat vector")
-    frames_list = obj["frames"]
-    if not frames_list:
-        raise CorpusError(f"line {lineno}: field 'frames' is empty")
-    lengths = {len(f) for f in frames_list}
-    if len(lengths) != 1:
-        raise CorpusError(f"line {lineno}: field 'frames' has mixed dimensions {sorted(lengths)}")
-    frames = np.asarray(frames_list, dtype=float)
+    sentence = _field_array(obj, "sentence", 1, lineno)
+    frames = _field_array(obj, "frames", 2, lineno)
     if d_expected is not None and (sentence.shape[0] != d_expected or frames.shape[1] != d_expected):
         raise CorpusError(
             f"line {lineno}: dimension mismatch (header d={d_expected}, "
             f"sentence d={sentence.shape[0]}, frames d={frames.shape[1]})"
         )
-    grounded = np.asarray(obj["grounded"], dtype=bool)
     record = ClipRecord(
         id=str(obj["id"]), sentence_raw=sentence, frames_raw=frames,
-        tag=str(obj["tag"]), grounded=grounded,
+        tag=str(obj["tag"]), grounded=_field_array(obj, "grounded", 1, lineno) != 0,
     )
-    record.validate()
+    try:
+        record.validate()
+    except CorpusError as exc:
+        raise CorpusError(f"line {lineno}: {exc}") from None
     return record
 
 
 def load_corpus(path):
-    """Load a corpus file; an empty file is an empty corpus."""
+    """Load a corpus file; an empty file is an empty corpus.
+
+    Every malformed record, including one that repeats an earlier id, is
+    a CorpusError naming its line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -279,12 +270,13 @@ def load_corpus(path):
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorpusError(f"line 1: invalid header: {exc}") from exc
-    if header.get("format") != CORPUS_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
         raise CorpusError(f"line 1: not a {CORPUS_FORMAT} file")
     if header.get("version") != CORPUS_VERSION:
         raise CorpusError(f"line 1: unsupported corpus version {header.get('version')!r}")
     d = header.get("d")
     records = []
+    first_line = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -292,75 +284,31 @@ def load_corpus(path):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {lineno}: invalid record: {exc}") from exc
-        records.append(_parse_record_line(obj, lineno, d))
+        record = _parse_record_line(obj, lineno, d)
+        if record.id in first_line:
+            raise CorpusError(f"line {lineno}: record id {record.id!r} already used "
+                              f"on line {first_line[record.id]}")
+        first_line[record.id] = lineno
+        records.append(record)
     return records
 
 
-@dataclass
-class PairBatch:
-    """A balanced batch of (sentence_index, clip_index, label) triples."""
+def epoch_batches(n, batch_size, rng):
+    """Yield one epoch of (sentence_idx, clip_idx) batches over n clips.
 
-    sentence_idx: np.ndarray  # (B,) int
-    clip_idx: np.ndarray      # (B,) int
-    labels: np.ndarray        # (B,) int; 1 = matched, 0 = mismatched
-
-    def validate(self):
-        b = self.labels.shape[0]
-        if self.sentence_idx.shape[0] != b or self.clip_idx.shape[0] != b:
-            raise CorpusError("batch index arrays must share one length")
-        if self.labels.sum() * 2 != b:
-            raise CorpusError("batch must be half positives, half negatives")
-        pos = self.labels == 1
-        if not np.all(self.sentence_idx[pos] == self.clip_idx[pos]):
-            raise CorpusError("positive entries must pair a clip with its own sentence")
-        if np.any(self.sentence_idx[~pos] == self.clip_idx[~pos]):
-            raise CorpusError("negative entries must not pair a clip with its own sentence")
-
-
-def sample_training_batch(corpus, batch_size, rng, positive_clips=None):
-    """Draw a balanced batch: half own-sentence pairs, half mismatched.
-
-    Negative sentences are uniform over the corpus excluding the clip's
-    own sentence. positive_clips pins the positive half (the epoch walk
-    uses this to cover every clip); otherwise positives are uniform.
+    The first half of each batch pairs clips with their own sentences;
+    clips are visited in a fresh random order, and the last batch wraps
+    around so every batch keeps the exact half/half balance. The second
+    half pairs uniform clips with uniform sentences other than their own.
     """
-    n = len(corpus)
-    if batch_size < 2 or batch_size % 2 != 0:
-        raise CorpusError("batch_size must be even and >= 2")
-    if n < 2:
-        raise CorpusError("corpus must have >= 2 clips so negatives exist")
-    half = batch_size // 2
-    if positive_clips is None:
-        pos_clips = rng.integers(0, n, size=half)
-    else:
-        pos_clips = np.asarray(positive_clips, dtype=int)
-        if pos_clips.shape[0] != half:
-            raise CorpusError("positive_clips must have batch_size/2 entries")
-    neg_clips = rng.integers(0, n, size=half)
-    neg_sents = rng.integers(0, n - 1, size=half)
-    neg_sents = neg_sents + (neg_sents >= neg_clips)  # skip the clip's own sentence
-    batch = PairBatch(
-        sentence_idx=np.concatenate([pos_clips, neg_sents]),
-        clip_idx=np.concatenate([pos_clips, neg_clips]),
-        labels=np.concatenate([np.ones(half, dtype=int), np.zeros(half, dtype=int)]),
-    )
-    batch.validate()
-    return batch
-
-
-def epoch_batches(corpus, batch_size, rng):
-    """Yield one epoch of batches covering every clip as a positive.
-
-    Clips are visited in a fresh random order; the last batch wraps
-    around so all batches keep the exact half/half balance.
-    """
-    n = len(corpus)
     half = batch_size // 2
     perm = rng.permutation(n)
-    n_batches = math.ceil(n / half)
-    for b in range(n_batches):
-        idx = np.arange(b * half, (b + 1) * half) % n
-        yield sample_training_batch(corpus, batch_size, rng, positive_clips=perm[idx])
+    for b in range(math.ceil(n / half)):
+        pos = perm[np.arange(b * half, (b + 1) * half) % n]
+        neg_clips = rng.integers(0, n, size=half)
+        neg_sents = rng.integers(0, n - 1, size=half)
+        neg_sents += neg_sents >= neg_clips  # skip the clip's own sentence
+        yield np.concatenate([pos, neg_sents]), np.concatenate([pos, neg_clips])
 
 
 def sample_frames(clip, n_f, rng):

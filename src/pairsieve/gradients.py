@@ -87,9 +87,21 @@ class BatchForward:
     member_idx: np.ndarray   # (M,) triplet anchors (empty for bce kind)
     member_hinges: np.ndarray  # (M,) per-anchor row+col hinge sums
     member_keep: np.ndarray    # (M,) anchor weights at the current point
-    loss_lvc: float          # kept-weighted mean match loss (reporting)
-    loss_adv: float          # discard-weighted mean adversarial loss (reporting)
+    # reporting means loss_lvc = lvc_sum / lvc_weight, weighted by kept mass (bce) or
+    # member count (triplet, 0 below 2), and loss_adv = adv_sum / discarded mass
+    lvc_sum: float
+    lvc_weight: float
+    adv_sum: float
+    adv_weight: float
     loss: float              # the optimized objective
+
+    @property
+    def loss_lvc(self):
+        return self.lvc_sum / self.lvc_weight if self.lvc_weight > 0 else 0.0
+
+    @property
+    def loss_adv(self):
+        return self.adv_sum / self.adv_weight if self.adv_weight > 0 else 0.0
 
 
 def _l2relu_backward(d_out, unit, norm, pre):
@@ -158,10 +170,9 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
 
     if cfg.loss_kind == "bce":
         pair_lvc = bce_loss(labels, f_lvc)
-        kept_lvc = (keep * pair_lvc).sum()
-        lvc_term = float(kept_lvc / b)
-        kept_mass = keep.sum()
-        loss_lvc = float(kept_lvc / kept_mass) if kept_mass > 0 else 0.0
+        lvc_sum = float((keep * pair_lvc).sum())
+        lvc_weight = float(keep.sum())
+        lvc_term = lvc_sum / b
         member_idx = np.array([], dtype=int)
         hinges = np.array([])
         member_keep = np.array([])
@@ -181,30 +192,28 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
                                               cfg.triplet_margin)
             hinges = r_h + c_h
             trip_cache = {"jr": jr, "jc": jc, "r_active": r_h > 0, "c_active": c_h > 0}
-            lvc_term = float((member_keep * hinges).sum() / m)
+            lvc_sum, lvc_weight = float((member_keep * hinges).sum()), m
         else:
             hinges = np.zeros(m)
             trip_cache = None
-            lvc_term = 0.0
-        loss_lvc = lvc_term
+            lvc_sum, lvc_weight = 0.0, 0
+        lvc_term = lvc_sum / m if m >= 2 else 0.0
 
-    joint = phase == "joint"
     gate = 1.0 - keep
-    adv_term = float((gate * pair_adv).sum() / b) if (disc_on and joint) else 0.0
+    adv_sum = float((gate * pair_adv).sum())
+    adv_term = adv_sum / b if (disc_on and phase == "joint") else 0.0
     loss = lvc_term + adv_term
 
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss; check learning rate and inputs")
-
-    gated_mass = gate.sum()
-    loss_adv = float((gate * pair_adv).sum() / gated_mass) if (disc_on and gated_mass > 0) else 0.0
 
     fwd = BatchForward(
         s=s, H=H, alpha=alpha, v=v, p_lvc=p_lvc, f_lvc=f_lvc,
         p_adv=p_adv, f_adv=f_adv, z=z, w=w, gumbels=gumbels, keep=keep,
         pair_lvc_loss=pair_lvc, pair_adv_loss=pair_adv,
         member_idx=member_idx, member_hinges=hinges, member_keep=member_keep,
-        loss_lvc=loss_lvc, loss_adv=loss_adv, loss=loss,
+        lvc_sum=lvc_sum, lvc_weight=lvc_weight, adv_sum=adv_sum,
+        adv_weight=float(gate.sum()), loss=loss,
     )
     cache = {
         "pre_s": pre_s, "ns": ns, "pre_h": pre_h, "nh": nh,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -304,62 +305,48 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    """Rebuild ModelParams from save_checkpoint output; exact round-trip."""
+    """Rebuild ModelParams from save_checkpoint output; exact round-trip.
+
+    init_model lays the model out from meta; each tensor is then copied
+    in from the file once it is present, has the layout's shape and holds
+    only finite values. Anything else is a ModelError.
+    """
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"invalid checkpoint: {exc}") from exc
-    if doc.get("format") != PARAMS_FORMAT:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"invalid checkpoint: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT:
         raise ModelError(f"not a {PARAMS_FORMAT} file")
     if doc.get("version") != PARAMS_VERSION:
         raise ModelError(f"unsupported checkpoint version {doc.get('version')!r}")
-    meta = doc["meta"]
-    tensors = {}
-    for name, entry in doc["tensors"].items():
-        arr = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-        tensors[name] = arr
-
-    def take(name, shape=None):
-        if name not in tensors:
-            raise ModelError(f"checkpoint missing tensor {name!r}")
-        arr = tensors[name]
-        if shape is not None and tuple(arr.shape) != tuple(shape):
-            raise ModelError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-        return arr
-
-    d_in, d_emb = meta["d_in"], meta["d_emb"]
-    kind = meta["attention_kind"]
-    if kind not in ATTENTION_KINDS:
-        raise ModelError(f"unknown attention kind {kind!r}")
-    attention = AttentionParams(kind=kind)
-    if kind == "multiplicative":
-        attention.w_mult = take("attention.w_mult", (d_emb, d_emb))
-    elif kind == "additive":
-        d_att = meta["d_att"]
-        attention.w1 = take("attention.w1", (d_emb, d_att))
-        attention.w2 = take("attention.w2", (d_emb, d_att))
-        attention.w_score = take("attention.w_score", (d_att,))
-    mode = meta["input_mode"]
-    if mode not in INPUT_MODES:
-        raise ModelError(f"unknown discriminator input mode {mode!r}")
-    a_len = 2 if mode == "concat" else 1
-    return ModelParams(
-        language=ChannelParams(
-            weight=take("language.weight", (d_in, d_emb)),
-            bias=take("language.bias", (d_emb,)),
-        ),
-        vision=ChannelParams(
-            weight=take("vision.weight", (d_in, d_emb)),
-            bias=take("vision.bias", (d_emb,)),
-        ),
-        attention=attention,
-        disc=DiscriminatorParams(
-            bvf=take("disc.bvf", (meta["n_bvf"], d_emb)),
-            a_adv=take("disc.a_adv", (a_len,)),
-            b_adv=take("disc.b_adv", (1,)),
-            input_mode=mode,
-        ),
-        a_lvc=take("a_lvc", (1,)),
-        b_lvc=take("b_lvc", (1,)),
-    )
+    meta, entries = doc.get("meta"), doc.get("tensors")
+    if not isinstance(meta, dict) or not isinstance(entries, dict):
+        raise ModelError("checkpoint needs 'meta' and 'tensors' objects")
+    d_in, d_emb, n_bvf, d_att = dims = [meta.get(k) for k in ("d_in", "d_emb", "n_bvf", "d_att")]
+    if not all(type(v) is int and v >= 0 for v in dims):
+        raise ModelError("checkpoint meta needs integers d_in, d_emb, n_bvf, d_att >= 0")
+    kind, mode = meta.get("attention_kind"), meta.get("input_mode")
+    # each stored value takes >= 2 characters: bounds what init_model allocates
+    extra = d_emb if kind == "multiplicative" else 2 * (d_att or d_emb) if kind == "additive" else 0
+    if d_emb * (2 * d_in + n_bvf + extra) > len(text) // 2:
+        raise ModelError("checkpoint meta describes more values than the file holds")
+    # only the layout is needed; a stand-in rng keeps numpy.random (6 MB RSS) unloaded
+    ones = SimpleNamespace(normal=lambda scale=1.0, size=None: np.ones(size))
+    params = init_model(d_in, d_emb, kind, mode, n_bvf, ones, d_att=d_att)
+    for name, arr in param_tensors(params).items():
+        entry = entries.get(name)
+        if not isinstance(entry, dict):
+            raise ModelError(f"checkpoint tensor {name!r} is missing or not an object")
+        try:
+            data = np.asarray(entry.get("data"), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"tensor {name!r} has non-numeric data") from exc
+        if entry.get("shape") != list(arr.shape) or data.shape != (arr.size,):
+            raise ModelError(f"tensor {name!r} has shape {entry.get('shape')} and "
+                             f"{data.size} values, expected {list(arr.shape)}")
+        if not np.all(np.isfinite(data)):
+            raise ModelError(f"tensor {name!r} has non-finite values")
+        arr[...] = data.reshape(arr.shape)
+    return params

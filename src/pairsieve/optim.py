@@ -11,23 +11,10 @@ scalars carry no capacity that decay would need to limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-import numpy as np
-
-
-@dataclass
-class OptimizerState:
-    velocity: dict = field(default_factory=dict)
-
-
-def init_optimizer_state(tensors):
-    return OptimizerState(velocity={name: np.zeros_like(arr) for name, arr in tensors.items()})
-
-
-def sgd_step(tensors, grads, state, lr, momentum, weight_decay, frozen=(),
+def sgd_step(tensors, grads, velocity, lr, momentum, weight_decay, frozen=(),
              no_decay=()):
-    """Update tensors in place.
+    """Update tensors and the velocity dict (name -> array, zeros at first) in place.
 
     velocity <- momentum * velocity + (grad + weight_decay * param)
     param    <- param - lr * velocity
@@ -42,7 +29,7 @@ def sgd_step(tensors, grads, state, lr, momentum, weight_decay, frozen=(),
         if name in frozen:
             continue
         g = grads[name] if name in no_decay else grads[name] + weight_decay * arr
-        vel = state.velocity[name]
+        vel = velocity[name]
         vel *= momentum
         vel += g
         arr -= lr * vel

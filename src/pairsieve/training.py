@@ -5,6 +5,10 @@ stays fixed: the gate already filters pairs but receives no updates.
 Phase two (joint) unfreezes the discriminator, adds the adversarial term
 to the objective, and drops the learning rate once. Per-epoch metrics
 stream to CSV as they are produced, so a crashed run keeps its history.
+
+Each step takes (sentence_idx, clip_idx) index arrays from
+corpus.epoch_batches, positives first, so one label vector serves every
+step. Epoch loss means divide the loss sums each forward reports.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
 from .gradients import PairBatchArrays, compute_gradients
 from .model import init_bvf, init_model, param_tensors, save_checkpoint
-from .optim import init_optimizer_state, sgd_step
+from .optim import sgd_step
 
 METRICS_COLUMNS = (
     "epoch", "phase", "lr", "loss_lvc", "loss_adv",
@@ -89,23 +93,18 @@ class _EpochStats:
         self.tag_gate = np.zeros(len(TAGS))
         self.tag_count = np.zeros(len(TAGS))
 
-    def add(self, fwd, labels, tag_idx):
+    def add(self, fwd, pos_tags):
+        """Add one batch; pos_tags are the tag indices of its positive half."""
         gate = 1.0 - fwd.keep
         self.keep_sum += float(fwd.keep.sum())
-        self.pair_count += labels.shape[0]
-        if fwd.pair_lvc_loss is not None:
-            self.lvc_num += float((fwd.keep * fwd.pair_lvc_loss).sum())
-            self.lvc_den += float(fwd.keep.sum())
-        elif fwd.member_idx.shape[0] >= 2:
-            self.lvc_num += float((fwd.member_keep * fwd.member_hinges).sum())
-            self.lvc_den += fwd.member_idx.shape[0]
-        self.adv_num += float((gate * fwd.pair_adv_loss).sum())
-        self.adv_den += float(gate.sum())
-        pos = labels == 1
-        t = tag_idx[pos]
-        g = gate[pos]
+        self.pair_count += gate.shape[0]
+        self.lvc_num += fwd.lvc_sum
+        self.lvc_den += fwd.lvc_weight
+        self.adv_num += fwd.adv_sum
+        self.adv_den += fwd.adv_weight
+        g = gate[:pos_tags.shape[0]]
         for k in range(len(TAGS)):
-            sel = t == k
+            sel = pos_tags == k
             self.tag_gate[k] += float(g[sel].sum())
             self.tag_count[k] += int(sel.sum())
 
@@ -134,10 +133,10 @@ def _corpus_dim(corpus):
     return d
 
 
-def _batch_arrays(corpus, batch, n_f, rng):
-    xs = np.stack([corpus[i].sentence_raw for i in batch.sentence_idx])
-    xf = np.stack([sample_frames(corpus[i], n_f, rng) for i in batch.clip_idx])
-    return PairBatchArrays(xs=xs, xf=xf, labels=batch.labels)
+def _batch_arrays(corpus, sentence_idx, clip_idx, labels, n_f, rng):
+    xs = np.stack([corpus[i].sentence_raw for i in sentence_idx])
+    xf = np.stack([sample_frames(corpus[i], n_f, rng) for i in clip_idx])
+    return PairBatchArrays(xs=xs, xf=xf, labels=labels)
 
 
 def train(cfg, corpus, run_dir=None, log=None):
@@ -163,8 +162,10 @@ def train(cfg, corpus, run_dir=None, log=None):
         init_bvf(params, corpus, np.random.default_rng(ss_bvf))
 
     tensors = param_tensors(params)
-    state = init_optimizer_state(tensors)
+    velocity = {name: np.zeros_like(arr) for name, arr in tensors.items()}
     tag_idx = np.array([TAGS.index(c.tag) for c in corpus])
+    half = cfg.batch_size // 2
+    labels = np.concatenate([np.ones(half, dtype=int), np.zeros(half, dtype=int)])
 
     total_epochs = cfg.freeze_epochs + cfg.joint_epochs
     metrics = []
@@ -180,14 +181,12 @@ def train(cfg, corpus, run_dir=None, log=None):
             lr = cfg.lr if phase == "freeze" else cfg.lr / cfg.lr_drop_factor
             frozen = DISC_TENSORS if (phase == "freeze" or not cfg.discriminator_enabled) else ()
             stats = _EpochStats()
-            for batch in epoch_batches(corpus, cfg.batch_size, rng_batch):
-                arrays = _batch_arrays(corpus, batch, cfg.n_f, rng_frame)
-                fwd, grads = compute_gradients(
-                    params, arrays, cfg, phase, rng=rng_gate
-                )
-                sgd_step(tensors, grads, state, lr, cfg.momentum,
+            for sentence_idx, clip_idx in epoch_batches(len(corpus), cfg.batch_size, rng_batch):
+                arrays = _batch_arrays(corpus, sentence_idx, clip_idx, labels, cfg.n_f, rng_frame)
+                fwd, grads = compute_gradients(params, arrays, cfg, phase, rng=rng_gate)
+                sgd_step(tensors, grads, velocity, lr, cfg.momentum,
                          cfg.weight_decay, frozen=frozen, no_decay=NO_DECAY)
-                stats.add(fwd, batch.labels, tag_idx[batch.clip_idx])
+                stats.add(fwd, tag_idx[clip_idx[:half]])
             row = stats.row(epoch, phase, lr)
             metrics.append(row)
             if csv_fh is not None:

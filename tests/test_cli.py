@@ -141,6 +141,20 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]) == 1
     capsys.readouterr()
 
+    # a NaN weight and a repeated record id each end in one error line
+    checkpoint = workspace / "run" / "checkpoint_final.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["tensors"]["vision.weight"]["data"][0] = float("nan")
+    nan_ckpt = tmp_path / "nan.json"
+    nan_ckpt.write_text(json.dumps(doc))
+    lines = corpus.read_text().splitlines()
+    dup_corpus = tmp_path / "dup.corpus"
+    dup_corpus.write_text("\n".join(lines[:3] + lines[1:2]) + "\n")
+    for ckpt, records in ((nan_ckpt, corpus), (checkpoint, dup_corpus)):
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(records)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+
     # bad ablation values fail before any training run starts
     test_corpus = workspace / "corpus" / "test.corpus"
     for axis, values in (("discriminator_enabled", "maybe"), ("bvf_count", "a,b"),

@@ -1,5 +1,7 @@
 """Synthetic corpus generation, persistence, and batch/frame sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from pairsieve.corpus import (
     load_corpus,
     records_equal,
     sample_frames,
-    sample_training_batch,
     save_corpus,
 )
 
@@ -22,10 +23,11 @@ SMALL = CorpusSpec(n_train=60, n_test=10, d=8, k=12, seed=5)
 def test_concept_bank_unit_norm_and_deterministic():
     a = build_concept_bank(12, 8, seed=3)
     b = build_concept_bank(12, 8, seed=3)
-    assert a.concepts.shape == (12, 8)
-    assert np.allclose(np.linalg.norm(a.concepts, axis=1), 1.0, atol=1e-9)
-    assert np.array_equal(a.concepts, b.concepts)
-    assert not np.array_equal(a.concepts, build_concept_bank(12, 8, seed=4).concepts)
+    assert a.shape == (12, 8)
+    assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-9)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, build_concept_bank(12, 8, seed=4))
+    assert np.array_equal(a, build_concept_bank(12, 8, seed=np.random.SeedSequence(3)))
 
 
 def test_generate_counts_and_tags():
@@ -130,7 +132,6 @@ def test_load_reports_line_numbers(tmp_path):
     lines = path.read_text().splitlines()
 
     # frame dimension mismatch inside one record
-    import json
     rec = json.loads(lines[2])
     rec["frames"][0] = rec["frames"][0][:-1]
     path.write_text("\n".join([lines[0], lines[1], json.dumps(rec)]) + "\n")
@@ -147,6 +148,23 @@ def test_load_reports_line_numbers(tmp_path):
     with pytest.raises(CorpusError, match="line 2"):
         load_corpus(path)
 
+    # malformed arrays and non-object records name their line
+    for field, value in (("frames", 5), ("frames", [[1, "a"]]), ("sentence", "x"),
+                         ("grounded", 5), ("grounded", [1]), ("tag", "vague")):
+        rec = json.loads(lines[2])
+        rec[field] = value
+        path.write_text("\n".join([lines[0], lines[1], json.dumps(rec)]) + "\n")
+        with pytest.raises(CorpusError, match="line 3"):
+            load_corpus(path)
+    path.write_text("\n".join([lines[0], lines[1], "[1, 2]"]) + "\n")
+    with pytest.raises(CorpusError, match="line 3.*object"):
+        load_corpus(path)
+
+    # a repeated id names both lines
+    path.write_text("\n".join([lines[0], lines[1], lines[2], lines[1]]) + "\n")
+    with pytest.raises(CorpusError, match="line 4.*line 2"):
+        load_corpus(path)
+
 
 def test_load_rejects_wrong_format_or_version(tmp_path):
     path = tmp_path / "bad.corpus"
@@ -159,44 +177,36 @@ def test_load_rejects_wrong_format_or_version(tmp_path):
 
 
 def test_batch_balance_and_negative_rule():
-    train, _ = generate_corpus(SMALL)
     rng = np.random.default_rng(0)
-    batch = sample_training_batch(train, 10, rng)
-    assert batch.labels.sum() == 5
-    pos = batch.labels == 1
-    assert np.all(batch.sentence_idx[pos] == batch.clip_idx[pos])
-    assert np.all(batch.sentence_idx[~pos] != batch.clip_idx[~pos])
+    for sentence_idx, clip_idx in epoch_batches(60, 10, rng):
+        assert sentence_idx.shape == clip_idx.shape == (10,)
+        # positives first: own sentences, then mismatched ones
+        assert np.all(sentence_idx[:5] == clip_idx[:5])
+        assert np.all(sentence_idx[5:] != clip_idx[5:])
 
 
 def test_negatives_never_use_own_sentence_small_corpus():
-    train, _ = generate_corpus(CorpusSpec(n_train=5, n_test=1, d=8, k=12, seed=2))
     rng = np.random.default_rng(1)
-    for _ in range(10_000):
-        batch = sample_training_batch(train, 2, rng)
-        neg = batch.labels == 0
-        assert np.all(batch.sentence_idx[neg] != batch.clip_idx[neg])
-
-
-def test_batch_validation_errors():
-    train, _ = generate_corpus(SMALL)
-    rng = np.random.default_rng(0)
-    with pytest.raises(CorpusError):
-        sample_training_batch(train, 5, rng)
-    with pytest.raises(CorpusError):
-        sample_training_batch(train[:1], 2, rng)
+    n_batches = 0
+    while n_batches < 10_000:
+        for sentence_idx, clip_idx in epoch_batches(5, 2, rng):
+            n_batches += 1
+            assert sentence_idx[1] != clip_idx[1]
+            assert 0 <= sentence_idx[1] < 5
+    assert n_batches == 10_000
 
 
 def test_epoch_covers_every_clip_as_positive():
-    train, _ = generate_corpus(SMALL)
     rng = np.random.default_rng(3)
     seen = set()
     n_batches = 0
-    for batch in epoch_batches(train, 8, rng):
+    for sentence_idx, clip_idx in epoch_batches(60, 8, rng):
         n_batches += 1
-        batch.validate()
-        seen.update(batch.clip_idx[batch.labels == 1].tolist())
-    assert seen == set(range(len(train)))
-    assert n_batches == int(np.ceil(len(train) / 4))
+        assert np.all(sentence_idx[:4] == clip_idx[:4])
+        assert np.all(sentence_idx[4:] != clip_idx[4:])
+        seen.update(clip_idx[:4].tolist())
+    assert seen == set(range(60))
+    assert n_batches == int(np.ceil(60 / 4))
 
 
 def test_sample_frames_without_replacement_when_possible():

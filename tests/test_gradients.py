@@ -1,5 +1,7 @@
 """Forward-pass invariants and analytic gradients vs finite differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,9 @@ FD_CASES = [
 
 @pytest.mark.parametrize("attention,mode,sampler,loss,disc_on,phase", FD_CASES)
 def test_gradients_match_finite_differences(attention, mode, sampler, loss, disc_on, phase):
-    rng = np.random.default_rng(hash((attention, mode, sampler, loss, disc_on, phase)) % 2**32)
+    # a stable digest: hash() of strings is salted per process
+    case = (attention, mode, sampler, loss, disc_on, phase)
+    rng = np.random.default_rng(zlib.crc32(repr(case).encode()))
     params, arrays, cfg = random_problem(
         rng, attention=attention, input_mode=mode, sampler=sampler,
         loss=loss, disc_on=disc_on, n_frames=3, batch=4,

@@ -263,3 +263,38 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError, match="shape"):
         load_checkpoint(path)
+
+    def edited(edit):
+        save_checkpoint(_model(kind="additive", mode="concat"), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    cases = [
+        (lambda doc: doc.pop("meta"), "meta"),
+        (lambda doc: doc.update(meta=[1]), "meta"),
+        (lambda doc: doc["meta"].pop("n_bvf"), "n_bvf"),
+        (lambda doc: doc["meta"].update(d_in="6"), "d_in"),
+        (lambda doc: doc["meta"].update(d_att=2.5), "d_att"),
+        (lambda doc: doc["meta"].update(attention_kind=7), "attention kind"),
+        (lambda doc: doc["meta"].update(input_mode=None), "input mode"),
+        # a meta far larger than the file fails before anything is allocated
+        (lambda doc: doc["meta"].update(d_emb=10**15), "more values"),
+        (lambda doc: doc["tensors"]["vision.bias"]["data"].pop(), "vision.bias.*shape"),
+        (lambda doc: doc["tensors"]["attention.w1"].update(data=[[1, 2]]), "attention.w1"),
+        (lambda doc: doc["tensors"]["attention.w2"].update(data="x"), "attention.w2"),
+        (lambda doc: doc["tensors"].update({"b_lvc": 5}), "b_lvc"),
+        (lambda doc: doc["tensors"]["disc.a_adv"].update(shape=[1]), "disc.a_adv"),
+    ]
+    for edit, match in cases:
+        with pytest.raises(ModelError, match=match):
+            load_checkpoint(edited(edit))
+
+    # a NaN loads as a ModelError, not as a silently dead embedding row
+    save_checkpoint(params, path)
+    doc = json.loads(path.read_text())
+    doc["tensors"]["vision.weight"]["data"][3] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match="vision.weight.*non-finite"):
+        load_checkpoint(path)
