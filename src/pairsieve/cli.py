@@ -122,9 +122,22 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
+def _check_dim(records, path, d, owner):
+    """A corpus scored by a model must have the model's feature dimension."""
+    if records and records[0].sentence_raw.shape[0] != d:
+        raise CorpusError(f"{path}: feature dimension {records[0].sentence_raw.shape[0]} "
+                          f"does not match {owner}={d}")
+
+
+def _load_scoring_inputs(args):
     params = load_checkpoint(args.checkpoint)
     records = load_corpus(args.corpus)
+    _check_dim(records, args.corpus, params.language.weight.shape[0], "the checkpoint's d_in")
+    return params, records
+
+
+def cmd_eval(args):
+    params, records = _load_scoring_inputs(args)
     report = bidirectional_retrieval(params, records)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
@@ -142,6 +155,9 @@ def cmd_ablate(args):
     values = _load_values(args)
     corpus = load_corpus(args.corpus)
     test_records = load_corpus(args.test_corpus)
+    if corpus:
+        _check_dim(test_records, args.test_corpus, corpus[0].sentence_raw.shape[0],
+                   "the training corpus's d")
     axis_values = ABLATION_AXES[args.axis]
     if args.values:
         axis_values = _parse_axis_values(args.axis, args.values)
@@ -180,8 +196,7 @@ def cmd_ablate(args):
 
 
 def cmd_attention_dump(args):
-    params = load_checkpoint(args.checkpoint)
-    records = load_corpus(args.corpus)
+    params, records = _load_scoring_inputs(args)
     rows = export_attention(params, records)
     lines = ["clip_id,frame,grounded,alpha,alpha_rel"]
     for r in rows:

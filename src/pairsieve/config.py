@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .corpus import CorpusError, CorpusSpec
-from .model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS, ModelError
+from .model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS, ModelError, write_atomically
 
 LOSS_KINDS = ("bce", "triplet")
 
@@ -197,7 +197,10 @@ def train_config_from(values, seed_override=None):
 
 
 def write_manifest(path, command, values, artifacts, tool_version):
-    """Record how an artifact was produced; enough to rerun the command."""
+    """Record how an artifact was produced; enough to rerun the command.
+
+    The file is replaced atomically (model.write_atomically).
+    """
     doc = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -206,7 +209,7 @@ def write_manifest(path, command, values, artifacts, tool_version):
         "config": dict(sorted(values.items())),
         "artifacts": artifacts,
     }
-    with open(path, "w") as fh:
+    with write_atomically(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

@@ -6,7 +6,8 @@ concept vectors. Each record carries a ground-truth tag (clean / loose /
 noise) describing how well the two sides actually correspond -- the thing
 scraped video data never exposes -- so gate behaviour downstream can be
 checked against truth. Training batches are plain (sentence_idx,
-clip_idx) index arrays from epoch_batches.
+clip_idx) index arrays from epoch_batches, and sample_frames draws the
+frames of a whole batch in one call.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _field_array(obj, field, ndim, lineno):
     return arr
 
 
-def _parse_record_line(obj, lineno, d_expected):
+def _parse_record_line(obj, lineno, d_expected, d_source):
     if not isinstance(obj, dict):
         raise CorpusError(f"line {lineno}: record is not a JSON object")
     for field in ("id", "tag", "sentence", "frames", "grounded"):
@@ -242,7 +243,7 @@ def _parse_record_line(obj, lineno, d_expected):
     frames = _field_array(obj, "frames", 2, lineno)
     if d_expected is not None and (sentence.shape[0] != d_expected or frames.shape[1] != d_expected):
         raise CorpusError(
-            f"line {lineno}: dimension mismatch (header d={d_expected}, "
+            f"line {lineno}: dimension mismatch ({d_source} d={d_expected}, "
             f"sentence d={sentence.shape[0]}, frames d={frames.shape[1]})"
         )
     record = ClipRecord(
@@ -259,8 +260,9 @@ def _parse_record_line(obj, lineno, d_expected):
 def load_corpus(path):
     """Load a corpus file; an empty file is an empty corpus.
 
-    Every malformed record, including one that repeats an earlier id, is
-    a CorpusError naming its line.
+    Every malformed record, including one that repeats an earlier id or
+    whose dimension differs from the header's d, is a CorpusError naming
+    its line. A header with "d": null takes d from the first record.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -274,7 +276,7 @@ def load_corpus(path):
         raise CorpusError(f"line 1: not a {CORPUS_FORMAT} file")
     if header.get("version") != CORPUS_VERSION:
         raise CorpusError(f"line 1: unsupported corpus version {header.get('version')!r}")
-    d = header.get("d")
+    d, d_source = header.get("d"), "header"
     records = []
     first_line = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -284,7 +286,9 @@ def load_corpus(path):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {lineno}: invalid record: {exc}") from exc
-        record = _parse_record_line(obj, lineno, d)
+        record = _parse_record_line(obj, lineno, d, d_source)
+        if d is None:
+            d, d_source = record.sentence_raw.shape[0], f"line {lineno}"
         if record.id in first_line:
             raise CorpusError(f"line {lineno}: record id {record.id!r} already used "
                               f"on line {first_line[record.id]}")
@@ -311,19 +315,27 @@ def epoch_batches(n, batch_size, rng):
         yield np.concatenate([pos, neg_sents]), np.concatenate([pos, neg_clips])
 
 
-def sample_frames(clip, n_f, rng):
-    """Sample n_f frames from a clip, preserving temporal order.
+def sample_frames(records, clip_idx, n_f, rng):
+    """Sample n_f frames from each clip records[i], i in clip_idx; (B, n_f, d).
 
-    With enough frames the draw is without replacement; short clips keep
-    every frame and fill the shortfall by uniform reuse.
+    Frames keep temporal order. One rng.random((B, W)) call draws the
+    batch, W = max(n_f, longest clip). A clip of L >= n_f frames keeps
+    the frames with the n_f smallest of its first L keys: a uniform
+    subset, without replacement. A shorter clip keeps every frame and
+    fills the remaining slots with frame floor(key * L), uniform reuse.
     """
     if n_f < 1:
         raise CorpusError("n_f must be >= 1")
-    n = clip.frames_raw.shape[0]
-    if n < 1:
-        raise CorpusError(f"clip {clip.id} has no frames")
-    if n >= n_f:
-        idx = np.sort(rng.choice(n, size=n_f, replace=False))
-    else:
-        idx = np.sort(np.concatenate([np.arange(n), rng.integers(0, n, size=n_f - n)]))
-    return clip.frames_raw[idx]
+    clips = [records[i].frames_raw for i in clip_idx]
+    lengths = np.array([c.shape[0] for c in clips])
+    if lengths.min() < 1:
+        raise CorpusError(f"clip {records[clip_idx[lengths.argmin()]].id} has no frames")
+    keys = rng.random((len(clips), max(n_f, lengths.max())))
+    frame = np.arange(keys.shape[1])
+    inside = frame < lengths[:, None]
+    subset = np.argpartition(np.where(inside, keys, 2.0), n_f - 1, axis=1)[:, :n_f]
+    reuse = np.where(inside[:, :n_f], frame[:n_f], (keys[:, :n_f] * lengths[:, None]).astype(int))
+    idx = np.where((lengths >= n_f)[:, None], subset, reuse)
+    idx.sort(axis=1)
+    starts = np.cumsum(lengths) - lengths
+    return np.concatenate(clips)[starts[:, None] + idx]

@@ -18,6 +18,8 @@ frames h (..., F, E), which covers one pair (E,) with (F, E), a batch
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -60,7 +62,9 @@ class AttentionParams:
 class DiscriminatorParams:
     """Background bank plus the affine map from pair scores to the gate logit."""
 
-    bvf: np.ndarray        # (n_bvf, d_emb), unit rows
+    # (n_bvf, d_emb). Rows start as unit vectors (init_model, init_bvf);
+    # nothing projects them back, so SGD and weight decay may shrink them.
+    bvf: np.ndarray
     a_adv: np.ndarray      # (1,) residual/adv_only; (2,) concat
     b_adv: np.ndarray      # (1,)
     input_mode: str
@@ -278,8 +282,30 @@ def param_tensors(params):
     return out
 
 
+@contextmanager
+def write_atomically(path):
+    """Yield a text file that replaces path only once the block completes.
+
+    Writing goes to path + ".tmp" in the same directory, which os.replace
+    then moves into place, so a write that fails midway leaves the
+    previous file as it was and no temp file. Nothing is fsynced: this
+    guards against a failing process, not against power loss.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_checkpoint(params, path):
-    """Serialize all tensors plus the metadata needed to rebuild them."""
+    """Serialize all tensors plus the metadata needed to rebuild them.
+
+    The file is replaced atomically (write_atomically).
+    """
     att = params.attention
     meta = {
         "attention_kind": att.kind,
@@ -299,7 +325,7 @@ def save_checkpoint(params, path):
         "meta": meta,
         "tensors": tensors,
     }
-    with open(path, "w") as fh:
+    with write_atomically(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

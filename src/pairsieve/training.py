@@ -8,7 +8,9 @@ stream to CSV as they are produced, so a crashed run keeps its history.
 
 Each step takes (sentence_idx, clip_idx) index arrays from
 corpus.epoch_batches, positives first, so one label vector serves every
-step. Epoch loss means divide the loss sums each forward reports.
+step; sentences are rows of one (n, d) matrix, and frames come from one
+batched sample_frames call per step. Epoch loss means divide the loss
+sums each forward reports.
 """
 
 from __future__ import annotations
@@ -133,12 +135,6 @@ def _corpus_dim(corpus):
     return d
 
 
-def _batch_arrays(corpus, sentence_idx, clip_idx, labels, n_f, rng):
-    xs = np.stack([corpus[i].sentence_raw for i in sentence_idx])
-    xf = np.stack([sample_frames(corpus[i], n_f, rng) for i in clip_idx])
-    return PairBatchArrays(xs=xs, xf=xf, labels=labels)
-
-
 def train(cfg, corpus, run_dir=None, log=None):
     """Train on a tagged corpus; returns (params, per-epoch metrics).
 
@@ -164,6 +160,7 @@ def train(cfg, corpus, run_dir=None, log=None):
     tensors = param_tensors(params)
     velocity = {name: np.zeros_like(arr) for name, arr in tensors.items()}
     tag_idx = np.array([TAGS.index(c.tag) for c in corpus])
+    sentences = np.stack([c.sentence_raw for c in corpus])
     half = cfg.batch_size // 2
     labels = np.concatenate([np.ones(half, dtype=int), np.zeros(half, dtype=int)])
 
@@ -182,7 +179,11 @@ def train(cfg, corpus, run_dir=None, log=None):
             frozen = DISC_TENSORS if (phase == "freeze" or not cfg.discriminator_enabled) else ()
             stats = _EpochStats()
             for sentence_idx, clip_idx in epoch_batches(len(corpus), cfg.batch_size, rng_batch):
-                arrays = _batch_arrays(corpus, sentence_idx, clip_idx, labels, cfg.n_f, rng_frame)
+                arrays = PairBatchArrays(
+                    xs=sentences[sentence_idx],
+                    xf=sample_frames(corpus, clip_idx, cfg.n_f, rng_frame),
+                    labels=labels,
+                )
                 fwd, grads = compute_gradients(params, arrays, cfg, phase, rng=rng_gate)
                 sgd_step(tensors, grads, velocity, lr, cfg.momentum,
                          cfg.weight_decay, frozen=frozen, no_decay=NO_DECAY)

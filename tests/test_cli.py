@@ -155,8 +155,35 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
 
-    # bad ablation values fail before any training run starts
+    # a record one dimension short under "d": null, and a corpus whose d is not the
+    # checkpoint's d_in, each end in one error line from eval and attention-dump
     test_corpus = workspace / "corpus" / "test.corpus"
+    lines = test_corpus.read_text().splitlines()
+    header = json.loads(lines[0])
+    records = [json.loads(line) for line in lines[1:]]
+    for rec in records:
+        rec["sentence"] = rec["sentence"][:-1]
+        rec["frames"] = [f[:-1] for f in rec["frames"]]
+    short = [json.dumps(rec) for rec in records]
+    ragged_corpus = tmp_path / "ragged.corpus"
+    ragged_corpus.write_text("\n".join([json.dumps({**header, "d": None}), *lines[1:3], short[2]])
+                             + "\n")
+    narrow_corpus = tmp_path / "narrow.corpus"
+    narrow_corpus.write_text("\n".join([json.dumps({**header, "d": 7}), *short]) + "\n")
+    for bad_corpus in (ragged_corpus, narrow_corpus):
+        for command in (["eval"], ["attention-dump", "--out", str(tmp_path / "att.csv")]):
+            assert main(command + ["--checkpoint", str(checkpoint),
+                                   "--corpus", str(bad_corpus)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+    out = tmp_path / "ablate_narrow"
+    assert main(["ablate", "--corpus", str(corpus), "--test-corpus", str(narrow_corpus),
+                 "--axis", "bvf_count", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+    # bad ablation values fail before any training run starts
     for axis, values in (("discriminator_enabled", "maybe"), ("bvf_count", "a,b"),
                          ("attention_kind", "dot,bogus")):
         out = tmp_path / f"ablate_{axis}"

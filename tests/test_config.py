@@ -1,5 +1,7 @@
 """Flat config parsing, overrides, and run manifests."""
 
+import json
+
 import pytest
 
 from pairsieve.config import (
@@ -121,3 +123,20 @@ def test_manifest_round_trip(tmp_path):
     path.write_text("@@@")
     with pytest.raises(ConfigError):
         read_manifest(path)
+
+
+def test_manifest_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, "train", {"lr": 0.1}, {"metrics": "metrics.csv"}, "0.1.0")
+    before = path.read_bytes()
+
+    def dump_half(doc, fh, **kwargs):
+        text = json.dumps(doc, **kwargs)
+        fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        write_manifest(path, "train", {"lr": 0.2}, {"metrics": "metrics.csv"}, "0.1.0")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pairsieve.corpus import (
+    ClipRecord,
     CorpusError,
     CorpusSpec,
     build_concept_bank,
@@ -165,6 +166,25 @@ def test_load_reports_line_numbers(tmp_path):
     with pytest.raises(CorpusError, match="line 4.*line 2"):
         load_corpus(path)
 
+    # with "d": null the first record sets d; a record one dimension short names its line
+    header = json.loads(lines[0])
+    header["d"] = None
+    short = json.loads(lines[2])
+    short["sentence"] = short["sentence"][:-1]
+    short["frames"] = [f[:-1] for f in short["frames"]]
+    null_header = json.dumps(header)
+    path.write_text("\n".join([null_header, lines[1], lines[2]]) + "\n")
+    assert [r.sentence_raw.shape[0] for r in load_corpus(path)] == [8, 8]
+    path.write_text("\n".join([null_header, lines[1], json.dumps(short)]) + "\n")
+    with pytest.raises(CorpusError, match="line 3: dimension mismatch.*line 2 d=8"):
+        load_corpus(path)
+    path.write_text("\n".join([null_header, json.dumps(short), lines[1]]) + "\n")
+    with pytest.raises(CorpusError, match="line 3: dimension mismatch.*line 2 d=7"):
+        load_corpus(path)
+    path.write_text("\n".join([lines[0], json.dumps(short)]) + "\n")
+    with pytest.raises(CorpusError, match="line 2: dimension mismatch.*header d=8"):
+        load_corpus(path)
+
 
 def test_load_rejects_wrong_format_or_version(tmp_path):
     path = tmp_path / "bad.corpus"
@@ -209,13 +229,32 @@ def test_epoch_covers_every_clip_as_positive():
     assert n_batches == int(np.ceil(60 / 4))
 
 
+def _numbered_clips(lengths, d=3):
+    """Records whose frame f of clip c holds 100 * c + f in every feature."""
+    return [
+        ClipRecord(id=f"c{c}", sentence_raw=np.ones(d),
+                   frames_raw=np.repeat(100.0 * c + np.arange(n)[:, None], d, axis=1),
+                   tag="noise", grounded=np.zeros(n, dtype=bool))
+        for c, n in enumerate(lengths)
+    ]
+
+
+def _frame_ids(frames, clip_idx):
+    """Frame indices of a sampled (B, n_f, d) batch; checks each row's clip."""
+    assert np.all(frames == frames[:, :, :1])
+    ids = frames[:, :, 0] - 100.0 * np.asarray(clip_idx)[:, None]
+    assert np.all((ids >= 0) & (ids < 100) & (ids == np.round(ids)))
+    return ids.astype(int)
+
+
 def test_sample_frames_without_replacement_when_possible():
     train, _ = generate_corpus(SMALL)
-    clip = next(r for r in train if r.frames_raw.shape[0] >= 5)
+    i = next(i for i, r in enumerate(train) if r.frames_raw.shape[0] >= 5)
+    clip = train[i]
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        frames = sample_frames(clip, 5, rng)
-        assert frames.shape == (5, 8)
+    batch = sample_frames(train, np.full(50, i), 5, rng)
+    assert batch.shape == (50, 5, 8)
+    for frames in batch:
         # all distinct rows of the original clip
         ids = [np.flatnonzero((clip.frames_raw == f).all(axis=1))[0] for f in frames]
         assert len(set(ids)) == 5
@@ -224,10 +263,11 @@ def test_sample_frames_without_replacement_when_possible():
 
 def test_sample_frames_reuses_when_short():
     train, _ = generate_corpus(SMALL)
-    clip = min(train, key=lambda r: r.frames_raw.shape[0])
+    i = min(range(len(train)), key=lambda j: train[j].frames_raw.shape[0])
+    clip = train[i]
     n = clip.frames_raw.shape[0]
     rng = np.random.default_rng(5)
-    frames = sample_frames(clip, n + 3, rng)
+    frames = sample_frames(train, [i], n + 3, rng)[0]
     assert frames.shape[0] == n + 3
     for orig in clip.frames_raw:
         assert any((orig == f).all() for f in frames)
@@ -240,7 +280,63 @@ def test_sample_frames_single_frame_clip():
         id="x", sentence_raw=rec.sentence_raw, frames_raw=rec.frames_raw[:1],
         tag="noise", grounded=np.zeros(1, dtype=bool),
     )
-    frames = sample_frames(one, 1, np.random.default_rng(6))
+    frames = sample_frames([one], [0], 1, np.random.default_rng(6))[0]
     assert np.array_equal(frames, one.frames_raw)
     with pytest.raises(CorpusError):
-        sample_frames(one, 0, np.random.default_rng(6))
+        sample_frames([one], [0], 0, np.random.default_rng(6))
+
+
+def test_sample_frames_mixed_length_batch():
+    records = _numbered_clips(range(1, 11))
+    clip_idx = np.random.default_rng(7).permutation(np.repeat(np.arange(10), 20))
+    ids = _frame_ids(sample_frames(records, clip_idx, 5, np.random.default_rng(8)), clip_idx)
+    assert ids.shape == (200, 5)
+    for row, c in zip(ids, clip_idx):
+        n = c + 1
+        assert np.all(np.diff(row) >= 0) and row.max() < n
+        if n >= 5:
+            assert len(set(row.tolist())) == 5
+        else:
+            assert set(row.tolist()) == set(range(n))
+
+
+def test_sample_frames_n_f_beyond_longest_clip():
+    records = _numbered_clips([1, 2, 3, 4])
+    clip_idx = np.array([3, 0, 2, 1, 3])
+    frames = sample_frames(records, clip_idx, 7, np.random.default_rng(9))
+    assert frames.shape == (5, 7, 3)
+    for row, c in zip(_frame_ids(frames, clip_idx), clip_idx):
+        assert np.all(np.diff(row) >= 0)
+        assert set(row.tolist()) == set(range(c + 1))
+
+
+def test_sample_frames_subsets_are_uniform():
+    n_draws = 20_000
+    ids = _frame_ids(sample_frames(_numbered_clips([5]), np.zeros(n_draws, dtype=int), 2,
+                                   np.random.default_rng(10)), np.zeros(n_draws))
+    assert np.all(ids[:, 0] < ids[:, 1])
+    counts = np.bincount(ids[:, 0] * 5 + ids[:, 1], minlength=25)
+    pairs = [a * 5 + b for a in range(5) for b in range(a + 1, 5)]
+    assert counts.sum() == counts[pairs].sum() == n_draws
+    p = 1 / len(pairs)
+    sigma = np.sqrt(n_draws * p * (1 - p))
+    assert np.all(np.abs(counts[pairs] - n_draws * p) <= 5 * sigma), counts[pairs]
+
+
+def test_sample_frames_same_seed_same_batch():
+    train, _ = generate_corpus(SMALL)
+    clip_idx = np.arange(0, 60, 3)
+    a = sample_frames(train, clip_idx, 5, np.random.default_rng(11))
+    b = sample_frames(train, clip_idx, 5, np.random.default_rng(11))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_frames(train, clip_idx, 5, np.random.default_rng(12)))
+
+
+def test_sample_frames_rejects_bad_requests():
+    records = _numbered_clips([3, 4])
+    for n_f in (0, -1):
+        with pytest.raises(CorpusError, match="n_f"):
+            sample_frames(records, [0, 1], n_f, np.random.default_rng(0))
+    empty = _numbered_clips([0])[0]
+    with pytest.raises(CorpusError, match="c0 has no frames"):
+        sample_frames(records[1:] + [empty], [0, 1], 2, np.random.default_rng(0))

@@ -1,11 +1,14 @@
 """Embedding channels, attention scorers, gating, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pairsieve.corpus import CorpusSpec, generate_corpus
 from pairsieve.model import (
     ATTENTION_KINDS,
+    INPUT_MODES,
     ChannelParams,
     ModelError,
     adv_logit,
@@ -243,7 +246,6 @@ def test_checkpoint_rejects_bad_files(tmp_path):
 
     params = _model()
     save_checkpoint(params, path)
-    import json
     doc = json.loads(path.read_text())
     doc["version"] = 99
     path.write_text(json.dumps(doc))
@@ -298,3 +300,36 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError, match="vision.weight.*non-finite"):
         load_checkpoint(path)
+
+
+def test_bvf_rows_are_unit_at_initialisation():
+    # rows start unit; nothing projects them later (DiscriminatorParams.bvf)
+    for mode in INPUT_MODES:
+        for n_bvf in (1, 4, 64):
+            params = init_model(6, 5, "dot", mode, n_bvf, np.random.default_rng(n_bvf))
+            assert np.allclose(np.linalg.norm(params.disc.bvf, axis=1), 1.0, atol=1e-12)
+    train, _ = generate_corpus(CorpusSpec(n_train=40, n_test=1, d=6, k=12, seed=1))
+    # more rows than clips leaves empty groups, and a dead vision channel pools
+    # every clip to zero: both take the random unit fallback
+    dead = _model()
+    dead.vision.bias[:] = -1e3
+    for params, clips in ((_model(n_bvf=64), train), (dead, train), (_model(), train[:1])):
+        init_bvf(params, clips, np.random.default_rng(3))
+        assert np.allclose(np.linalg.norm(params.disc.bvf, axis=1), 1.0, atol=1e-12)
+
+
+def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ck.json"
+    save_checkpoint(_model(seed=1), path)
+    before = path.read_bytes()
+
+    def dump_half(doc, fh, **kwargs):
+        text = json.dumps(doc, **kwargs)
+        fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(_model(seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
