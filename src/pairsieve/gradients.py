@@ -124,12 +124,12 @@ def _attention_backward(att, de, s, H, cache, ds, dH, grads):
     elif att.kind == "additive":
         t = cache["t"]
         dt = de[:, :, None] * att.w_score * (1.0 - t * t)
-        grads["attention.w_score"] += np.einsum("bf,bfa->a", de, t)
+        grads["attention.w_score"] += de.reshape(-1) @ t.reshape(-1, t.shape[-1])
         dp = dt.sum(axis=1)
         ds += dp @ att.w1.T
         grads["attention.w1"] += s.T @ dp
         dH += dt @ att.w2.T
-        grads["attention.w2"] += np.einsum("bfe,bfa->ea", H, dt)
+        grads["attention.w2"] += H.reshape(-1, H.shape[-1]).T @ dt.reshape(-1, dt.shape[-1])
 
 
 def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
@@ -320,7 +320,8 @@ def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_overr
     grads["language.weight"] += batch.xs.T @ dpre_s
     grads["language.bias"] += dpre_s.sum(axis=0)
     dpre_h = _l2relu_backward(dH, fwd.H, cache["nh"], cache["pre_h"])
-    grads["vision.weight"] += np.einsum("bfd,bfe->de", batch.xf, dpre_h)
+    grads["vision.weight"] += (batch.xf.reshape(-1, batch.xf.shape[-1]).T
+                               @ dpre_h.reshape(-1, dpre_h.shape[-1]))
     grads["vision.bias"] += dpre_h.sum(axis=(0, 1))
 
     for name, g in grads.items():

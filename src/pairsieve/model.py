@@ -143,7 +143,7 @@ def embed(channel, x):
     """
     pre = x @ channel.weight + channel.bias
     act = np.maximum(pre, 0.0)
-    norm = np.linalg.norm(act, axis=-1, keepdims=True)
+    norm = np.sqrt(np.einsum("...e,...e->...", act, act))[..., None]
     return np.divide(act, norm, out=np.zeros_like(act), where=norm > 0), pre, norm
 
 
