@@ -37,13 +37,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import bce_loss, sigmoid, softplus, triplet_hinges
-from .model import ModelError, adv_logit, attend, embed, param_tensors, sample_gate
+from .model import ModelError, adv_logit, attend, embed, sample_gate, tensor_views
 
 PHASES = ("freeze", "joint")
 
 
 class NumericError(RuntimeError):
     """Non-finite value produced during a training step."""
+
+
+def first_nonfinite(tensors):
+    """Name of the first tensor in a name -> array map holding a NaN or infinity."""
+    return next((name for name, arr in tensors.items() if not np.isfinite(arr).all()), None)
 
 
 @dataclass
@@ -231,9 +236,10 @@ def forward_batch(params, batch, cfg, phase, rng=None, gumbels=None, z_override=
 def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_override=None):
     """Forward plus exact gradients of the surrogate objective.
 
-    Returns (fwd, grads) where grads has one entry per trainable tensor,
-    zeros included. In the freeze phase the discriminator tensors get
-    exactly zero gradient and the gate contributes no pathway.
+    Returns (fwd, grads, grad): grad is one vector laid out like
+    params.flat, and grads maps each trainable tensor's name to its view
+    into grad, zeros included. In the freeze phase the discriminator
+    tensors get exactly zero gradient and the gate contributes no pathway.
     """
     fwd, cache = _run_forward(params, batch, cfg, phase, rng, gumbels, z_override)
     b = batch.xs.shape[0]
@@ -244,7 +250,8 @@ def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_overr
     hard = cfg.sampler_kind == "gumbel_hard"
     joint = phase == "joint"
 
-    grads = {name: np.zeros_like(arr) for name, arr in param_tensors(params).items()}
+    grad = np.zeros(params.flat.size)
+    grads = tensor_views(grad, params.layout)
     ds = np.zeros_like(fwd.s)
     dH = np.zeros_like(fwd.H)
     dp_lvc = np.zeros(b)
@@ -324,7 +331,6 @@ def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_overr
                                @ dpre_h.reshape(-1, dpre_h.shape[-1]))
     grads["vision.bias"] += dpre_h.sum(axis=(0, 1))
 
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
-    return fwd, grads
+    if not np.isfinite(grad).all():
+        raise NumericError(f"non-finite gradient in {first_nonfinite(grads)}")
+    return fwd, grads, grad

@@ -18,6 +18,7 @@ frames h (..., F, E), which covers one pair (E,) with (F, E), a batch
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -72,7 +73,14 @@ class DiscriminatorParams:
 
 @dataclass
 class ModelParams:
-    """Everything trainable, grouped by role."""
+    """Everything trainable, grouped by role.
+
+    Every array is a view into the one float64 vector flat, at the
+    (name, start, stop, shape) entries of layout (param_tensors order),
+    so gradients, velocity and the SGD update can be whole-vector
+    operations. Write tensors in place; rebinding an attribute would
+    cut it off from flat.
+    """
 
     language: ChannelParams
     vision: ChannelParams
@@ -83,6 +91,37 @@ class ModelParams:
     # on the scale would flatten the logit (optim, training.NO_DECAY).
     a_lvc: np.ndarray
     b_lvc: np.ndarray  # (1,) offset of the match logit
+    flat: np.ndarray
+    layout: tuple
+
+
+def pack_layout(shapes):
+    """Lay (name, shape) pairs end to end: one (name, start, stop, shape) each."""
+    out, start = [], 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        out.append((name, start, stop, shape))
+        start = stop
+    return tuple(out)
+
+
+def tensor_views(flat, layout):
+    """name -> view of flat for each layout entry."""
+    return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
+
+
+def _layout(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att):
+    shapes = [("language.weight", (d_in, d_emb)), ("language.bias", (d_emb,)),
+              ("vision.weight", (d_in, d_emb)), ("vision.bias", (d_emb,))]
+    if attention_kind == "multiplicative":
+        shapes.append(("attention.w_mult", (d_emb, d_emb)))
+    elif attention_kind == "additive":
+        shapes += [("attention.w1", (d_emb, d_att)), ("attention.w2", (d_emb, d_att)),
+                   ("attention.w_score", (d_att,))]
+    shapes += [("disc.bvf", (n_bvf, d_emb)),
+               ("disc.a_adv", (2,) if input_mode == "concat" else (1,)),
+               ("disc.b_adv", (1,)), ("a_lvc", (1,)), ("b_lvc", (1,))]
+    return pack_layout(shapes)
 
 
 def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
@@ -100,37 +139,36 @@ def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
         raise ModelError("d_in, d_emb, and n_bvf must all be >= 1")
     if d_att < 1:
         d_att = d_emb
+    layout = _layout(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, d_att)
+    flat = np.zeros(layout[-1][2])
+    t = tensor_views(flat, layout)
 
-    def lin(shape, fan_in):
-        return rng.normal(scale=1.0 / np.sqrt(fan_in), size=shape)
+    def lin(name, fan_in):
+        t[name][...] = rng.normal(scale=1.0 / np.sqrt(fan_in), size=t[name].shape)
+        return t[name]
 
-    language = ChannelParams(weight=lin((d_in, d_emb), d_in), bias=np.zeros(d_emb))
-    vision = ChannelParams(weight=lin((d_in, d_emb), d_in), bias=np.zeros(d_emb))
+    language = ChannelParams(weight=lin("language.weight", d_in), bias=t["language.bias"])
+    vision = ChannelParams(weight=lin("vision.weight", d_in), bias=t["vision.bias"])
 
     attention = AttentionParams(kind=cfg_attention)
     if cfg_attention == "multiplicative":
-        attention.w_mult = lin((d_emb, d_emb), d_emb)
+        attention.w_mult = lin("attention.w_mult", d_emb)
     elif cfg_attention == "additive":
-        attention.w1 = lin((d_emb, d_att), d_emb)
-        attention.w2 = lin((d_emb, d_att), d_emb)
-        attention.w_score = lin((d_att,), d_att)
+        attention.w1 = lin("attention.w1", d_emb)
+        attention.w2 = lin("attention.w2", d_emb)
+        attention.w_score = lin("attention.w_score", d_att)
 
     raw = rng.normal(size=(n_bvf, d_emb))
-    bvf = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    t["disc.bvf"][...] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     # start the gate steep enough that score differences between good and
     # bad pairs move it, and biased toward keeping pairs early on
-    a_adv = np.array([4.0, -4.0]) if cfg_input_mode == "concat" else np.array([4.0])
-    disc = DiscriminatorParams(
-        bvf=bvf, a_adv=a_adv, b_adv=np.array([-0.4]), input_mode=cfg_input_mode
-    )
-    return ModelParams(
-        language=language,
-        vision=vision,
-        attention=attention,
-        disc=disc,
-        a_lvc=np.array([1.0]),
-        b_lvc=np.array([0.0]),
-    )
+    t["disc.a_adv"][...] = [4.0, -4.0] if cfg_input_mode == "concat" else [4.0]
+    t["disc.b_adv"][...] = -0.4
+    t["a_lvc"][...] = 1.0
+    disc = DiscriminatorParams(bvf=t["disc.bvf"], a_adv=t["disc.a_adv"],
+                               b_adv=t["disc.b_adv"], input_mode=cfg_input_mode)
+    return ModelParams(language=language, vision=vision, attention=attention, disc=disc,
+                       a_lvc=t["a_lvc"], b_lvc=t["b_lvc"], flat=flat, layout=layout)
 
 
 def embed(channel, x):
@@ -248,7 +286,7 @@ def init_bvf(params, clips, rng):
         raise ModelError("cannot seed background bank from an empty corpus")
     pooled = np.stack([embed(params.vision, c.frames_raw)[0].mean(axis=0) for c in clips])
     groups = np.array_split(rng.permutation(len(clips)), n_bvf)
-    bank = np.empty_like(params.disc.bvf)
+    bank = params.disc.bvf  # written row by row in place: a view into params.flat
     for i, g in enumerate(groups):
         mean = pooled[g].mean(axis=0) if g.size else np.zeros(bank.shape[1])
         norm = np.linalg.norm(mean)
@@ -256,30 +294,11 @@ def init_bvf(params, clips, rng):
             mean = rng.normal(size=bank.shape[1])
             norm = np.linalg.norm(mean)
         bank[i] = mean / norm
-    params.disc.bvf = bank
 
 
 def param_tensors(params):
-    """Ordered name -> array view of every trainable tensor."""
-    out = {
-        "language.weight": params.language.weight,
-        "language.bias": params.language.bias,
-        "vision.weight": params.vision.weight,
-        "vision.bias": params.vision.bias,
-    }
-    att = params.attention
-    if att.kind == "multiplicative":
-        out["attention.w_mult"] = att.w_mult
-    elif att.kind == "additive":
-        out["attention.w1"] = att.w1
-        out["attention.w2"] = att.w2
-        out["attention.w_score"] = att.w_score
-    out["disc.bvf"] = params.disc.bvf
-    out["disc.a_adv"] = params.disc.a_adv
-    out["disc.b_adv"] = params.disc.b_adv
-    out["a_lvc"] = params.a_lvc
-    out["b_lvc"] = params.b_lvc
-    return out
+    """Ordered name -> view into params.flat of every trainable tensor."""
+    return tensor_views(params.flat, params.layout)
 
 
 @contextmanager
@@ -355,8 +374,7 @@ def load_checkpoint(path):
         raise ModelError("checkpoint meta needs integers d_in, d_emb, n_bvf, d_att >= 0")
     kind, mode = meta.get("attention_kind"), meta.get("input_mode")
     # each stored value takes >= 2 characters: bounds what init_model allocates
-    extra = d_emb if kind == "multiplicative" else 2 * (d_att or d_emb) if kind == "additive" else 0
-    if d_emb * (2 * d_in + n_bvf + extra) > len(text) // 2:
+    if _layout(d_in, d_emb, kind, mode, n_bvf, d_att or d_emb)[-1][2] > len(text) // 2:
         raise ModelError("checkpoint meta describes more values than the file holds")
     # only the layout is needed; a stand-in rng keeps numpy.random (6 MB RSS) unloaded
     ones = SimpleNamespace(normal=lambda scale=1.0, size=None: np.ones(size))

@@ -1,5 +1,10 @@
-"""SGD with classical momentum; weight decay folds into the gradient
-before the velocity update.
+"""SGD with classical momentum on one flat parameter vector; weight decay
+folds into the gradient before the velocity update.
+
+The update works on runs: contiguous slices of the flat vector
+(model.ModelParams.flat) that all take or all skip decay. update_runs
+builds them once from the tensor layout and the frozen and no-decay
+names, so a step is a few whole-slice operations, not one per tensor.
 
 Decay applies to every tensor the caller does not exempt. The trainer
 exempts the scale and offset of the match logit, `a_lvc` and `b_lvc`
@@ -12,24 +17,41 @@ scalars carry no capacity that decay would need to limit.
 from __future__ import annotations
 
 
-def sgd_step(tensors, grads, velocity, lr, momentum, weight_decay, frozen=(),
-             no_decay=()):
-    """Update tensors and the velocity dict (name -> array, zeros at first) in place.
+def update_runs(layout, frozen=(), no_decay=()):
+    """(slice, decay) runs of the flat vector that sgd_step updates.
+
+    layout holds (name, start, stop, shape) entries (model.pack_layout).
+    Tensors named in frozen are left out entirely: no decay, no velocity
+    change, so a frozen tensor is bit-identical before and after. Tensors
+    named in no_decay take the update without the weight_decay term.
+    Neighbouring tensors that agree on decay merge into one run.
+    """
+    runs = []
+    for name, start, stop, _ in layout:
+        if name in frozen:
+            continue
+        decay = name not in no_decay
+        if runs and runs[-1][1] == start and runs[-1][2] == decay:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, decay])
+    return tuple((slice(start, stop), decay) for start, stop, decay in runs)
+
+
+def sgd_step(param, grad, velocity, lr, momentum, weight_decay, runs):
+    """Update the flat param and velocity vectors (zeros at first) in place.
+
+    Over each (slice, decay) run from update_runs:
 
     velocity <- momentum * velocity + (grad + weight_decay * param)
     param    <- param - lr * velocity
 
-    Tensors named in frozen are skipped entirely: no decay, no velocity
-    change, so a frozen tensor is bit-identical before and after.
-    Tensors named in no_decay take the same update without the
-    weight_decay term; the trainer passes the match-logit scalars
-    `a_lvc` and `b_lvc` here, so only their gradient moves them.
+    with the weight_decay term only where decay is set. Entries outside
+    every run are not touched.
     """
-    for name, arr in tensors.items():
-        if name in frozen:
-            continue
-        g = grads[name] if name in no_decay else grads[name] + weight_decay * arr
-        vel = velocity[name]
-        vel *= momentum
-        vel += g
-        arr -= lr * vel
+    for sl, decay in runs:
+        p, v = param[sl], velocity[sl]
+        g = grad[sl] + weight_decay * p if decay else grad[sl]
+        v *= momentum
+        v += g
+        p -= lr * v

@@ -22,8 +22,8 @@ import numpy as np
 
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
 from .gradients import PairBatchArrays, compute_gradients
-from .model import init_bvf, init_model, param_tensors, save_checkpoint
-from .optim import sgd_step
+from .model import init_bvf, init_model, save_checkpoint
+from .optim import sgd_step, update_runs
 
 METRICS_COLUMNS = (
     "epoch", "phase", "lr", "loss_lvc", "loss_adv",
@@ -157,8 +157,7 @@ def train(cfg, corpus, run_dir=None, log=None):
     if cfg.discriminator_enabled:
         init_bvf(params, corpus, np.random.default_rng(ss_bvf))
 
-    tensors = param_tensors(params)
-    velocity = {name: np.zeros_like(arr) for name, arr in tensors.items()}
+    velocity = np.zeros_like(params.flat)
     tag_idx = np.array([TAGS.index(c.tag) for c in corpus])
     sentences = np.stack([c.sentence_raw for c in corpus])
     half = cfg.batch_size // 2
@@ -177,6 +176,7 @@ def train(cfg, corpus, run_dir=None, log=None):
             phase = "freeze" if epoch < cfg.freeze_epochs else "joint"
             lr = cfg.lr if phase == "freeze" else cfg.lr / cfg.lr_drop_factor
             frozen = DISC_TENSORS if (phase == "freeze" or not cfg.discriminator_enabled) else ()
+            runs = update_runs(params.layout, frozen, NO_DECAY)
             stats = _EpochStats()
             for sentence_idx, clip_idx in epoch_batches(len(corpus), cfg.batch_size, rng_batch):
                 arrays = PairBatchArrays(
@@ -184,9 +184,8 @@ def train(cfg, corpus, run_dir=None, log=None):
                     xf=sample_frames(corpus, clip_idx, cfg.n_f, rng_frame),
                     labels=labels,
                 )
-                fwd, grads = compute_gradients(params, arrays, cfg, phase, rng=rng_gate)
-                sgd_step(tensors, grads, velocity, lr, cfg.momentum,
-                         cfg.weight_decay, frozen=frozen, no_decay=NO_DECAY)
+                fwd, _, grad = compute_gradients(params, arrays, cfg, phase, rng=rng_gate)
+                sgd_step(params.flat, grad, velocity, lr, cfg.momentum, cfg.weight_decay, runs)
                 stats.add(fwd, tag_idx[clip_idx[:half]])
             row = stats.row(epoch, phase, lr)
             metrics.append(row)

@@ -82,7 +82,7 @@ def gradient_mismatches(params, batch, cfg, phase, rng):
     Returns a list of (tensor name, index, analytic, numeric) tuples for
     every coordinate outside tolerance; an empty list means agreement.
     """
-    fwd, grads = compute_gradients(params, batch, cfg, phase, rng=rng)
+    fwd, grads, _ = compute_gradients(params, batch, cfg, phase, rng=rng)
     gumbels = None if fwd.gumbels is None else fwd.gumbels.copy()
     frozen = (fwd.z.copy(), fwd.w.copy(), gumbels)
     base = surrogate_loss(params, batch, cfg, phase, frozen)
@@ -137,3 +137,21 @@ def triplet_by_enumeration(sim, margin):
         total += max(0.0, margin - sim[i, i] + row_hard)
         total += max(0.0, margin - sim[i, i] + col_hard)
     return total / n
+
+
+def sgd_step_per_tensor(tensors, grads, velocity, lr, momentum, weight_decay,
+                        frozen=(), no_decay=()):
+    """Reference SGD rule, one tensor at a time over name -> array maps.
+
+    velocity <- momentum * velocity + (grad + weight_decay * param), then
+    param <- param - lr * velocity; frozen names are skipped entirely and
+    no_decay names drop the weight_decay term.
+    """
+    for name, arr in tensors.items():
+        if name in frozen:
+            continue
+        g = grads[name] if name in no_decay else grads[name] + weight_decay * arr
+        vel = velocity[name]
+        vel *= momentum
+        vel += g
+        arr -= lr * vel

@@ -75,7 +75,7 @@ def test_freeze_phase_zeroes_discriminator_gradients():
     for sampler in ("gumbel_hard", "softmax_soft"):
         for loss in ("bce", "triplet"):
             params, arrays, cfg = random_problem(rng, sampler=sampler, loss=loss)
-            _, grads = compute_gradients(params, arrays, cfg, "freeze", rng=rng)
+            _, grads, _ = compute_gradients(params, arrays, cfg, "freeze", rng=rng)
             for name in ("disc.bvf", "disc.a_adv", "disc.b_adv"):
                 assert not grads[name].any(), f"{name} should be zero in freeze"
 
@@ -83,7 +83,7 @@ def test_freeze_phase_zeroes_discriminator_gradients():
 def test_disc_off_zeroes_discriminator_gradients():
     rng = np.random.default_rng(7)
     params, arrays, cfg = random_problem(rng, disc_on=False)
-    _, grads = compute_gradients(params, arrays, cfg, "joint", rng=rng)
+    _, grads, _ = compute_gradients(params, arrays, cfg, "joint", rng=rng)
     for name in ("disc.bvf", "disc.a_adv", "disc.b_adv"):
         assert not grads[name].any()
 

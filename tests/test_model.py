@@ -1,6 +1,7 @@
 """Embedding channels, attention scorers, gating, and checkpoints."""
 
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -216,6 +217,34 @@ def test_init_bvf_rows_unit_norm_and_deterministic():
 
     with pytest.raises(ModelError):
         init_bvf(_model(), [], np.random.default_rng(0))
+
+
+
+def _assert_views_of_flat(params):
+    """Every tensor, as param_tensors and as the attribute the forward reads, is
+    the same slice of params.flat, and the slices tile flat exactly."""
+    tensors = param_tensors(params)
+    for name, view in tensors.items():
+        attr = operator.attrgetter(name)(params)
+        assert np.shares_memory(view, params.flat), name
+        assert attr.ctypes.data == view.ctypes.data and attr.shape == view.shape, name
+    assert sum(v.size for v in tensors.values()) == params.flat.size
+
+
+@pytest.mark.parametrize("kind", ATTENTION_KINDS)
+@pytest.mark.parametrize("mode", INPUT_MODES)
+def test_tensors_stay_views_of_flat_buffer(tmp_path, kind, mode):
+    params = _model(kind=kind, mode=mode)
+    _assert_views_of_flat(params)
+    train, _ = generate_corpus(CorpusSpec(n_train=20, n_test=1, d=6, k=12, seed=2))
+    init_bvf(params, train, np.random.default_rng(3))
+    _assert_views_of_flat(params)
+    assert np.array_equal(param_tensors(params)["disc.bvf"], params.disc.bvf)
+    path = tmp_path / "ck.json"
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    _assert_views_of_flat(loaded)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
 
 
 @pytest.mark.parametrize("kind,mode", [
