@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .corpus import CorpusError, CorpusSpec
-from .model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS, ModelError, write_atomically
+from .model import (ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS, ModelError, read_text,
+                    write_atomically)
 
 LOSS_KINDS = ("bce", "triplet")
 
@@ -127,9 +129,12 @@ def _coerce(key, text, typ):
             raise ConfigError(f"key {key!r}: expected an integer, got {text!r}") from None
     if typ is float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"key {key!r}: expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: expected a finite number, got {text!r}")
+        return value
     return text
 
 
@@ -153,8 +158,7 @@ def parse_config_text(text):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_text(path, ConfigError))
 
 
 def apply_overrides(values, assignments):

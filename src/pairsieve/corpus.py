@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import read_text
+
 TAGS = ("clean", "loose", "noise")
 
 CORPUS_FORMAT = "pairsieve-corpus"
@@ -264,8 +266,7 @@ def load_corpus(path):
     whose dimension differs from the header's d, is a CorpusError naming
     its line. A header with "d": null takes d from the first record.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, CorpusError).splitlines()
     if not lines:
         return []
     try:

@@ -75,11 +75,9 @@ class DiscriminatorParams:
 class ModelParams:
     """Everything trainable, grouped by role.
 
-    Every array is a view into the one float64 vector flat, at the
-    (name, start, stop, shape) entries of layout (param_tensors order),
-    so gradients, velocity and the SGD update can be whole-vector
-    operations. Write tensors in place; rebinding an attribute would
-    cut it off from flat.
+    Each array is a view into the one vector flat, placed by the
+    (name, start, stop, shape) entries of layout. Write tensors in
+    place: a rebound attribute is cut off from flat and from training.
     """
 
     language: ChannelParams
@@ -301,6 +299,15 @@ def param_tensors(params):
     return tensor_views(params.flat, params.layout)
 
 
+def read_text(path, error):
+    """The whole file as text; a file that is not UTF-8 raises error naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 @contextmanager
 def write_atomically(path):
     """Yield a text file that replaces path only once the block completes.
@@ -356,8 +363,7 @@ def load_checkpoint(path):
     in from the file once it is present, has the layout's shape and holds
     only finite values. Anything else is a ModelError.
     """
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path, ModelError)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

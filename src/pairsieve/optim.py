@@ -1,10 +1,6 @@
-"""SGD with classical momentum on one flat parameter vector; weight decay
-folds into the gradient before the velocity update.
-
-The update works on runs: contiguous slices of the flat vector
-(model.ModelParams.flat) that all take or all skip decay. update_runs
-builds them once from the tensor layout and the frozen and no-decay
-names, so a step is a few whole-slice operations, not one per tensor.
+"""SGD with classical momentum on the flat parameter vector
+(model.ModelParams.flat); weight decay folds into the gradient before the
+velocity update.
 
 Decay applies to every tensor the caller does not exempt. The trainer
 exempts the scale and offset of the match logit, `a_lvc` and `b_lvc`
@@ -18,13 +14,13 @@ from __future__ import annotations
 
 
 def update_runs(layout, frozen=(), no_decay=()):
-    """(slice, decay) runs of the flat vector that sgd_step updates.
+    """(slice, decay) runs of the flat vector, built once per phase for sgd_step.
 
     layout holds (name, start, stop, shape) entries (model.pack_layout).
-    Tensors named in frozen are left out entirely: no decay, no velocity
-    change, so a frozen tensor is bit-identical before and after. Tensors
-    named in no_decay take the update without the weight_decay term.
-    Neighbouring tensors that agree on decay merge into one run.
+    Tensors named in frozen are left out: no decay, no velocity change,
+    so a frozen tensor is bit-identical before and after. Tensors named
+    in no_decay drop the weight_decay term. Neighbours that agree on
+    decay merge into one run.
     """
     runs = []
     for name, start, stop, _ in layout:
@@ -39,15 +35,13 @@ def update_runs(layout, frozen=(), no_decay=()):
 
 
 def sgd_step(param, grad, velocity, lr, momentum, weight_decay, runs):
-    """Update the flat param and velocity vectors (zeros at first) in place.
-
-    Over each (slice, decay) run from update_runs:
+    """Update the flat param and velocity (zeros at first) in place, run by run.
 
     velocity <- momentum * velocity + (grad + weight_decay * param)
     param    <- param - lr * velocity
 
-    with the weight_decay term only where decay is set. Entries outside
-    every run are not touched.
+    The weight_decay term applies only in runs marked decay; entries
+    outside every run are not touched.
     """
     for sl, decay in runs:
         p, v = param[sl], velocity[sl]

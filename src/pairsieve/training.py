@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
-from .gradients import PairBatchArrays, compute_gradients
-from .model import init_bvf, init_model, save_checkpoint
+from .gradients import NumericError, PairBatchArrays, compute_gradients, first_nonfinite
+from .model import init_bvf, init_model, param_tensors, save_checkpoint
 from .optim import sgd_step, update_runs
 
 METRICS_COLUMNS = (
@@ -135,6 +135,9 @@ def _corpus_dim(corpus):
     return d
 
 
+# non-finite values are caught by the checks in the step loop and reported
+# once, as a NumericError, instead of as a RuntimeWarning per operation
+@np.errstate(all="ignore")
 def train(cfg, corpus, run_dir=None, log=None):
     """Train on a tagged corpus; returns (params, per-epoch metrics).
 
@@ -178,14 +181,22 @@ def train(cfg, corpus, run_dir=None, log=None):
             frozen = DISC_TENSORS if (phase == "freeze" or not cfg.discriminator_enabled) else ()
             runs = update_runs(params.layout, frozen, NO_DECAY)
             stats = _EpochStats()
-            for sentence_idx, clip_idx in epoch_batches(len(corpus), cfg.batch_size, rng_batch):
+            batches = epoch_batches(len(corpus), cfg.batch_size, rng_batch)
+            for step, (sentence_idx, clip_idx) in enumerate(batches):
                 arrays = PairBatchArrays(
                     xs=sentences[sentence_idx],
                     xf=sample_frames(corpus, clip_idx, cfg.n_f, rng_frame),
                     labels=labels,
                 )
-                fwd, _, grad = compute_gradients(params, arrays, cfg, phase, rng=rng_gate)
-                sgd_step(params.flat, grad, velocity, lr, cfg.momentum, cfg.weight_decay, runs)
+                try:
+                    fwd, _, grad = compute_gradients(params, arrays, cfg, phase, rng=rng_gate)
+                    sgd_step(params.flat, grad, velocity, lr, cfg.momentum,
+                             cfg.weight_decay, runs)
+                    if not np.isfinite(params.flat).all():
+                        raise NumericError("non-finite parameter in "
+                                           f"{first_nonfinite(param_tensors(params))}")
+                except NumericError as exc:
+                    raise NumericError(f"epoch {epoch}, step {step} ({phase}): {exc}") from None
                 stats.add(fwd, tag_idx[clip_idx[:half]])
             row = stats.row(epoch, phase, lr)
             metrics.append(row)

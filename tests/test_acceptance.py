@@ -102,19 +102,31 @@ def test_criterion_2_gradient_oracle():
         ("bce", "triplet"),
         ("gumbel_hard", "softmax_soft"),
     ))
-    cases = [(att, mode, loss, samp, 2) for att, mode, loss, samp in grid]
-    cases += [(att, mode, loss, samp, 3) for att, mode, loss, samp in grid[::2]]
+    # (attention, mode, loss, sampler, frames, phase, discriminator on)
+    cases = [(att, mode, loss, samp, 2, "joint", True) for att, mode, loss, samp in grid]
+    cases += [(att, mode, loss, samp, 3, "joint", True) for att, mode, loss, samp in grid[::2]]
+    # uniform pooling, the freeze phase and the discriminator switched off
+    cases += [("uniform", mode, loss, samp, 3, "joint", True)
+              for mode, loss, samp in itertools.product(
+                  ("residual", "concat", "adv_only"), ("bce", "triplet"),
+                  ("gumbel_hard", "softmax_soft"))]
+    cases += [(att, mode, loss, samp, 2, "freeze", True) for att, mode, loss, samp in grid[1::2]]
+    cases += [(att, "residual", loss, samp, 3, phase, False)
+              for att, loss, samp, phase in itertools.product(
+                  ("uniform", "dot", "multiplicative", "additive"), ("bce", "triplet"),
+                  ("gumbel_hard", "softmax_soft"), ("joint", "freeze"))]
     assert len(cases) >= 50
     n_bad = 0
-    for i, (att, mode, loss, samp, n_frames) in enumerate(cases):
+    for i, (att, mode, loss, samp, n_frames, phase, disc_on) in enumerate(cases):
         rng = np.random.default_rng(9000 + i)
         params, batch, cfg = random_problem(
             rng, attention=att, input_mode=mode, sampler=samp, loss=loss,
-            n_frames=n_frames)
-        bad = gradient_mismatches(params, batch, cfg, "joint", rng)
+            disc_on=disc_on, n_frames=n_frames)
+        bad = gradient_mismatches(params, batch, cfg, phase, rng)
         if bad:
             n_bad += 1
-            print(f"  mismatch in {att}/{mode}/{loss}/{samp}: {bad[:3]}")
+            print(f"  mismatch in {att}/{mode}/{loss}/{samp}/{phase}/"
+                  f"disc={'on' if disc_on else 'off'}: {bad[:3]}")
     elapsed = time.perf_counter() - started
     ok = n_bad == 0 and elapsed < 60.0
     _verdict("criterion 2", ok,

@@ -1,6 +1,7 @@
 """End-to-end command line runs: artifacts, output, and exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -183,6 +184,36 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
     assert not out.exists()
 
+    # non-finite config floats, from --set or a file, fail before any work starts
+    bad_floats = [["train", "--corpus", str(corpus), "--set", f"{key}={value}"]
+                  for key, value in (("lr", "nan"), ("tau", "nan"), ("weight_decay", "nan"),
+                                     ("triplet_margin", "nan"), ("lr", "inf"),
+                                     ("momentum", "-inf"), ("lr_drop_factor", "1e400"))]
+    bad_floats.append(["gen-corpus", "--out", str(tmp_path / "nan_corpus"),
+                       "--set", "feature_noise_sigma=nan"])
+    nan_config = tmp_path / "nan.cfg"
+    nan_config.write_text("tau = nan\n")
+    bad_floats.append(["train", "--corpus", str(corpus), "--config", str(nan_config)])
+    # a corpus, checkpoint or config file that is not UTF-8
+    utf16_corpus = tmp_path / "utf16.corpus"
+    utf16_corpus.write_bytes(b"\xff\xfe" + corpus.read_bytes())
+    raw = bytearray(checkpoint.read_bytes())
+    raw[len(raw) // 2] = 0xFF
+    binary_ckpt = tmp_path / "binary.json"
+    binary_ckpt.write_bytes(bytes(raw))
+    binary_config = tmp_path / "binary.cfg"
+    binary_config.write_bytes(b"lr = 0.1 \xff\n")
+    for command in bad_floats + [
+            ["train", "--corpus", str(utf16_corpus)],
+            ["eval", "--checkpoint", str(checkpoint), "--corpus", str(utf16_corpus)],
+            ["eval", "--checkpoint", str(binary_ckpt), "--corpus", str(corpus)],
+            ["attention-dump", "--checkpoint", str(binary_ckpt), "--corpus", str(corpus)],
+            ["train", "--corpus", str(corpus), "--config", str(binary_config)]]:
+        assert main(command) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "nan_corpus").exists()
+
     # bad ablation values fail before any training run starts
     for axis, values in (("discriminator_enabled", "maybe"), ("bvf_count", "a,b"),
                          ("attention_kind", "dot,bogus")):
@@ -202,6 +233,21 @@ def test_exit_code_two_on_numeric_failure(workspace, capsys):
                     + ["--set", "lr=1e200", "--set", "freeze_epochs=0"])
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_numeric_failure_names_its_step_before_any_checkpoint(workspace, tmp_path, capsys):
+    corpus = workspace / "corpus" / "train.corpus"
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would be a second message
+        code = main(["train", "--corpus", str(corpus), "--out", str(out), "--quiet"]
+                    + TRAIN_KEYS + ["--set", "lr=1e300"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("pairsieve: numeric failure: epoch 0, step ")
+    assert "(freeze): non-finite parameter in " in err
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -82,7 +82,7 @@ def test_update_is_in_place():
     arr = f.tensors["w"]
     f.grads["w"][...] = 1.0
     f.step(lr=0.1, momentum=0.0, weight_decay=0.0)
-    assert np.shares_memory(arr, f.param)
+    assert arr is f.tensors["w"] and np.shares_memory(arr, f.param)
     assert arr[0] == 0.9
 
 
