@@ -112,8 +112,7 @@ class BatchForward:
 def _l2relu_backward(d_out, unit, norm, pre):
     # through y = act / ||act|| then relu; zero where the vector died
     inner = (unit * d_out).sum(axis=-1, keepdims=True)
-    d_act = np.divide(d_out - unit * inner, norm,
-                      out=np.zeros_like(d_out), where=norm > 0)
+    d_act = (d_out - unit * inner) / np.where(norm > 0, norm, np.inf)
     return d_act * (pre > 0)
 
 
@@ -252,8 +251,6 @@ def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_overr
 
     grad = np.zeros(params.flat.size)
     grads = tensor_views(grad, params.layout)
-    ds = np.zeros_like(fwd.s)
-    dH = np.zeros_like(fwd.H)
     dp_lvc = np.zeros(b)
 
     # match-loss pathway (bce kind)
@@ -294,11 +291,12 @@ def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_overr
 
         jstar = cache["jstar"]
         np.add.at(grads["disc.bvf"], jstar, dp_adv[:, None] * fwd.s)
-        ds += dp_adv[:, None] * disc.bvf[jstar]
 
     # pair score pathway
-    ds += dp_lvc[:, None] * fwd.v
+    ds = dp_lvc[:, None] * fwd.v
     dv = dp_lvc[:, None] * fwd.s
+    if disc_on and joint:
+        ds += dp_adv[:, None] * disc.bvf[jstar]
 
     # triplet matrix: S = Sm @ Vm.T over members, feeding the same ds/dv
     trip = cache["trip"]
@@ -317,7 +315,7 @@ def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_overr
 
     # attention pooling backward for every pair
     dalpha = np.einsum("be,bfe->bf", dv, fwd.H)
-    dH += fwd.alpha[:, :, None] * dv[:, None, :]
+    dH = fwd.alpha[:, :, None] * dv[:, None, :]
     if att.kind != "uniform":
         de = fwd.alpha * (dalpha - (fwd.alpha * dalpha).sum(axis=1, keepdims=True))
         _attention_backward(att, de, fwd.s, fwd.H, cache["att"], ds, dH, grads)

@@ -13,11 +13,8 @@ class LossError(ValueError):
 def sigmoid(x):
     """Numerically stable logistic, elementwise."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below
+    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     return out if out.ndim else float(out)
 
 

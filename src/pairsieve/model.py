@@ -180,7 +180,7 @@ def embed(channel, x):
     pre = x @ channel.weight + channel.bias
     act = np.maximum(pre, 0.0)
     norm = np.sqrt(np.einsum("...e,...e->...", act, act))[..., None]
-    return np.divide(act, norm, out=np.zeros_like(act), where=norm > 0), pre, norm
+    return act / np.where(norm > 0, norm, np.inf), pre, norm
 
 
 def _per_frame(a, h):
