@@ -83,9 +83,13 @@ def test_freeze_phase_zeroes_discriminator_gradients():
 def test_disc_off_zeroes_discriminator_gradients():
     rng = np.random.default_rng(7)
     params, arrays, cfg = random_problem(rng, disc_on=False)
-    _, grads, _ = compute_gradients(params, arrays, cfg, "joint", rng=rng)
+    _, grads, grad = compute_gradients(params, arrays, cfg, "joint", rng=rng)
     for name in ("disc.bvf", "disc.a_adv", "disc.b_adv"):
         assert not grads[name].any()
+    # the name -> array map views the one returned gradient vector
+    assert grad.shape == params.flat.shape
+    assert all(np.shares_memory(g, grad) for g in grads.values())
+    assert sum(g.size for g in grads.values()) == grad.size
 
 
 def test_triplet_members_follow_gate():
