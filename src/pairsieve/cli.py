@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .config import (
     CONFIG_SCHEMA,
@@ -265,7 +267,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # an overflow ends as a non-finite value that the checks downstream
+        # report in one line; a RuntimeWarning per operation would only add noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NumericError as exc:
         print(f"pairsieve: numeric failure: {exc}", file=sys.stderr)
         return 2
@@ -274,6 +279,9 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print(f"pairsieve: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"pairsieve: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -216,16 +216,3 @@ def write_manifest(path, command, values, artifacts, tool_version):
     with write_atomically(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def read_manifest(path):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid manifest: {exc}") from exc
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise ConfigError(f"not a {MANIFEST_FORMAT} file")
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ConfigError(f"unsupported manifest version {doc.get('version')!r}")
-    return doc

@@ -78,17 +78,6 @@ class ClipRecord:
             raise CorpusError(f"record {self.id}: clean records need >= half the frames grounded")
 
 
-def records_equal(a, b):
-    """Exact field-for-field equality (floats bit-identical)."""
-    return (
-        a.id == b.id
-        and a.tag == b.tag
-        and np.array_equal(a.sentence_raw, b.sentence_raw)
-        and np.array_equal(a.frames_raw, b.frames_raw)
-        and np.array_equal(a.grounded, b.grounded)
-    )
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     """Knobs of the synthetic corpus generator."""

@@ -5,8 +5,9 @@ embedding and attention pooling that training runs (model.embed and
 model.attend, one clip against all queries at a time), so a clip's
 pooled vector depends on which sentence is querying it. Video search
 ranks clips for each sentence (rows of the score matrix); sentence
-search ranks sentences for each clip (columns). Each query has exactly
-one relevant item, so average precision reduces to 1/rank.
+search ranks sentences for each clip (columns); both are ranked for all
+queries at once. Each query has exactly one relevant item, so average
+precision reduces to 1/rank.
 """
 
 from __future__ import annotations
@@ -22,21 +23,6 @@ DEFAULT_RECALL_KS = (1, 5, 10)
 
 class EvalError(ValueError):
     """Bad inputs to a metric or an empty evaluation set."""
-
-
-def rank_of(scores, rel_idx):
-    """1-based rank of the relevant item; ties break by candidate index."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1 or scores.shape[0] < 1:
-        raise EvalError("scores must be a non-empty vector")
-    if not 0 <= rel_idx < scores.shape[0]:
-        raise EvalError(f"relevant index {rel_idx} out of range")
-    if not np.all(np.isfinite(scores)):
-        raise EvalError("scores must be finite")
-    s = scores[rel_idx]
-    greater = int((scores > s).sum())
-    ties_before = int((scores[:rel_idx] == s).sum())
-    return 1 + greater + ties_before
 
 
 def score_matrix(params, records):
@@ -71,25 +57,43 @@ class RetrievalReport:
     sentence_search: DirectionReport
 
 
-def _direction_report(ranks, n_candidates, ks):
-    ranks = np.asarray(ranks)
+def retrieval_ranks(scores):
+    """1-based ranks of the matched pairs on the diagonal of a score matrix.
+
+    Returns (video, sentence): video[i] ranks clip i in row i, sentence[j]
+    ranks sentence j in column j. Ties break by candidate index: an equal
+    score at a lower index ranks ahead of the matched pair.
+    """
+    if not np.isfinite(scores).all():
+        raise EvalError("scores must be finite")
+    n = scores.shape[0]
+    diag = np.diag(scores)
+    before = np.tri(n, k=-1, dtype=bool)  # before[i, j]: j < i
+    # a candidate ranks ahead if it scores higher, or the same at a lower index;
+    # the masks take three n x n booleans at most, however many scores tie
+    ahead = scores == diag[:, None]
+    ahead &= before
+    ahead |= scores > diag[:, None]
+    video = 1 + np.count_nonzero(ahead, axis=1)
+    np.equal(scores, diag, out=ahead)
+    ahead &= before.T
+    ahead |= scores > diag
+    return video, 1 + np.count_nonzero(ahead, axis=0)
+
+
+def _direction_report(ranks):
     mean_ap = float((1.0 / ranks).mean() * 100.0)
-    recall = {
-        int(k): float((ranks <= min(k, n_candidates)).mean() * 100.0) for k in ks
-    }
+    recall = {k: float((ranks <= k).mean() * 100.0) for k in DEFAULT_RECALL_KS}
     return DirectionReport(mean_ap=mean_ap, recall=recall, ranks=ranks)
 
 
-def bidirectional_retrieval(params, records, ks=DEFAULT_RECALL_KS):
+def bidirectional_retrieval(params, records):
     """Evaluate both directions over a test set of matched pairs."""
-    scores = score_matrix(params, records)
-    n = scores.shape[0]
-    video_ranks = [rank_of(scores[i, :], i) for i in range(n)]
-    sentence_ranks = [rank_of(scores[:, j], j) for j in range(n)]
+    video_ranks, sentence_ranks = retrieval_ranks(score_matrix(params, records))
     return RetrievalReport(
-        n_queries=n,
-        video_search=_direction_report(video_ranks, n, ks),
-        sentence_search=_direction_report(sentence_ranks, n, ks),
+        n_queries=video_ranks.shape[0],
+        video_search=_direction_report(video_ranks),
+        sentence_search=_direction_report(sentence_ranks),
     )
 
 
@@ -98,13 +102,6 @@ def random_baseline_map(n):
     if n < 1:
         raise EvalError("n must be >= 1")
     return float(np.mean(1.0 / np.arange(1, n + 1)) * 100.0)
-
-
-def random_baseline_recall(n, k):
-    """Expected Rec@k (percent) of uniform random ranking over n items."""
-    if n < 1 or k < 1:
-        raise EvalError("n and k must be >= 1")
-    return 100.0 * min(k, n) / n
 
 
 def report_csv(report):
@@ -145,6 +142,8 @@ def export_attention(params, records):
     for rec in records:
         s = embed(params.language, rec.sentence_raw)[0]
         _, alpha, _ = attend(params.attention, s, embed(params.vision, rec.frames_raw)[0])
+        if not np.isfinite(alpha).all():
+            raise EvalError(f"clip {rec.id}: attention weights must be finite")
         top = alpha.max()
         for f in range(alpha.shape[0]):
             rows.append({

@@ -226,12 +226,6 @@ def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
     return fwd, cache
 
 
-def forward_batch(params, batch, cfg, phase, rng=None, gumbels=None, z_override=None):
-    """Run the batch forward pass; see the module docstring for the objective."""
-    fwd, _ = _run_forward(params, batch, cfg, phase, rng, gumbels, z_override)
-    return fwd
-
-
 def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_override=None):
     """Forward plus exact gradients of the surrogate objective.
 

@@ -16,7 +16,7 @@ sums each forward reports.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,11 +24,6 @@ from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
 from .gradients import NumericError, PairBatchArrays, compute_gradients, first_nonfinite
 from .model import init_bvf, init_model, param_tensors, save_checkpoint
 from .optim import sgd_step, update_runs
-
-METRICS_COLUMNS = (
-    "epoch", "phase", "lr", "loss_lvc", "loss_adv",
-    "z0_fraction", "z1_rate_clean", "z1_rate_loose", "z1_rate_noise",
-)
 
 DISC_TENSORS = frozenset({"disc.bvf", "disc.a_adv", "disc.b_adv"})
 # Match-logit scale and offset: kept out of weight decay (see optim).
@@ -50,36 +45,16 @@ class EpochMetrics:
     z1_rate_noise: float
 
     def csv_row(self):
-        vals = [str(self.epoch), self.phase] + [
-            repr(float(v)) for v in (
-                self.lr, self.loss_lvc, self.loss_adv, self.z0_fraction,
-                self.z1_rate_clean, self.z1_rate_loose, self.z1_rate_noise,
-            )
-        ]
-        return ",".join(vals)
+        """The fields in METRICS_COLUMNS order; floats as repr, so they round-trip."""
+        epoch, phase, *values = astuple(self)
+        return ",".join([str(epoch), phase] + [repr(float(v)) for v in values])
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 
 
 def metrics_csv_header():
     return ",".join(METRICS_COLUMNS)
-
-
-def parse_metrics_csv(text):
-    """Inverse of the CSV writer; floats round-trip exactly."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != metrics_csv_header():
-        raise ValueError("not a metrics CSV (bad or missing header)")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(METRICS_COLUMNS):
-            raise ValueError(f"bad metrics row: {ln!r}")
-        out.append(EpochMetrics(
-            epoch=int(parts[0]), phase=parts[1], lr=float(parts[2]),
-            loss_lvc=float(parts[3]), loss_adv=float(parts[4]),
-            z0_fraction=float(parts[5]), z1_rate_clean=float(parts[6]),
-            z1_rate_loose=float(parts[7]), z1_rate_noise=float(parts[8]),
-        ))
-    return out
 
 
 class _EpochStats:

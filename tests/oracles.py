@@ -1,12 +1,15 @@
 """Shared test oracles: a frozen-noise surrogate objective, central
-finite differences over it, and the triplet loss by enumeration.
+finite differences over it, the triplet loss by enumeration, the
+per-tensor SGD rule, the per-query retrieval rank and exact record
+equality.
 
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
 sampled values while the smooth gate weight w tracks the parameters
 (straight-through). surrogate_loss rebuilds that objective from a
 forward pass, so finite differences can probe it one coordinate at a
-time and the comparison is meaningful.
+time and the comparison is meaningful. The forward comes from
+compute_gradients, whose gradients it ignores.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from pairsieve.config import TrainConfig
-from pairsieve.gradients import PairBatchArrays, compute_gradients, forward_batch
+from pairsieve.gradients import PairBatchArrays, compute_gradients
 from pairsieve.model import init_model, param_tensors
 
 FD_STEP = 1e-5
@@ -32,7 +35,7 @@ def surrogate_loss(params, batch, cfg, phase, frozen):
     and drops the adversarial term.
     """
     z0, w0, gumbels = frozen
-    fwd = forward_batch(params, batch, cfg, phase, gumbels=gumbels, z_override=z0)
+    fwd = compute_gradients(params, batch, cfg, phase, gumbels=gumbels, z_override=z0)[0]
     b = batch.xs.shape[0]
     hard = cfg.sampler_kind == "gumbel_hard"
     joint = phase == "joint"
@@ -155,3 +158,24 @@ def sgd_step_per_tensor(tensors, grads, velocity, lr, momentum, weight_decay,
         vel *= momentum
         vel += g
         arr -= lr * vel
+
+
+def rank_of(scores, rel_idx):
+    """1-based rank of scores[rel_idx] in one query's score vector.
+
+    Ties break by candidate index: an equal score before the relevant
+    item outranks it, an equal score after it does not.
+    """
+    s = scores[rel_idx]
+    return 1 + int((scores > s).sum()) + int((scores[:rel_idx] == s).sum())
+
+
+def records_equal(a, b):
+    """Exact field-for-field equality of two corpus records (floats bit-identical)."""
+    return (
+        a.id == b.id
+        and a.tag == b.tag
+        and np.array_equal(a.sentence_raw, b.sentence_raw)
+        and np.array_equal(a.frames_raw, b.frames_raw)
+        and np.array_equal(a.grounded, b.grounded)
+    )

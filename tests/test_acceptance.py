@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import gradient_mismatches, random_problem
+from oracles import gradient_mismatches, random_problem, records_equal
 from pairsieve.config import TrainConfig
-from pairsieve.corpus import CorpusSpec, generate_corpus, load_corpus, records_equal, save_corpus
+from pairsieve.corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from pairsieve.evaluation import bidirectional_retrieval, random_baseline_map
 from pairsieve.losses import sigmoid
 from pairsieve.model import (

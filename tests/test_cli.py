@@ -6,10 +6,8 @@ import warnings
 import pytest
 
 from pairsieve.cli import main
-from pairsieve.config import read_manifest
 from pairsieve.corpus import load_corpus
 from pairsieve.model import load_checkpoint
-from pairsieve.training import parse_metrics_csv
 
 CORPUS_KEYS = ["--set", "n_train=30", "--set", "n_test=8",
                "--set", "d=8", "--set", "k=12"]
@@ -36,7 +34,7 @@ def test_gen_corpus_artifacts(workspace, capsys):
     train = load_corpus(corpus_dir / "train.corpus")
     test = load_corpus(corpus_dir / "test.corpus")
     assert len(train) == 30 and len(test) == 8
-    manifest = read_manifest(corpus_dir / "manifest.json")
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
     assert manifest["command"] == "gen-corpus"
     assert manifest["config"]["corpus_seed"] == 5
     assert manifest["artifacts"]["train_corpus"] == "train.corpus"
@@ -49,10 +47,10 @@ def test_gen_corpus_artifacts(workspace, capsys):
 
 def test_train_artifacts(workspace):
     run_dir = workspace / "run"
-    metrics = parse_metrics_csv((run_dir / "metrics.csv").read_text())
-    assert [m.phase for m in metrics] == ["freeze", "joint", "joint"]
+    rows = (run_dir / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["freeze", "joint", "joint"]
     load_checkpoint(run_dir / "checkpoint_final.json")
-    manifest = read_manifest(run_dir / "manifest.json")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["config"]["freeze_epochs"] == 1
     assert manifest["artifacts"]["checkpoint"] == "checkpoint_final.json"
@@ -105,7 +103,7 @@ def test_ablate_command(workspace, capsys):
     assert lines[1].startswith("bvf_count,2,")
     assert (out_dir / "bvf_count=2" / "metrics.csv").exists()
     assert (out_dir / "bvf_count=3" / "checkpoint_final.json").exists()
-    manifest = read_manifest(out_dir / "manifest.json")
+    manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["artifacts"]["values"] == ["2", "3"]
 
 
@@ -214,6 +212,27 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
         assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
     assert not (tmp_path / "nan_corpus").exists()
 
+    # finite values that overflow: weights of +-1e308 give NaN scores and attention
+    # weights, and a noise scale of 1e308 gives non-finite features; each ends in
+    # one error line, with no RuntimeWarning before it
+    doc = json.loads(checkpoint.read_text())
+    weight = doc["tensors"]["vision.weight"]["data"]
+    weight[:] = [1e308 if i % 2 == 0 else -1e308 for i in range(len(weight))]
+    huge_ckpt = tmp_path / "huge.json"
+    huge_ckpt.write_text(json.dumps(doc))
+    for command in (
+            ["eval", "--checkpoint", str(huge_ckpt), "--corpus", str(test_corpus)],
+            ["attention-dump", "--checkpoint", str(huge_ckpt), "--corpus", str(test_corpus),
+             "--out", str(tmp_path / "huge_att.csv")],
+            ["gen-corpus", "--out", str(tmp_path / "huge_corpus"),
+             "--set", "feature_noise_sigma=1e308"] + CORPUS_KEYS):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would be a second message
+            assert main(command) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "huge_att.csv").exists()
+
     # bad ablation values fail before any training run starts
     for axis, values in (("discriminator_enabled", "maybe"), ("bvf_count", "a,b"),
                          ("attention_kind", "dot,bogus")):
@@ -223,6 +242,18 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
+    ("", "out of memory"),
+])
+def test_memory_error_is_one_line(tmp_path, monkeypatch, capsys, message, shown):
+    def out_of_memory(spec):
+        raise MemoryError(message)
+    monkeypatch.setattr("pairsieve.cli.generate_corpus", out_of_memory)
+    assert main(["gen-corpus", "--out", str(tmp_path / "corpus")] + CORPUS_KEYS) == 1
+    assert capsys.readouterr().err == f"pairsieve: error: {shown}\n"
 
 
 def test_exit_code_two_on_numeric_failure(workspace, capsys):

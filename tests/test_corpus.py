@@ -13,10 +13,11 @@ from pairsieve.corpus import (
     epoch_batches,
     generate_corpus,
     load_corpus,
-    records_equal,
     sample_frames,
     save_corpus,
 )
+
+from oracles import records_equal
 
 SMALL = CorpusSpec(n_train=60, n_test=10, d=8, k=12, seed=5)
 

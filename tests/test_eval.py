@@ -10,41 +10,56 @@ from pairsieve.evaluation import (
     bidirectional_retrieval,
     export_attention,
     random_baseline_map,
-    random_baseline_recall,
-    rank_of,
     report_csv,
     report_summary,
+    retrieval_ranks,
     score_matrix,
 )
 from pairsieve.model import attend, embed, init_model
 
+from oracles import rank_of
+
 
 def test_rank_of_basic_and_ties():
-    assert rank_of([0.9, 0.5, 0.1], 0) == 1
-    assert rank_of([0.9, 0.5, 0.1], 2) == 3
-    # ties break by candidate index: equal score before the relevant
-    # item outranks it, equal score after does not
-    assert rank_of([0.5, 0.3, 0.5], 2) == 2
-    assert rank_of([0.5, 0.3, 0.5], 0) == 1
+    # matched pairs on the diagonal: row i ranks the clips for sentence i,
+    # column j ranks the sentences for clip j
+    scores = np.array([[0.5, 0.3, 0.5],
+                       [0.9, 0.1, 0.5],
+                       [0.5, 0.3, 0.5]])
+    video, sentence = retrieval_ranks(scores)
+    # ties break by candidate index: an equal score before the matched item
+    # outranks it (row 2, column 2), an equal score after it does not (row 0,
+    # column 0)
+    assert video.tolist() == [1, 3, 2]
+    assert sentence.tolist() == [2, 3, 3]
+    video, sentence = retrieval_ranks(np.array([[0.7]]))
+    assert video.tolist() == sentence.tolist() == [1]
 
 
-def test_rank_of_validation():
-    with pytest.raises(EvalError):
-        rank_of([], 0)
-    with pytest.raises(EvalError):
-        rank_of([0.1, 0.2], 5)
-    with pytest.raises(EvalError):
-        rank_of([0.1, np.nan], 0)
+def test_ranks_match_per_query_oracle():
+    # integer-valued scores from {0, 1, 2} make ties the common case
+    rng = np.random.default_rng(20)
+    for trial in range(200):
+        n = int(rng.integers(1, 31))
+        scores = rng.integers(0, 3, size=(n, n)).astype(float)
+        video, sentence = retrieval_ranks(scores)
+        assert video.tolist() == [rank_of(scores[i, :], i) for i in range(n)], trial
+        assert sentence.tolist() == [rank_of(scores[:, j], j) for j in range(n)], trial
+
+
+def test_ranks_reject_non_finite_scores():
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.eye(3)
+        scores[1, 2] = bad
+        with pytest.raises(EvalError, match="scores must be finite"):
+            retrieval_ranks(scores)
 
 
 def test_ap_and_recall_from_rank():
     # AP with one relevant item is 1/rank; Rec@k counts ranks <= k
-    scores = [0.1, 0.9, 0.5, 0.3]
-    ranks = [rank_of(scores, 1), rank_of(scores, 2)]
-    assert ranks == [1, 2]
-    report = _direction_report(ranks, 4, (1, 2, 10))
-    assert report.mean_ap == 75.0
-    assert report.recall == {1: 50.0, 2: 100.0, 10: 100.0}
+    report = _direction_report(np.array([1, 2, 4, 1]))
+    assert report.mean_ap == 68.75
+    assert report.recall == {1: 50.0, 5: 100.0, 10: 100.0}
 
 
 def _records(n=6, seed=0):
@@ -84,8 +99,6 @@ def test_random_baselines():
     # harmonic-number identity: mean over ranks 1..n of 1/rank
     assert np.isclose(random_baseline_map(100), 5.187377517639621)
     assert random_baseline_map(1) == 100.0
-    assert random_baseline_recall(100, 5) == 5.0
-    assert random_baseline_recall(3, 10) == 100.0
     with pytest.raises(EvalError):
         random_baseline_map(0)
 

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from pairsieve.gradients import NumericError, PairBatchArrays, compute_gradients, forward_batch
+from pairsieve.gradients import NumericError, PairBatchArrays, compute_gradients
 from pairsieve.losses import bce_loss
 from pairsieve.model import ModelError
 
@@ -16,7 +16,7 @@ def test_forward_attention_rows_normalized():
     rng = np.random.default_rng(0)
     for kind in ("uniform", "dot", "multiplicative", "additive"):
         params, arrays, cfg = random_problem(rng, attention=kind, n_frames=3)
-        fwd = forward_batch(params, arrays, cfg, "joint", rng=rng)
+        fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng)[0]
         assert np.all(fwd.alpha >= 0)
         assert np.allclose(fwd.alpha.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(fwd.v, np.einsum("bf,bfe->be", fwd.alpha, fwd.H))
@@ -25,7 +25,7 @@ def test_forward_attention_rows_normalized():
 def test_forward_pair_scores_are_cosines():
     rng = np.random.default_rng(1)
     params, arrays, cfg = random_problem(rng)
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng)[0]
     assert np.allclose(fwd.p_lvc, (fwd.s * fwd.v).sum(axis=1))
     assert np.all(np.abs(fwd.p_lvc) <= 1.0 + 1e-12)
 
@@ -33,7 +33,7 @@ def test_forward_pair_scores_are_cosines():
 def test_forward_bce_pairs_match_loss_module():
     rng = np.random.default_rng(2)
     params, arrays, cfg = random_problem(rng)
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng)[0]
     expect = bce_loss(arrays.labels.astype(float), fwd.f_lvc)
     assert np.allclose(fwd.pair_lvc_loss, expect)
 
@@ -41,11 +41,11 @@ def test_forward_bce_pairs_match_loss_module():
 def test_forward_keep_tracks_sampler():
     rng = np.random.default_rng(3)
     params, arrays, cfg = random_problem(rng, sampler="gumbel_hard")
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng)[0]
     assert np.array_equal(fwd.keep, 1.0 - fwd.z)
 
     params, arrays, cfg = random_problem(rng, sampler="softmax_soft")
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng)[0]
     assert np.allclose(fwd.keep, 1.0 - fwd.w)
     assert np.array_equal(fwd.z, (fwd.w > 0.5).astype(int))
 
@@ -53,7 +53,7 @@ def test_forward_keep_tracks_sampler():
 def test_forward_disc_off_keeps_everything():
     rng = np.random.default_rng(4)
     params, arrays, cfg = random_problem(rng, disc_on=False)
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng)[0]
     assert np.array_equal(fwd.z, np.zeros(4, dtype=int))
     assert np.array_equal(fwd.keep, np.ones(4))
     assert fwd.loss_adv == 0.0
@@ -63,8 +63,8 @@ def test_forward_deterministic_with_fixed_gumbels():
     rng = np.random.default_rng(5)
     params, arrays, cfg = random_problem(rng)
     gumbels = np.random.default_rng(99).gumbel(size=(4, 2))
-    a = forward_batch(params, arrays, cfg, "joint", gumbels=gumbels)
-    b = forward_batch(params, arrays, cfg, "joint", gumbels=gumbels)
+    a = compute_gradients(params, arrays, cfg, "joint", gumbels=gumbels)[0]
+    b = compute_gradients(params, arrays, cfg, "joint", gumbels=gumbels)[0]
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.w, b.w)
     assert a.loss == b.loss
@@ -97,12 +97,12 @@ def test_triplet_members_follow_gate():
     params, arrays, cfg = random_problem(rng, loss="triplet", batch=6)
     # gate out the second positive: only pairs 0 and 2 stay members
     z = np.array([0, 1, 0, 0, 0, 0])
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng, z_override=z)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng, z_override=z)[0]
     assert fwd.member_idx.tolist() == [0, 2]
 
     # a single member is not enough for a triplet
     z = np.array([0, 1, 1, 0, 0, 0])
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng, z_override=z)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng, z_override=z)[0]
     assert fwd.member_idx.tolist() == [0]
     assert fwd.loss_lvc == 0.0
 
@@ -111,7 +111,7 @@ def test_triplet_term_matches_loss_module():
     rng = np.random.default_rng(9)
     params, arrays, cfg = random_problem(rng, loss="triplet", batch=8, n_frames=3)
     z = np.zeros(8, dtype=int)
-    fwd = forward_batch(params, arrays, cfg, "joint", rng=rng, z_override=z)
+    fwd = compute_gradients(params, arrays, cfg, "joint", rng=rng, z_override=z)[0]
     mi = fwd.member_idx
     assert mi.tolist() == [0, 1, 2, 3]
     sim = fwd.s[mi] @ fwd.v[mi].T
@@ -156,15 +156,15 @@ def test_batch_validation():
     params, arrays, cfg = random_problem(rng)
     bad = PairBatchArrays(xs=arrays.xs, xf=arrays.xf, labels=np.array([1, 2, 0, 0]))
     with pytest.raises(ModelError):
-        forward_batch(params, bad, cfg, "joint", rng=rng)
+        compute_gradients(params, bad, cfg, "joint", rng=rng)
     with pytest.raises(ModelError):
-        forward_batch(params, arrays, cfg, "warmup", rng=rng)
+        compute_gradients(params, arrays, cfg, "warmup", rng=rng)
     with pytest.raises(ModelError):
-        forward_batch(params, arrays, cfg, "joint", rng=rng, z_override=np.array([1, 0]))
+        compute_gradients(params, arrays, cfg, "joint", rng=rng, z_override=np.array([1, 0]))
 
 
 def test_gumbel_hard_needs_rng_or_gumbels():
     rng = np.random.default_rng(13)
     params, arrays, cfg = random_problem(rng)
     with pytest.raises(ModelError):
-        forward_batch(params, arrays, cfg, "joint")
+        compute_gradients(params, arrays, cfg, "joint")
