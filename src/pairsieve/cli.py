@@ -43,6 +43,7 @@ from .model import (
     SAMPLER_KINDS,
     ModelError,
     load_checkpoint,
+    write_atomically,
 )
 from .training import train
 
@@ -143,7 +144,7 @@ def cmd_eval(args):
     report = bidirectional_retrieval(params, records)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.csv"), "w") as fh:
+        with write_atomically(os.path.join(args.out, "report.csv")) as fh:
             fh.write(report_csv(report))
     print(json.dumps(report_summary(report)))
     return 0
@@ -184,7 +185,7 @@ def cmd_ablate(args):
         ])
         rows.append(row)
         print(row)
-    with open(os.path.join(args.out, "ablation.csv"), "w") as fh:
+    with write_atomically(os.path.join(args.out, "ablation.csv")) as fh:
         fh.write("\n".join(rows) + "\n")
     write_manifest(
         os.path.join(args.out, "manifest.json"),
@@ -208,7 +209,7 @@ def cmd_attention_dump(args):
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
+        with write_atomically(args.out) as fh:
             fh.write(text)
         print(f"wrote attention weights for {len(records)} clips to {args.out}")
     return 0

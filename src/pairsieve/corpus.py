@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import read_text
+from .model import read_text, write_atomically
 
 TAGS = ("clean", "loose", "noise")
 
@@ -197,9 +197,12 @@ def generate_corpus(spec):
 
 
 def save_corpus(records, path):
-    """Write records as line-delimited JSON; floats round-trip exactly."""
+    """Write records as line-delimited JSON; floats round-trip exactly.
+
+    The file is replaced atomically (model.write_atomically).
+    """
     d = int(records[0].sentence_raw.shape[0]) if records else 0
-    with open(path, "w") as fh:
+    with write_atomically(path) as fh:
         fh.write(json.dumps({"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "d": d}) + "\n")
         for rec in records:
             line = json.dumps(

@@ -23,11 +23,11 @@ weight, and the hinges average over members. During the warm-up phase
 the discriminator is frozen: the gate still filters pairs but
 contributes no gradient, and the adversarial term is not optimized.
 
-The forward formulas are not written here: embedding, attention,
-pooling, the gate logit and the gate sampler come from model, and the
-triplet hinges from losses, the same code eval and attention-dump run.
-This module assembles the batch objective from them and holds the
-backward pass.
+compute_gradients runs the forward and then the backward over one
+batch of plain arrays. The forward formulas are not written here:
+embedding, attention, pooling, the gate logit and the gate sampler come
+from model and the triplet hinges from losses, the code eval and
+attention-dump run too.
 """
 
 from __future__ import annotations
@@ -52,26 +52,6 @@ def first_nonfinite(tensors):
 
 
 @dataclass
-class PairBatchArrays:
-    """Raw features for one batch: sentences, sampled frames, labels."""
-
-    xs: np.ndarray      # (B, d_in)
-    xf: np.ndarray      # (B, F, d_in)
-    labels: np.ndarray  # (B,) 1 = matched pair
-
-    def validate(self):
-        if self.xs.ndim != 2 or self.xf.ndim != 3 or self.labels.ndim != 1:
-            raise ModelError("batch arrays have wrong ranks")
-        b = self.xs.shape[0]
-        if self.xf.shape[0] != b or self.labels.shape[0] != b:
-            raise ModelError("batch arrays disagree on batch size")
-        if self.xf.shape[2] != self.xs.shape[1]:
-            raise ModelError("sentence and frame feature dimensions differ")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ModelError("labels must be 0 or 1")
-
-
-@dataclass
 class BatchForward:
     """Everything the training loop and the tests need from one forward."""
 
@@ -81,8 +61,6 @@ class BatchForward:
     v: np.ndarray            # (B, E) pooled video embeddings
     p_lvc: np.ndarray        # (B,) pair scores
     f_lvc: np.ndarray        # (B,) match logits
-    p_adv: np.ndarray        # (B,) best background scores
-    f_adv: np.ndarray        # (B,) gate logits
     z: np.ndarray            # (B,) hard gate calls
     w: np.ndarray            # (B,) smooth gate weights
     gumbels: np.ndarray | None
@@ -91,7 +69,6 @@ class BatchForward:
     pair_adv_loss: np.ndarray         # (B,)
     member_idx: np.ndarray   # (M,) triplet anchors (empty for bce kind)
     member_hinges: np.ndarray  # (M,) per-anchor row+col hinge sums
-    member_keep: np.ndarray    # (M,) anchor weights at the current point
     # reporting means loss_lvc = lvc_sum / lvc_weight, weighted by kept mass (bce) or
     # member count (triplet, 0 below 2), and loss_adv = adv_sum / discarded mass
     lvc_sum: float
@@ -136,190 +113,164 @@ def _attention_backward(att, de, s, H, cache, ds, dH, grads):
         grads["attention.w2"] += H.reshape(-1, H.shape[-1]).T @ dt.reshape(-1, dt.shape[-1])
 
 
-def _run_forward(params, batch, cfg, phase, rng, gumbels, z_override):
-    if phase not in PHASES:
-        raise ModelError(f"unknown phase {phase!r}")
-    batch.validate()
-    b = batch.xs.shape[0]
-    labels = batch.labels.astype(float)
+def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None, gumbels=None,
+                      z_override=None):
+    """Forward plus exact gradients of the surrogate objective for one batch.
 
-    s, pre_s, ns = embed(params.language, batch.xs)
-    H, pre_h, nh = embed(params.vision, batch.xf)
-    v, alpha, att_cache = attend(params.attention, s, H)
-    p_lvc = np.einsum("be,be->b", s, v)
-    f_lvc = params.a_lvc[0] * p_lvc + params.b_lvc[0]
-
-    disc_on = cfg.discriminator_enabled
-    hard = cfg.sampler_kind == "gumbel_hard"
-    if disc_on:
-        q = s @ params.disc.bvf.T
-        jstar = q.argmax(axis=1)
-        p_adv = q[np.arange(b), jstar]
-        f_adv = adv_logit(params.disc, p_lvc, p_adv)
-        z, w, gumbels = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng, gumbels)
-        if z_override is not None:
-            z = np.asarray(z_override, dtype=int)
-            if z.shape != (b,) or not np.all((z == 0) | (z == 1)):
-                raise ModelError("z_override must be a 0/1 vector of batch length")
-        pair_adv = softplus(f_adv)
-        keep = 1.0 - z.astype(float) if hard else 1.0 - w
-    else:
-        jstar = None
-        p_adv = np.zeros(b)
-        f_adv = np.zeros(b)
-        z = np.zeros(b, dtype=int)
-        w = np.zeros(b)
-        pair_adv = np.zeros(b)
-        keep = np.ones(b)
-
-    if cfg.loss_kind == "bce":
-        pair_lvc = bce_loss(labels, f_lvc)
-        lvc_sum = float((keep * pair_lvc).sum())
-        lvc_weight = float(keep.sum())
-        lvc_term = lvc_sum / b
-        member_idx = np.array([], dtype=int)
-        hinges = np.array([])
-        member_keep = np.array([])
-        trip_cache = None
-    else:
-        pair_lvc = None
-        pos_idx = np.flatnonzero(batch.labels == 1)
-        if disc_on and hard:
-            member_idx = pos_idx[z[pos_idx] == 0]
-        else:
-            member_idx = pos_idx
-        m = member_idx.shape[0]
-        member_keep = keep[member_idx] if (disc_on and not hard) else np.ones(m)
-        if m >= 2:
-            # sentence a against clip b's own pooled vector
-            r_h, c_h, jr, jc = triplet_hinges(s[member_idx] @ v[member_idx].T,
-                                              cfg.triplet_margin)
-            hinges = r_h + c_h
-            trip_cache = {"jr": jr, "jc": jc, "r_active": r_h > 0, "c_active": c_h > 0}
-            lvc_sum, lvc_weight = float((member_keep * hinges).sum()), m
-        else:
-            hinges = np.zeros(m)
-            trip_cache = None
-            lvc_sum, lvc_weight = 0.0, 0
-        lvc_term = lvc_sum / m if m >= 2 else 0.0
-
-    gate = 1.0 - keep
-    adv_sum = float((gate * pair_adv).sum())
-    adv_term = adv_sum / b if (disc_on and phase == "joint") else 0.0
-    loss = lvc_term + adv_term
-
-    if not np.isfinite(loss):
-        raise NumericError("non-finite batch loss; check learning rate and inputs")
-
-    fwd = BatchForward(
-        s=s, H=H, alpha=alpha, v=v, p_lvc=p_lvc, f_lvc=f_lvc,
-        p_adv=p_adv, f_adv=f_adv, z=z, w=w, gumbels=gumbels, keep=keep,
-        pair_lvc_loss=pair_lvc, pair_adv_loss=pair_adv,
-        member_idx=member_idx, member_hinges=hinges, member_keep=member_keep,
-        lvc_sum=lvc_sum, lvc_weight=lvc_weight, adv_sum=adv_sum,
-        adv_weight=float(gate.sum()), loss=loss,
-    )
-    cache = {
-        "pre_s": pre_s, "ns": ns, "pre_h": pre_h, "nh": nh,
-        "att": att_cache, "trip": trip_cache, "jstar": jstar, "labels": labels,
-    }
-    return fwd, cache
-
-
-def compute_gradients(params, batch, cfg, phase, rng=None, gumbels=None, z_override=None):
-    """Forward plus exact gradients of the surrogate objective.
-
+    xs (B, d_in) holds the sentences, xf (B, F, d_in) the sampled frames and
+    labels (B,) a 1 per matched pair. The gate draws its noise from rng
+    unless gumbels (B, 2) are given; z_override (B,) pins the hard calls.
     Returns (fwd, grads, grad): grad is one vector laid out like
     params.flat, and grads maps each trainable tensor's name to its view
     into grad, zeros included. In the freeze phase the discriminator
     tensors get exactly zero gradient and the gate contributes no pathway.
     """
-    fwd, cache = _run_forward(params, batch, cfg, phase, rng, gumbels, z_override)
-    b = batch.xs.shape[0]
-    labels = cache["labels"]
+    if phase not in PHASES:
+        raise ModelError(f"unknown phase {phase!r}")
+    if xs.ndim != 2 or xf.ndim != 3 or labels.ndim != 1:
+        raise ModelError("batch arrays have wrong ranks")
+    b = xs.shape[0]
+    if xf.shape[0] != b or labels.shape[0] != b:
+        raise ModelError("batch arrays disagree on batch size")
+    if xf.shape[2] != xs.shape[1]:
+        raise ModelError("sentence and frame feature dimensions differ")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ModelError("labels must be 0 or 1")
+    if z_override is not None:
+        z_override = np.asarray(z_override, dtype=int)
+        if z_override.shape != (b,) or not np.all((z_override == 0) | (z_override == 1)):
+            raise ModelError("z_override must be a 0/1 vector of batch length")
     att = params.attention
     disc = params.disc
     disc_on = cfg.discriminator_enabled
     hard = cfg.sampler_kind == "gumbel_hard"
     joint = phase == "joint"
 
+    # forward
+    s, pre_s, ns = embed(params.language, xs)
+    H, pre_h, nh = embed(params.vision, xf)
+    v, alpha, att_cache = attend(att, s, H)
+    p_lvc = np.einsum("be,be->b", s, v)
+    f_lvc = params.a_lvc[0] * p_lvc + params.b_lvc[0]
+
+    if disc_on:
+        q = s @ disc.bvf.T
+        jstar = q.argmax(axis=1)
+        p_adv = q[np.arange(b), jstar]
+        f_adv = adv_logit(disc, p_lvc, p_adv)
+        z, w, gumbels = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng, gumbels)
+        if z_override is not None:
+            z = z_override
+        pair_adv = softplus(f_adv)
+        keep = 1.0 - z if hard else 1.0 - w
+    else:
+        z, w, pair_adv, keep = np.zeros(b, dtype=int), np.zeros(b), np.zeros(b), np.ones(b)
+
+    if cfg.loss_kind == "bce":
+        pair_lvc = bce_loss(labels, f_lvc)
+        lvc_sum, lvc_weight = float((keep * pair_lvc).sum()), float(keep.sum())
+        lvc_term = lvc_sum / b
+        member_idx, hinges = np.array([], dtype=int), np.array([])
+    else:
+        pair_lvc = None
+        pos = np.flatnonzero(labels == 1)
+        # z is all zero with the discriminator off, so every positive stays
+        member_idx = pos[z[pos] == 0] if hard else pos
+        m = member_idx.shape[0]
+        if m >= 2:
+            # sentence a against clip b's own pooled vector
+            r_h, c_h, jr, jc = triplet_hinges(s[member_idx] @ v[member_idx].T,
+                                              cfg.triplet_margin)
+            hinges = r_h + c_h
+            lvc_sum, lvc_weight = float((keep[member_idx] * hinges).sum()), m
+            lvc_term = lvc_sum / m
+        else:
+            hinges = np.zeros(m)
+            lvc_sum, lvc_weight, lvc_term = 0.0, 0, 0.0
+
+    gate = 1.0 - keep
+    adv_sum = float((gate * pair_adv).sum())
+    adv_term = adv_sum / b if (disc_on and joint) else 0.0
+    loss = lvc_term + adv_term
+
+    if not np.isfinite(loss):
+        raise NumericError("non-finite batch loss; check learning rate and inputs")
+    fwd = BatchForward(
+        s=s, H=H, alpha=alpha, v=v, p_lvc=p_lvc, f_lvc=f_lvc, z=z, w=w, gumbels=gumbels,
+        keep=keep, pair_lvc_loss=pair_lvc, pair_adv_loss=pair_adv, member_idx=member_idx,
+        member_hinges=hinges, lvc_sum=lvc_sum, lvc_weight=lvc_weight, adv_sum=adv_sum,
+        adv_weight=float(gate.sum()), loss=loss,
+    )
+
+    # backward
     grad = np.zeros(params.flat.size)
     grads = tensor_views(grad, params.layout)
     dp_lvc = np.zeros(b)
 
     # match-loss pathway (bce kind)
     if cfg.loss_kind == "bce":
-        a_coef = fwd.keep / b
-        df_lvc = a_coef * (sigmoid(fwd.f_lvc) - labels)
-        grads["a_lvc"][0] += float(df_lvc @ fwd.p_lvc)
+        df_lvc = keep / b * (sigmoid(f_lvc) - labels)
+        grads["a_lvc"][0] += float(df_lvc @ p_lvc)
         grads["b_lvc"][0] += float(df_lvc.sum())
         dp_lvc += df_lvc * params.a_lvc[0]
 
     # adversarial loss and gate pathway (joint phase only)
     if disc_on and joint:
-        b_coef = (fwd.z.astype(float) if hard else fwd.w) / b
-        dw_coef = fwd.pair_adv_loss.copy()
-        if cfg.loss_kind == "bce":
-            dw_coef -= fwd.pair_lvc_loss
-        dw_coef /= b
-        m = fwd.member_idx.shape[0]
+        b_coef = (z if hard else w) / b
+        dw_coef = (pair_adv - pair_lvc if cfg.loss_kind == "bce" else pair_adv) / b
         if cfg.loss_kind == "triplet" and m >= 2:
-            dw_coef[fwd.member_idx] -= fwd.member_hinges / m
-        df_adv = b_coef * sigmoid(fwd.f_adv) + dw_coef * fwd.w * (1.0 - fwd.w) / cfg.tau
+            dw_coef[member_idx] -= hinges / m
+        df_adv = b_coef * sigmoid(f_adv) + dw_coef * w * (1.0 - w) / cfg.tau
 
         if disc.input_mode == "residual":
-            grads["disc.a_adv"][0] += float(df_adv @ (fwd.p_adv - fwd.p_lvc))
+            grads["disc.a_adv"][0] += float(df_adv @ (p_adv - p_lvc))
             grads["disc.b_adv"][0] += float(df_adv.sum())
             dp_adv = df_adv * disc.a_adv[0]
             dp_lvc -= df_adv * disc.a_adv[0]
         elif disc.input_mode == "concat":
-            grads["disc.a_adv"][0] += float(df_adv @ fwd.p_adv)
-            grads["disc.a_adv"][1] += float(df_adv @ fwd.p_lvc)
+            grads["disc.a_adv"][0] += float(df_adv @ p_adv)
+            grads["disc.a_adv"][1] += float(df_adv @ p_lvc)
             grads["disc.b_adv"][0] += float(df_adv.sum())
             dp_adv = df_adv * disc.a_adv[0]
             dp_lvc += df_adv * disc.a_adv[1]
         else:
-            grads["disc.a_adv"][0] += float(df_adv @ fwd.p_adv)
+            grads["disc.a_adv"][0] += float(df_adv @ p_adv)
             grads["disc.b_adv"][0] += float(df_adv.sum())
             dp_adv = df_adv * disc.a_adv[0]
 
-        jstar = cache["jstar"]
-        np.add.at(grads["disc.bvf"], jstar, dp_adv[:, None] * fwd.s)
+        np.add.at(grads["disc.bvf"], jstar, dp_adv[:, None] * s)
 
     # pair score pathway
-    ds = dp_lvc[:, None] * fwd.v
-    dv = dp_lvc[:, None] * fwd.s
+    ds = dp_lvc[:, None] * v
+    dv = dp_lvc[:, None] * s
     if disc_on and joint:
         ds += dp_adv[:, None] * disc.bvf[jstar]
 
     # triplet matrix: S = Sm @ Vm.T over members, feeding the same ds/dv
-    trip = cache["trip"]
-    if cfg.loss_kind == "triplet" and trip is not None:
-        m = fwd.member_idx.shape[0]
-        coeff = fwd.member_keep / m
+    if cfg.loss_kind == "triplet" and m >= 2:
+        coeff = keep[member_idx] / m
         dS = np.zeros((m, m))
         idx = np.arange(m)
-        jr, jc = trip["jr"], trip["jc"]
-        ra, ca = trip["r_active"], trip["c_active"]
+        ra, ca = r_h > 0, c_h > 0
         dS[idx[ra], jr[ra]] += coeff[ra]
         dS[jc[ca], idx[ca]] += coeff[ca]
         dS[idx, idx] -= coeff * ra + coeff * ca
-        ds[fwd.member_idx] += dS @ fwd.v[fwd.member_idx]
-        dv[fwd.member_idx] += dS.T @ fwd.s[fwd.member_idx]
+        ds[member_idx] += dS @ v[member_idx]
+        dv[member_idx] += dS.T @ s[member_idx]
 
     # attention pooling backward for every pair
-    dalpha = np.einsum("be,bfe->bf", dv, fwd.H)
-    dH = fwd.alpha[:, :, None] * dv[:, None, :]
+    dalpha = np.einsum("be,bfe->bf", dv, H)
+    dH = alpha[:, :, None] * dv[:, None, :]
     if att.kind != "uniform":
-        de = fwd.alpha * (dalpha - (fwd.alpha * dalpha).sum(axis=1, keepdims=True))
-        _attention_backward(att, de, fwd.s, fwd.H, cache["att"], ds, dH, grads)
+        de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+        _attention_backward(att, de, s, H, att_cache, ds, dH, grads)
 
     # shared encoder backward
-    dpre_s = _l2relu_backward(ds, fwd.s, cache["ns"], cache["pre_s"])
-    grads["language.weight"] += batch.xs.T @ dpre_s
+    dpre_s = _l2relu_backward(ds, s, ns, pre_s)
+    grads["language.weight"] += xs.T @ dpre_s
     grads["language.bias"] += dpre_s.sum(axis=0)
-    dpre_h = _l2relu_backward(dH, fwd.H, cache["nh"], cache["pre_h"])
-    grads["vision.weight"] += (batch.xf.reshape(-1, batch.xf.shape[-1]).T
+    dpre_h = _l2relu_backward(dH, H, nh, pre_h)
+    grads["vision.weight"] += (xf.reshape(-1, xf.shape[-1]).T
                                @ dpre_h.reshape(-1, dpre_h.shape[-1]))
     grads["vision.bias"] += dpre_h.sum(axis=(0, 1))
 

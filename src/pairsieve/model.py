@@ -22,7 +22,6 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -108,7 +107,22 @@ def tensor_views(flat, layout):
     return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
 
 
-def _layout(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att):
+def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_values=None):
+    """Zero-filled ModelParams whose tensors are views into one flat vector.
+
+    Validates the attention kind, the input mode and the sizes first; a
+    d_att below 1 means d_emb. A layout of more than max_values values
+    (a checkpoint's bound from its file length) is rejected before
+    anything is allocated.
+    """
+    if attention_kind not in ATTENTION_KINDS:
+        raise ModelError(f"unknown attention kind {attention_kind!r}")
+    if input_mode not in INPUT_MODES:
+        raise ModelError(f"unknown discriminator input mode {input_mode!r}")
+    if d_in < 1 or d_emb < 1 or n_bvf < 1:
+        raise ModelError("d_in, d_emb, and n_bvf must all be >= 1")
+    if d_att < 1:
+        d_att = d_emb
     shapes = [("language.weight", (d_in, d_emb)), ("language.bias", (d_emb,)),
               ("vision.weight", (d_in, d_emb)), ("vision.bias", (d_emb,))]
     if attention_kind == "multiplicative":
@@ -119,7 +133,21 @@ def _layout(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att):
     shapes += [("disc.bvf", (n_bvf, d_emb)),
                ("disc.a_adv", (2,) if input_mode == "concat" else (1,)),
                ("disc.b_adv", (1,)), ("a_lvc", (1,)), ("b_lvc", (1,))]
-    return pack_layout(shapes)
+    layout = pack_layout(shapes)
+    if max_values is not None and layout[-1][2] > max_values:
+        raise ModelError("checkpoint meta describes more values than the file holds")
+    flat = np.zeros(layout[-1][2])
+    t = tensor_views(flat, layout)
+    attention = AttentionParams(kind=attention_kind, w_mult=t.get("attention.w_mult"),
+                                w1=t.get("attention.w1"), w2=t.get("attention.w2"),
+                                w_score=t.get("attention.w_score"))
+    disc = DiscriminatorParams(bvf=t["disc.bvf"], a_adv=t["disc.a_adv"],
+                               b_adv=t["disc.b_adv"], input_mode=input_mode)
+    return ModelParams(
+        language=ChannelParams(weight=t["language.weight"], bias=t["language.bias"]),
+        vision=ChannelParams(weight=t["vision.weight"], bias=t["vision.bias"]),
+        attention=attention, disc=disc, a_lvc=t["a_lvc"], b_lvc=t["b_lvc"],
+        flat=flat, layout=layout)
 
 
 def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
@@ -129,44 +157,22 @@ def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
     pairs, matching the warm-up behaviour we want before the channels
     have learned anything.
     """
-    if cfg_attention not in ATTENTION_KINDS:
-        raise ModelError(f"unknown attention kind {cfg_attention!r}")
-    if cfg_input_mode not in INPUT_MODES:
-        raise ModelError(f"unknown discriminator input mode {cfg_input_mode!r}")
-    if d_in < 1 or d_emb < 1 or n_bvf < 1:
-        raise ModelError("d_in, d_emb, and n_bvf must all be >= 1")
-    if d_att < 1:
-        d_att = d_emb
-    layout = _layout(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, d_att)
-    flat = np.zeros(layout[-1][2])
-    t = tensor_views(flat, layout)
-
-    def lin(name, fan_in):
-        t[name][...] = rng.normal(scale=1.0 / np.sqrt(fan_in), size=t[name].shape)
-        return t[name]
-
-    language = ChannelParams(weight=lin("language.weight", d_in), bias=t["language.bias"])
-    vision = ChannelParams(weight=lin("vision.weight", d_in), bias=t["vision.bias"])
-
-    attention = AttentionParams(kind=cfg_attention)
-    if cfg_attention == "multiplicative":
-        attention.w_mult = lin("attention.w_mult", d_emb)
-    elif cfg_attention == "additive":
-        attention.w1 = lin("attention.w1", d_emb)
-        attention.w2 = lin("attention.w2", d_emb)
-        attention.w_score = lin("attention.w_score", d_att)
-
-    raw = rng.normal(size=(n_bvf, d_emb))
+    params = _zero_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, d_att)
+    t = param_tensors(params)
+    for name in ("language.weight", "vision.weight", "attention.w_mult",
+                 "attention.w1", "attention.w2", "attention.w_score"):
+        if name in t:
+            # fan_in is the first axis: d_in, d_emb, or d_att for w_score
+            t[name][...] = rng.normal(scale=1.0 / np.sqrt(t[name].shape[0]),
+                                      size=t[name].shape)
+    raw = rng.normal(size=t["disc.bvf"].shape)
     t["disc.bvf"][...] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     # start the gate steep enough that score differences between good and
     # bad pairs move it, and biased toward keeping pairs early on
     t["disc.a_adv"][...] = [4.0, -4.0] if cfg_input_mode == "concat" else [4.0]
     t["disc.b_adv"][...] = -0.4
     t["a_lvc"][...] = 1.0
-    disc = DiscriminatorParams(bvf=t["disc.bvf"], a_adv=t["disc.a_adv"],
-                               b_adv=t["disc.b_adv"], input_mode=cfg_input_mode)
-    return ModelParams(language=language, vision=vision, attention=attention, disc=disc,
-                       a_lvc=t["a_lvc"], b_lvc=t["b_lvc"], flat=flat, layout=layout)
+    return params
 
 
 def embed(channel, x):
@@ -359,7 +365,7 @@ def save_checkpoint(params, path):
 def load_checkpoint(path):
     """Rebuild ModelParams from save_checkpoint output; exact round-trip.
 
-    init_model lays the model out from meta; each tensor is then copied
+    The zero-filled model is laid out from meta; each tensor is then copied
     in from the file once it is present, has the layout's shape and holds
     only finite values. Anything else is a ModelError.
     """
@@ -378,13 +384,9 @@ def load_checkpoint(path):
     d_in, d_emb, n_bvf, d_att = dims = [meta.get(k) for k in ("d_in", "d_emb", "n_bvf", "d_att")]
     if not all(type(v) is int and v >= 0 for v in dims):
         raise ModelError("checkpoint meta needs integers d_in, d_emb, n_bvf, d_att >= 0")
-    kind, mode = meta.get("attention_kind"), meta.get("input_mode")
-    # each stored value takes >= 2 characters: bounds what init_model allocates
-    if _layout(d_in, d_emb, kind, mode, n_bvf, d_att or d_emb)[-1][2] > len(text) // 2:
-        raise ModelError("checkpoint meta describes more values than the file holds")
-    # only the layout is needed; a stand-in rng keeps numpy.random (6 MB RSS) unloaded
-    ones = SimpleNamespace(normal=lambda scale=1.0, size=None: np.ones(size))
-    params = init_model(d_in, d_emb, kind, mode, n_bvf, ones, d_att=d_att)
+    # each stored value takes >= 2 characters: bounds what _zero_model allocates
+    params = _zero_model(d_in, d_emb, meta.get("attention_kind"), meta.get("input_mode"),
+                         n_bvf, d_att, max_values=len(text) // 2)
     for name, arr in param_tensors(params).items():
         entry = entries.get(name)
         if not isinstance(entry, dict):

@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
-from .gradients import NumericError, PairBatchArrays, compute_gradients, first_nonfinite
+from .gradients import NumericError, compute_gradients, first_nonfinite
 from .model import init_bvf, init_model, param_tensors, save_checkpoint
 from .optim import sgd_step, update_runs
 
@@ -121,6 +121,10 @@ def train(cfg, corpus, run_dir=None, log=None):
     """
     cfg.validate()
     d_in = _corpus_dim(corpus)
+    # a larger positive half repeats clips, which then hinge against their own copies
+    if cfg.batch_size // 2 > len(corpus):
+        raise CorpusError(f"batch_size {cfg.batch_size} needs at least {cfg.batch_size // 2} "
+                          f"clips, the corpus has {len(corpus)}")
     root = np.random.SeedSequence(cfg.seed)
     ss_init, ss_bvf, ss_batch, ss_frame, ss_gate = root.spawn(5)
     rng_init = np.random.default_rng(ss_init)
@@ -158,13 +162,10 @@ def train(cfg, corpus, run_dir=None, log=None):
             stats = _EpochStats()
             batches = epoch_batches(len(corpus), cfg.batch_size, rng_batch)
             for step, (sentence_idx, clip_idx) in enumerate(batches):
-                arrays = PairBatchArrays(
-                    xs=sentences[sentence_idx],
-                    xf=sample_frames(corpus, clip_idx, cfg.n_f, rng_frame),
-                    labels=labels,
-                )
+                xf = sample_frames(corpus, clip_idx, cfg.n_f, rng_frame)
                 try:
-                    fwd, _, grad = compute_gradients(params, arrays, cfg, phase, rng=rng_gate)
+                    fwd, _, grad = compute_gradients(params, sentences[sentence_idx], xf,
+                                                     labels, cfg, phase, rng=rng_gate)
                     sgd_step(params.flat, grad, velocity, lr, cfg.momentum,
                              cfg.weight_decay, runs)
                     if not np.isfinite(params.flat).all():

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from pairsieve.config import TrainConfig
-from pairsieve.gradients import PairBatchArrays, compute_gradients
+from pairsieve.gradients import compute_gradients
 from pairsieve.model import init_model, param_tensors
 
 FD_STEP = 1e-5
@@ -28,6 +28,7 @@ ABS_TOL = 1e-7
 def surrogate_loss(params, batch, cfg, phase, frozen):
     """Objective value with the gate noise pinned to `frozen`.
 
+    batch = (xs, xf, labels) as compute_gradients takes them and
     frozen = (z0, w0, gumbels) captured at the base point. Mirrors the
     gradient code exactly: hard sampler weights the match loss by
     1 - z0 - w + w0 and the adversarial loss by z0 + w - w0; the soft
@@ -35,8 +36,8 @@ def surrogate_loss(params, batch, cfg, phase, frozen):
     and drops the adversarial term.
     """
     z0, w0, gumbels = frozen
-    fwd = compute_gradients(params, batch, cfg, phase, gumbels=gumbels, z_override=z0)[0]
-    b = batch.xs.shape[0]
+    fwd = compute_gradients(params, *batch, cfg, phase, gumbels=gumbels, z_override=z0)[0]
+    b = batch[0].shape[0]
     hard = cfg.sampler_kind == "gumbel_hard"
     joint = phase == "joint"
     if not cfg.discriminator_enabled:
@@ -85,7 +86,7 @@ def gradient_mismatches(params, batch, cfg, phase, rng):
     Returns a list of (tensor name, index, analytic, numeric) tuples for
     every coordinate outside tolerance; an empty list means agreement.
     """
-    fwd, grads, _ = compute_gradients(params, batch, cfg, phase, rng=rng)
+    fwd, grads, _ = compute_gradients(params, *batch, cfg, phase, rng=rng)
     gumbels = None if fwd.gumbels is None else fwd.gumbels.copy()
     frozen = (fwd.z.copy(), fwd.w.copy(), gumbels)
     base = surrogate_loss(params, batch, cfg, phase, frozen)
@@ -110,7 +111,7 @@ def gradient_mismatches(params, batch, cfg, phase, rng):
 def random_problem(rng, attention="dot", input_mode="residual",
                    sampler="gumbel_hard", loss="bce", disc_on=True,
                    d_in=4, d_emb=4, n_frames=2, batch=4, n_bvf=2):
-    """A small random model plus one balanced batch of raw features."""
+    """A small random model, one balanced batch (xs, xf, labels) and its config."""
     cfg = TrainConfig(
         attention_kind=attention, input_mode=input_mode, sampler_kind=sampler,
         loss_kind=loss, discriminator_enabled=disc_on, batch_size=batch,
@@ -122,12 +123,10 @@ def random_problem(rng, attention="dot", input_mode="residual",
     params.language.bias += 0.3
     params.vision.bias += 0.3
     half = batch // 2
-    arrays = PairBatchArrays(
-        xs=rng.normal(size=(batch, d_in)),
-        xf=rng.normal(size=(batch, n_frames, d_in)),
-        labels=np.array([1] * half + [0] * (batch - half)),
-    )
-    return params, arrays, cfg
+    xs = rng.normal(size=(batch, d_in))
+    xf = rng.normal(size=(batch, n_frames, d_in))
+    labels = np.array([1] * half + [0] * (batch - half))
+    return params, (xs, xf, labels), cfg
 
 
 def triplet_by_enumeration(sim, margin):

@@ -1,7 +1,11 @@
 """End-to-end command line runs: artifacts, output, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,21 @@ def test_eval_command(workspace, capsys):
     report = (out_dir / "report.csv").read_text().splitlines()
     assert report[0] == "metric,direction,value"
     assert len(report) == 1 + 2 * 4  # map + three recall rows per direction
+
+
+def test_eval_leaves_numpy_random_unloaded(workspace):
+    # importing numpy.random adds about 6 MB to eval's peak RSS
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["eval", "--checkpoint", str(workspace / "run" / "checkpoint_final.json"),
+            "--corpus", str(workspace / "corpus" / "test.corpus")]
+    code = ("import sys\n"
+            "from pairsieve.cli import main\n"
+            f"print(main({argv!r}), 'numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.stdout.splitlines()[-1:] == ["0 False"], done.stdout + done.stderr
 
 
 def test_ablate_command(workspace, capsys):
@@ -242,6 +261,15 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+    # a positive half larger than the 30-clip corpus fails before any run directory
+    out = tmp_path / "big_batch"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                 "--set", "batch_size=62"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+    assert "batch_size 62" in err and "has 30" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("message,shown", [

@@ -121,6 +121,28 @@ def test_save_load_round_trip_exact(tmp_path):
     assert all(records_equal(a, b) for a, b in zip(test, load_corpus(path)))
 
 
+def test_corpus_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    train, test = generate_corpus(SMALL)
+    path = tmp_path / "train.corpus"
+    save_corpus(test, path)
+    before = path.read_bytes()
+    dumps = json.dumps
+    calls = []
+
+    def dumps_then_fail(obj, **kwargs):
+        # the header and two records reach the file, then the write fails
+        calls.append(obj)
+        if len(calls) > 3:
+            raise OSError("disk full")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(train, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["train.corpus"]
+
+
 def test_load_empty_file_is_empty_corpus(tmp_path):
     path = tmp_path / "empty.corpus"
     path.write_text("")

@@ -11,6 +11,8 @@ from pairsieve.gradients import NumericError
 from pairsieve.model import init_bvf, init_model, load_checkpoint, param_tensors
 from pairsieve.training import NO_DECAY, metrics_csv_header, train
 
+from golden_grid import grid_digests
+
 SMALL = TrainConfig(d_emb=8, batch_size=8, n_f=3, freeze_epochs=2,
                     joint_epochs=3, bvf_count=2, seed=0)
 
@@ -49,6 +51,16 @@ def test_training_is_deterministic(tiny_corpus):
 
     params_c, metrics_c = train(_cfg(seed=1), corpus)
     assert [m.csv_row() for m in metrics_a] != [m.csv_row() for m in metrics_c]
+
+
+def test_golden_grid_is_deterministic(tmp_path):
+    # the digests depend on the numpy and BLAS build, so only their
+    # repeatability is tested; ROADMAP.md records the reference values
+    digests = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        digests.append(grid_digests(str(tmp_path / name)))
+    assert digests[0] == digests[1]
 
 
 def _replay_init(cfg, corpus, with_bvf):
