@@ -1,9 +1,9 @@
 """Bidirectional retrieval evaluation.
 
 Every test sentence is scored against every test clip with the
-embedding and attention pooling that training runs (model.embed and
-model.attend, one clip against all queries at a time), so a clip's
-pooled vector depends on which sentence is querying it. Video search
+embedding and attention formulas that training runs (model.embed, and
+model.clip_scores for one clip against all queries at a time), so a
+clip's pooled vector depends on which sentence is querying it. Video search
 ranks clips for each sentence (rows of the score matrix); sentence
 search ranks sentences for each clip (columns); both are ranked for all
 queries at once. Each query has exactly one relevant item, so average
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import attend, embed
+from .model import attend, clip_scores, embed
 
 DEFAULT_RECALL_KS = (1, 5, 10)
 
@@ -28,16 +28,20 @@ class EvalError(ValueError):
 def score_matrix(params, records):
     """Score every sentence against every clip: out[i, j] = s_i . v_ij.
 
-    v_ij pools clip j's frames (all of them) under sentence i's
-    attention, so each clip is re-pooled per query.
+    v_ij pools all of clip j's frames under sentence i's attention;
+    model.clip_scores scores each clip against all queries at once.
     """
     if not records:
         raise EvalError("no records to evaluate")
+    att = params.attention
     s = embed(params.language, np.stack([r.sentence_raw for r in records]))[0]
+    sT = np.ascontiguousarray(s.T)
+    w = {"multiplicative": att.w_mult, "additive": att.w1}.get(att.kind)
+    q = None if w is None else w.T @ sT
+    buf = np.empty_like(q) if att.kind == "additive" else None
     out = np.empty((len(records), len(records)))
     for j, rec in enumerate(records):
-        v, _, _ = attend(params.attention, s, embed(params.vision, rec.frames_raw)[0])
-        out[:, j] = (s * v).sum(axis=1)
+        out[:, j] = clip_scores(att, embed(params.vision, rec.frames_raw)[0], sT, q, buf)
     return out
 
 

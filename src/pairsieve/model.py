@@ -10,9 +10,9 @@ keep-or-discard gate via the Gumbel trick.
 This module is the only home of the forward formulas; training, eval
 and attention-dump all call them. Shape contract: embed maps (..., d_in)
 to (..., E); attention_scores and attend take sentences s (..., E) and
-frames h (..., F, E), which covers one pair (E,) with (F, E), a batch
-(B, E) with (B, F, E), and every query against one clip (n, E) with
-(F, E); adv_logit and sample_gate work elementwise on arrays of logits.
+frames h (..., F, E): one pair (E,) with (F, E) or a batch (B, E) with
+(B, F, E); clip_scores takes one clip (F, E) and every query on the last
+axis, s.T (E, n); adv_logit and sample_gate work elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ def embed(channel, x):
 def _per_frame(a, h):
     """Contract a (..., E) with every frame of h (..., F, E) -> (..., F).
 
-    A clip shared by every row of a (2-D h) goes through a plain matmul:
-    broadcasting einsum is about 7x slower on an eval-sized grid.
+    A 2-D h (attention-dump's one sentence against its own clip) goes
+    through a plain matmul; einsum rounds differently and would change
+    the dumped weights in the last bits.
     """
     if h.ndim == 2:
         return a @ h.T
@@ -203,8 +204,7 @@ def _per_frame(a, h):
 def attention_scores(attention, s, h):
     """Raw frame scores e (..., F) and the cache backward needs.
 
-    s is (..., E) and h is (..., F, E): one pair, a batch of pairs, or
-    every query against one clip (s (n, E), h (F, E)).
+    s is (..., E) and h is (..., F, E): one pair or a batch of pairs.
     """
     if attention.kind == "uniform":
         return np.zeros(np.broadcast_shapes(s.shape[:-1] + (1,), h.shape[:-1])), {}
@@ -219,10 +219,10 @@ def attention_scores(attention, s, h):
     raise ModelError(f"unknown attention kind {attention.kind!r}")
 
 
-def softmax(e):
-    m = e - e.max(axis=-1, keepdims=True)
+def softmax(e, axis=-1):
+    m = e - e.max(axis=axis, keepdims=True)
     w = np.exp(m)
-    return w / w.sum(axis=-1, keepdims=True)
+    return w / w.sum(axis=axis, keepdims=True)
 
 
 def attend(attention, s, h):
@@ -234,6 +234,31 @@ def attend(attention, s, h):
     alpha = softmax(e)
     v = alpha @ h if h.ndim == 2 else np.einsum("...f,...fe->...e", alpha, h)
     return v, alpha, cache
+
+
+def clip_scores(attention, h, sT, q, buf):
+    """s_i . v_i for every query i against one clip h (F, E); sT is (E, n).
+
+    q is the query-side projection, (s @ w_mult).T or (s @ w1).T, and buf
+    an (A, n) scratch array where additive scores one frame at a time; both
+    are None where unused. As s . v = sum_f alpha_f s . h_f, v is not built.
+    """
+    p = h @ sT  # (F, n)
+    if attention.kind == "uniform":
+        e = np.zeros_like(p)
+    elif attention.kind == "dot":
+        e = p
+    elif attention.kind == "multiplicative":
+        e = h @ q
+    elif attention.kind == "additive":
+        e = np.empty_like(p)
+        for f, hf in enumerate(h @ attention.w2):
+            np.add(q, hf[:, None], out=buf)
+            np.tanh(buf, out=buf)
+            np.matmul(attention.w_score, buf, out=e[f])
+    else:
+        raise ModelError(f"unknown attention kind {attention.kind!r}")
+    return np.einsum("fn,fn->n", softmax(e, axis=0), p)
 
 
 def adv_logit(disc, p_lvc, p_adv):

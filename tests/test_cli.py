@@ -7,11 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pairsieve.cli import main
 from pairsieve.corpus import load_corpus
-from pairsieve.model import load_checkpoint
+from pairsieve.model import ATTENTION_KINDS, init_model, load_checkpoint, save_checkpoint
 
 CORPUS_KEYS = ["--set", "n_train=30", "--set", "n_test=8",
                "--set", "d=8", "--set", "k=12"]
@@ -232,16 +233,18 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     assert not (tmp_path / "nan_corpus").exists()
 
     # finite values that overflow: weights of +-1e308 give NaN scores and attention
-    # weights, and a noise scale of 1e308 gives non-finite features; each ends in
-    # one error line, with no RuntimeWarning before it
-    doc = json.loads(checkpoint.read_text())
-    weight = doc["tensors"]["vision.weight"]["data"]
-    weight[:] = [1e308 if i % 2 == 0 else -1e308 for i in range(len(weight))]
-    huge_ckpt = tmp_path / "huge.json"
-    huge_ckpt.write_text(json.dumps(doc))
+    # weights under every attention kind, and a noise scale of 1e308 gives non-finite
+    # features; each ends in one error line, with no RuntimeWarning before it
+    huge_ckpts = []
+    for kind in ATTENTION_KINDS:
+        params = init_model(8, 8, kind, "residual", 2, np.random.default_rng(0))
+        params.vision.weight[...] = np.resize([1e308, -1e308], params.vision.weight.shape)
+        huge_ckpts.append(tmp_path / f"huge_{kind}.json")
+        save_checkpoint(params, huge_ckpts[-1])
     for command in (
-            ["eval", "--checkpoint", str(huge_ckpt), "--corpus", str(test_corpus)],
-            ["attention-dump", "--checkpoint", str(huge_ckpt), "--corpus", str(test_corpus),
+            *(["eval", "--checkpoint", str(ckpt), "--corpus", str(test_corpus)]
+              for ckpt in huge_ckpts),
+            ["attention-dump", "--checkpoint", str(huge_ckpts[1]), "--corpus", str(test_corpus),
              "--out", str(tmp_path / "huge_att.csv")],
             ["gen-corpus", "--out", str(tmp_path / "huge_corpus"),
              "--set", "feature_noise_sigma=1e308"] + CORPUS_KEYS):

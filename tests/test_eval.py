@@ -1,5 +1,7 @@
 """Ranking metrics, the query-conditioned score matrix, and reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,22 +64,55 @@ def test_ap_and_recall_from_rank():
     assert report.recall == {1: 50.0, 5: 100.0, 10: 100.0}
 
 
-def _records(n=6, seed=0):
-    _, test = generate_corpus(CorpusSpec(n_train=0, n_test=n, d=8, k=12, seed=seed))
+def _records(n=6, seed=0, frames=(4, 10)):
+    _, test = generate_corpus(CorpusSpec(n_train=0, n_test=n, d=8, k=12, seed=seed,
+                                         frame_len_min=frames[0], frame_len_max=frames[1]))
     return test
+
+
+def _per_pair_scores(params, records):
+    """s_i . v_ij from one attend call per (sentence, clip) pair."""
+    out = np.empty((len(records), len(records)))
+    for i, qi in enumerate(records):
+        s = embed(params.language, qi.sentence_raw)[0]
+        for j, cj in enumerate(records):
+            v, _, _ = attend(params.attention, s, embed(params.vision, cj.frames_raw)[0])
+            out[i, j] = float(s @ v)
+    return out
 
 
 @pytest.mark.parametrize("kind", ["uniform", "dot", "multiplicative", "additive"])
 def test_score_matrix_matches_per_pair_loop(kind):
-    records = _records()
-    params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1))
-    got = score_matrix(params, records)
-    for i, qi in enumerate(records):
-        s = embed(params.language, qi.sentence_raw)[0]
-        for j, cj in enumerate(records):
-            h = embed(params.vision, cj.frames_raw)[0]
-            v, _, _ = attend(params.attention, s, h)
-            assert np.isclose(got[i, j], float(s @ v), atol=1e-12), (i, j)
+    # clips of 1 to 10 frames, a single query, and an attention width unlike d_emb
+    mixed = (_records(2, seed=0, frames=(1, 1)) + _records(2, seed=1, frames=(10, 10))
+             + _records(2, seed=2))
+    for d_att in (0, 3) if kind == "additive" else (0,):
+        params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1), d_att=d_att)
+        for records in (mixed, _records(n=1)):
+            got = score_matrix(params, records)
+            want = _per_pair_scores(params, records)
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (d_att, len(records))
+        records = _records(n=40, seed=7)
+        ranks = retrieval_ranks(score_matrix(params, records))
+        want = _per_pair_scores(params, records)
+        assert ranks[0].tolist() == [rank_of(want[i, :], i) for i in range(40)], d_att
+        assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
+
+
+def test_score_matrix_builds_no_query_frame_grid():
+    # the additive scorer must not hold an (n, F, A) grid: beyond the (n, n) output,
+    # its traced peak stays below the size of one such grid
+    records = _records(n=400, seed=6)
+    params = init_model(8, 32, "additive", "residual", 2, np.random.default_rng(5))
+    n, d_att = len(records), params.attention.w_score.shape[0]
+    f_max = max(r.frames_raw.shape[0] for r in records)
+    tracemalloc.start()
+    try:
+        score_matrix(params, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - n * n * 8 < n * f_max * d_att * 8, (peak, f_max)
 
 
 def test_retrieval_report_consistent_with_matrix():
