@@ -1,9 +1,9 @@
 """Bidirectional retrieval evaluation.
 
-Every test sentence is scored against every test clip with the
-embedding and attention formulas that training runs (model.embed, and
-model.clip_scores for one clip against all queries at a time), so a
-clip's pooled vector depends on which sentence is querying it. Video search
+Every test sentence is scored against every test clip with training's
+embedding and attention formulas (model.embed, and model.clip_scores,
+their form for one clip against all queries), so a clip's pooled
+vector depends on which sentence is querying it. Video search
 ranks clips for each sentence (rows of the score matrix); sentence
 search ranks sentences for each clip (columns); both are ranked for all
 queries at once. Each query has exactly one relevant item, so average
