@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import read_text, write_atomically
+from .model import write_atomically
 
 TAGS = ("clean", "loose", "noise")
 
@@ -251,42 +251,58 @@ def _parse_record_line(obj, lineno, d_expected, d_source):
     return record
 
 
+def _text_lines(path, fh):
+    """(line number, text) of each line of a binary file, as UTF-8 without its line end.
+
+    Bytes that are not UTF-8 raise a CorpusError naming the path and line.
+    """
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: not UTF-8 text "
+                              f"(byte {exc.start} of the line: {exc.reason})") from None
+
+
 def load_corpus(path):
     """Load a corpus file; an empty file is an empty corpus.
 
-    Every malformed record, including one that repeats an earlier id or
-    whose dimension differs from the header's d, is a CorpusError naming
-    its line. A header with "d": null takes d from the first record.
+    The file is parsed one line at a time and never held whole. Every
+    malformed record, including one that repeats an earlier id or whose
+    dimension differs from the header's d, is a CorpusError naming its
+    line. A header with "d": null takes d from the first record.
     """
-    lines = read_text(path, CorpusError).splitlines()
-    if not lines:
-        return []
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"line 1: invalid header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
-        raise CorpusError(f"line 1: not a {CORPUS_FORMAT} file")
-    if header.get("version") != CORPUS_VERSION:
-        raise CorpusError(f"line 1: unsupported corpus version {header.get('version')!r}")
-    d, d_source = header.get("d"), "header"
-    records = []
-    first_line = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    with open(path, "rb") as fh:
+        lines = _text_lines(path, fh)
+        first = next(lines, None)
+        if first is None:
+            return []
         try:
-            obj = json.loads(line)
+            header = json.loads(first[1])
         except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: invalid record: {exc}") from exc
-        record = _parse_record_line(obj, lineno, d, d_source)
-        if d is None:
-            d, d_source = record.sentence_raw.shape[0], f"line {lineno}"
-        if record.id in first_line:
-            raise CorpusError(f"line {lineno}: record id {record.id!r} already used "
-                              f"on line {first_line[record.id]}")
-        first_line[record.id] = lineno
-        records.append(record)
+            raise CorpusError(f"line 1: invalid header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
+            raise CorpusError(f"line 1: not a {CORPUS_FORMAT} file")
+        if header.get("version") != CORPUS_VERSION:
+            raise CorpusError(f"line 1: unsupported corpus version {header.get('version')!r}")
+        d, d_source = header.get("d"), "header"
+        records = []
+        first_line = {}
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {lineno}: invalid record: {exc}") from exc
+            record = _parse_record_line(obj, lineno, d, d_source)
+            if d is None:
+                d, d_source = record.sentence_raw.shape[0], f"line {lineno}"
+            if record.id in first_line:
+                raise CorpusError(f"line {lineno}: record id {record.id!r} already used "
+                                  f"on line {first_line[record.id]}")
+            first_line[record.id] = lineno
+            records.append(record)
     return records
 
 

@@ -3,7 +3,9 @@
 Every test sentence is scored against every test clip with training's
 embedding and attention formulas (model.embed, and model.clip_scores,
 their form for one clip against all queries), so a clip's pooled
-vector depends on which sentence is querying it. Video search
+vector depends on which sentence is querying it. The clips are split
+into contiguous shares, one per usable core, and scored on threads
+that each fill their own columns of the score matrix. Video search
 ranks clips for each sentence (rows of the score matrix); sentence
 search ranks sentences for each clip (columns); both are ranked for all
 queries at once. Each query has exactly one relevant item, so average
@@ -12,6 +14,9 @@ precision reduces to 1/rank.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +34,14 @@ def score_matrix(params, records):
     """Score every sentence against every clip: out[i, j] = s_i . v_ij.
 
     v_ij pools all of clip j's frames under sentence i's attention;
-    model.clip_scores scores each clip against all queries at once.
+    model.clip_scores scores each clip against all queries at once. The
+    clips are split into min(usable cores, n) contiguous shares; the
+    calling thread scores the first and one new thread each of the
+    others. Each share writes only its own columns of out and holds its
+    own (A, n) additive buffer, so out is the same bits for any number
+    of shares. Each thread runs in a copy of the caller's context, so
+    the caller's numpy error state holds there too. An error in a share
+    is raised, the first in share order, once every thread has ended.
     """
     if not records:
         raise EvalError("no records to evaluate")
@@ -38,10 +50,31 @@ def score_matrix(params, records):
     sT = np.ascontiguousarray(s.T)
     w = {"multiplicative": att.w_mult, "additive": att.w1}.get(att.kind)
     q = None if w is None else w.T @ sT
-    buf = np.empty_like(q) if att.kind == "additive" else None
-    out = np.empty((len(records), len(records)))
-    for j, rec in enumerate(records):
-        out[:, j] = clip_scores(att, embed(params.vision, rec.frames_raw)[0], sT, q, buf)
+    n = len(records)
+    out = np.empty((n, n))
+    affinity = getattr(os, "sched_getaffinity", None)
+    shares = min(len(affinity(0)) if affinity else os.cpu_count() or 1, n)
+    errors = [None] * shares
+
+    def score_share(k):
+        try:
+            buf = np.empty_like(q) if att.kind == "additive" else None
+            for j in range(k * n // shares, (k + 1) * n // shares):
+                h = embed(params.vision, records[j].frames_raw)[0]
+                out[:, j] = clip_scores(att, h, sT, q, buf)
+        except BaseException as exc:  # re-raised in the caller after every join
+            errors[k] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(score_share, k))
+               for k in range(1, shares)]
+    for thread in threads:
+        thread.start()
+    score_share(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out
 
 

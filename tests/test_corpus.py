@@ -1,6 +1,7 @@
 """Synthetic corpus generation, persistence, and batch/frame sampling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ def test_load_reports_line_numbers(tmp_path):
         load_corpus(path)
     path.write_text("\n".join([lines[0], json.dumps(short)]) + "\n")
     with pytest.raises(CorpusError, match="line 2: dimension mismatch.*header d=8"):
+        load_corpus(path)
+
+    # bytes that are not UTF-8 name the path and their line
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    assert len(load_corpus(path)) == 3
+    raw = "\n".join(lines).encode().replace(b'"tag"', b'"t\xffg"', 3)
+    path.write_bytes(raw)
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 2: not UTF-8")):
+        load_corpus(path)
+    path.write_bytes(b"\xff\xfe" + "\n".join(lines).encode())
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 1: not UTF-8")):
         load_corpus(path)
 
 

@@ -1,11 +1,16 @@
 """Ranking metrics, the query-conditioned score matrix, and reports."""
 
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from pairsieve.corpus import CorpusSpec, generate_corpus
+from pairsieve import evaluation
+from pairsieve.cli import main
+from pairsieve.corpus import CorpusSpec, generate_corpus, save_corpus
 from pairsieve.evaluation import (
     EvalError,
     _direction_report,
@@ -17,7 +22,7 @@ from pairsieve.evaluation import (
     retrieval_ranks,
     score_matrix,
 )
-from pairsieve.model import attend, embed, init_model
+from pairsieve.model import attend, embed, init_model, save_checkpoint
 
 from oracles import rank_of
 
@@ -99,9 +104,97 @@ def test_score_matrix_matches_per_pair_loop(kind):
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
 
 
-def test_score_matrix_builds_no_query_frame_grid():
+def _use_cores(monkeypatch, cores):
+    """Make score_matrix see `cores` usable cores, whatever the host has."""
+    monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "dot", "multiplicative", "additive"])
+def test_score_matrix_same_for_any_core_count(kind, monkeypatch):
+    # one thread per share beyond the caller's, each filling its own columns: the
+    # matrix is the same bits for 1, 2, 3 and 5 cores, also with fewer clips than cores
+    params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1))
+    threads = set()
+
+    def recording_clip_scores(*args):
+        threads.add(threading.current_thread())
+        return clip_scores(*args)
+
+    clip_scores = evaluation.clip_scores
+    monkeypatch.setattr(evaluation, "clip_scores", recording_clip_scores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that shares interleave
+    try:
+        for records in (_records(n=7, seed=8, frames=(1, 10)), _records(n=1), _records(n=2)):
+            _use_cores(monkeypatch, 1)
+            want = score_matrix(params, records)
+            for cores in (1, 2, 3, 5):
+                _use_cores(monkeypatch, cores)
+                threads.clear()
+                got = score_matrix(params, records)
+                assert np.array_equal(got, want), (cores, len(records))
+                assert len(threads) == min(cores, len(records)), (cores, len(records))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_score_matrix_threads_keep_callers_error_state(monkeypatch):
+    # +-1e308 weights overflow in every share; under the caller's errstate(all="ignore")
+    # no share may warn, though numpy's error state does not pass to new threads
+    _use_cores(monkeypatch, 2)
+    params = init_model(8, 8, "additive", "residual", 2, np.random.default_rng(0))
+    params.vision.weight[...] = np.resize([1e308, -1e308], params.vision.weight.shape)
+    records = _records(n=6, seed=3)
+    with pytest.warns(RuntimeWarning):
+        score_matrix(params, records[3:])  # the second share's clips overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            scores = score_matrix(params, records)
+    assert not np.isfinite(scores).all()
+
+
+def test_score_matrix_worker_error_is_raised_after_every_join(tmp_path, monkeypatch, capsys):
+    # a MemoryError in the last share's thread reaches the caller, and `eval` ends in
+    # one error line; no thread outlives score_matrix
+    _use_cores(monkeypatch, 2)
+    records = _records(n=6, seed=10)
+    params = init_model(8, 6, "additive", "residual", 2, np.random.default_rng(6))
+    failing = {"Unable to allocate 1.00 GiB for an array":
+               embed(params.vision, records[-1].frames_raw)[0]}
+    clip_scores = evaluation.clip_scores
+
+    def failing_clip_scores(attention, h, *rest):
+        for message, frames in failing.items():
+            if np.array_equal(h, frames):
+                raise MemoryError(message)
+        return clip_scores(attention, h, *rest)
+
+    monkeypatch.setattr(evaluation, "clip_scores", failing_clip_scores)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        score_matrix(params, records)
+    assert threading.active_count() == before
+    # with both shares failing, the first share's error is the one raised
+    failing["first share"] = embed(params.vision, records[0].frames_raw)[0]
+    with pytest.raises(MemoryError, match="first share"):
+        score_matrix(params, records)
+    del failing["first share"]
+    checkpoint, corpus = tmp_path / "checkpoint.json", tmp_path / "test.corpus"
+    save_checkpoint(params, checkpoint)
+    save_corpus(records, corpus)
+    assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err == "pairsieve: error: Unable to allocate 1.00 GiB for an array\n", err
+    assert threading.active_count() == before
+
+
+def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
     # the additive scorer must not hold an (n, F, A) grid: beyond the (n, n) output,
-    # its traced peak stays below the size of one such grid
+    # its traced peak stays below the size of one such grid. Each share holds its
+    # own buffers, so the core count is pinned to make the peak host-independent.
+    _use_cores(monkeypatch, 2)
     records = _records(n=400, seed=6)
     params = init_model(8, 32, "additive", "residual", 2, np.random.default_rng(5))
     n, d_att = len(records), params.attention.w_score.shape[0]
