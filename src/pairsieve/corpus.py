@@ -8,10 +8,16 @@ scraped video data never exposes -- so gate behaviour downstream can be
 checked against truth. Training batches are plain (sentence_idx,
 clip_idx) index arrays from epoch_batches, and sample_frames draws the
 frames of a whole batch in one call.
+
+A corpus file is one JSON object per line: a header, then one record per
+line. From version 2 on, a record's sentence and frame features are
+base64 strings of little-endian float64 values, frames row after row;
+version 1 wrote them as JSON number lists and is still read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +29,10 @@ from .model import write_atomically
 TAGS = ("clean", "loose", "noise")
 
 CORPUS_FORMAT = "pairsieve-corpus"
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2
+# gen-corpus refuses a spec whose feature arrays could exceed this many floats
+# (1 GiB as float64), before it draws anything
+MAX_CORPUS_FLOATS = 2**27
 
 
 class CorpusError(ValueError):
@@ -70,8 +79,9 @@ class ClipRecord:
             raise CorpusError(f"record {self.id}: frame dimension != sentence dimension")
         if self.grounded.shape[0] != self.frames_raw.shape[0]:
             raise CorpusError(f"record {self.id}: grounded mask length != frame count")
-        if not (np.all(np.isfinite(self.sentence_raw)) and np.all(np.isfinite(self.frames_raw))):
-            raise CorpusError(f"record {self.id}: non-finite feature values")
+        for name, values in (("sentence", self.sentence_raw), ("frames", self.frames_raw)):
+            if not np.isfinite(values).all():
+                raise CorpusError(f"record {self.id}: non-finite feature values in {name}")
         if self.tag == "noise" and self.grounded.any():
             raise CorpusError(f"record {self.id}: noise records cannot have grounded frames")
         if self.tag == "clean" and self.grounded.sum() * 2 < self.frames_raw.shape[0]:
@@ -117,6 +127,12 @@ class CorpusSpec:
             raise CorpusError("need 1 <= frame_len_min <= frame_len_max")
         if self.feature_noise_sigma < 0:
             raise CorpusError("feature_noise_sigma must be >= 0")
+        for keys, floats in (("(n_train + n_test) * frame_len_max * d",
+                              (self.n_train + self.n_test) * self.frame_len_max * self.d),
+                             ("k * d", self.k * self.d)):
+            if floats > MAX_CORPUS_FLOATS:
+                raise CorpusError(f"{keys} = {floats} exceeds the limit of "
+                                  f"{MAX_CORPUS_FLOATS} feature floats")
 
 
 def _perturbed_unit(concepts, subset, sigma, rng):
@@ -196,10 +212,17 @@ def generate_corpus(spec):
     return train, test
 
 
-def save_corpus(records, path):
-    """Write records as line-delimited JSON; floats round-trip exactly.
+def _base64_floats(a):
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
-    The file is replaced atomically (model.write_atomically).
+
+def save_corpus(records, path):
+    """Write records as line-delimited JSON in format version 2.
+
+    The sentence and the frames (row after row) are base64 strings of
+    little-endian float64, so every float round-trips bit for bit; id,
+    tag and the 0/1 grounded list are plain JSON. The file is replaced
+    atomically (model.write_atomically).
     """
     d = int(records[0].sentence_raw.shape[0]) if records else 0
     with write_atomically(path) as fh:
@@ -209,15 +232,17 @@ def save_corpus(records, path):
                 {
                     "id": rec.id,
                     "tag": rec.tag,
-                    "sentence": rec.sentence_raw.tolist(),
-                    "frames": rec.frames_raw.tolist(),
+                    "sentence": _base64_floats(rec.sentence_raw),
+                    "frames": _base64_floats(rec.frames_raw),
                     "grounded": [int(g) for g in rec.grounded],
                 }
             )
             fh.write(line + "\n")
 
 
-def _field_array(obj, field, ndim, lineno):
+def _list_array(obj, field, lineno):
+    """A JSON number list as an array: frames are a list of rows, the rest flat."""
+    ndim = 2 if field == "frames" else 1
     try:
         arr = np.asarray(obj[field], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -227,22 +252,52 @@ def _field_array(obj, field, ndim, lineno):
     return arr
 
 
-def _parse_record_line(obj, lineno, d_expected, d_source):
+_JSON_TYPES = {dict: "an object", list: "an array", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _base64_array(obj, field, lineno):
+    """A base64 string of little-endian float64 as a flat, writable float array."""
+    value = obj[field]
+    if not isinstance(value, str):
+        raise CorpusError(f"line {lineno}: field {field!r} must be a base64 string, "
+                          f"not {_JSON_TYPES[type(value)]}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:
+        raise CorpusError(f"line {lineno}: field {field!r} is not base64: {exc}") from None
+    if not raw or len(raw) % 8:
+        raise CorpusError(f"line {lineno}: field {field!r} holds {len(raw)} bytes, "
+                          f"not a non-empty run of 8-byte floats")
+    return np.frombuffer(raw, "<f8").astype(float)
+
+
+# corpus version -> decoder of the sentence and frames fields; version 2's
+# frames come flat, as rows as wide as the sentence
+_FEATURE_DECODERS = {1: _list_array, 2: _base64_array}
+
+
+def _parse_record_line(obj, lineno, d_expected, d_source, decode):
     if not isinstance(obj, dict):
         raise CorpusError(f"line {lineno}: record is not a JSON object")
     for field in ("id", "tag", "sentence", "frames", "grounded"):
         if field not in obj:
             raise CorpusError(f"line {lineno}: missing field {field!r}")
-    sentence = _field_array(obj, "sentence", 1, lineno)
-    frames = _field_array(obj, "frames", 2, lineno)
-    if d_expected is not None and (sentence.shape[0] != d_expected or frames.shape[1] != d_expected):
+    sentence = decode(obj, "sentence", lineno)
+    d = sentence.shape[0]
+    if d_expected is not None and d != d_expected:
         raise CorpusError(
-            f"line {lineno}: dimension mismatch ({d_source} d={d_expected}, "
-            f"sentence d={sentence.shape[0]}, frames d={frames.shape[1]})"
+            f"line {lineno}: dimension mismatch ({d_source} d={d_expected}, sentence d={d})"
         )
+    frames = decode(obj, "frames", lineno)
+    if frames.ndim == 1:
+        if frames.shape[0] % d:
+            raise CorpusError(f"line {lineno}: field 'frames' holds {frames.shape[0]} floats, "
+                              f"not whole rows of d={d}")
+        frames = frames.reshape(-1, d)
     record = ClipRecord(
         id=str(obj["id"]), sentence_raw=sentence, frames_raw=frames,
-        tag=str(obj["tag"]), grounded=_field_array(obj, "grounded", 1, lineno) != 0,
+        tag=str(obj["tag"]), grounded=_list_array(obj, "grounded", lineno) != 0,
     )
     try:
         record.validate()
@@ -267,7 +322,8 @@ def _text_lines(path, fh):
 def load_corpus(path):
     """Load a corpus file; an empty file is an empty corpus.
 
-    The file is parsed one line at a time and never held whole. Every
+    The file is parsed one line at a time and never held whole; the
+    header's version (1 or 2) picks how features are decoded. Every
     malformed record, including one that repeats an earlier id or whose
     dimension differs from the header's d, is a CorpusError naming its
     line. A header with "d": null takes d from the first record.
@@ -279,12 +335,14 @@ def load_corpus(path):
             return []
         try:
             header = json.loads(first[1])
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CorpusError(f"line 1: invalid header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
             raise CorpusError(f"line 1: not a {CORPUS_FORMAT} file")
-        if header.get("version") != CORPUS_VERSION:
-            raise CorpusError(f"line 1: unsupported corpus version {header.get('version')!r}")
+        version = header.get("version")
+        decode = _FEATURE_DECODERS.get(version) if type(version) is int else None
+        if decode is None:
+            raise CorpusError(f"line 1: unsupported corpus version {version!r}")
         d, d_source = header.get("d"), "header"
         records = []
         first_line = {}
@@ -293,9 +351,9 @@ def load_corpus(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CorpusError(f"line {lineno}: invalid record: {exc}") from exc
-            record = _parse_record_line(obj, lineno, d, d_source)
+            record = _parse_record_line(obj, lineno, d, d_source, decode)
             if d is None:
                 d, d_source = record.sentence_raw.shape[0], f"line {lineno}"
             if record.id in first_line:

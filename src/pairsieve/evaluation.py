@@ -3,10 +3,11 @@
 Every test sentence is scored against every test clip with training's
 embedding and attention formulas (model.embed, and model.clip_scores,
 their form for one clip against all queries), so a clip's pooled
-vector depends on which sentence is querying it. The clips are split
-into contiguous shares, one per usable core, and scored on threads
-that each fill their own columns of the score matrix. Video search
-ranks clips for each sentence (rows of the score matrix); sentence
+vector depends on which sentence is querying it. A test set of
+MIN_CLIPS_FOR_THREADS clips or more is split into contiguous shares,
+one per usable core, and scored on threads that each fill their own
+columns of the score matrix; a smaller one is scored serially. Video
+search ranks clips for each sentence (rows of the score matrix); sentence
 search ranks sentences for each clip (columns); both are ranked for all
 queries at once. Each query has exactly one relevant item, so average
 precision reduces to 1/rank.
@@ -25,6 +26,13 @@ from .model import attend, clip_scores, embed
 
 DEFAULT_RECALL_KS = (1, 5, 10)
 
+# score_matrix scores fewer clips than this on the calling thread alone. On a
+# 2-core box (OpenBLAS with 2 threads), the median ms serially vs split over
+# 2 threads was, for additive attention, 19.6 vs 34.9 at 100 clips, 117 vs
+# 141 at 300, 323 vs 284 at 500 and 4670 vs 2875 at 2000; for dot attention,
+# 4.1 vs 9.5 at 100, 49 vs 75 at 500 and 384 vs 405 at 2000.
+MIN_CLIPS_FOR_THREADS = 500
+
 
 class EvalError(ValueError):
     """Bad inputs to a metric or an empty evaluation set."""
@@ -34,12 +42,13 @@ def score_matrix(params, records):
     """Score every sentence against every clip: out[i, j] = s_i . v_ij.
 
     v_ij pools all of clip j's frames under sentence i's attention;
-    model.clip_scores scores each clip against all queries at once. The
-    clips are split into min(usable cores, n) contiguous shares; the
-    calling thread scores the first and one new thread each of the
-    others. Each share writes only its own columns of out and holds its
-    own (A, n) additive buffer, so out is the same bits for any number
-    of shares. Each thread runs in a copy of the caller's context, so
+    model.clip_scores scores each clip against all queries at once. From
+    MIN_CLIPS_FOR_THREADS clips on, the clips are split into
+    min(usable cores, n) contiguous shares; the calling thread scores
+    the first and one new thread each of the others. Fewer clips form
+    one share, scored on the calling thread. Each share writes only its
+    own columns of out and holds its own (A, n) additive buffer, so out
+    is the same bits for any number of shares. Each thread runs in a copy of the caller's context, so
     the caller's numpy error state holds there too. An error in a share
     is raised, the first in share order, once every thread has ended.
     """
@@ -53,7 +62,8 @@ def score_matrix(params, records):
     n = len(records)
     out = np.empty((n, n))
     affinity = getattr(os, "sched_getaffinity", None)
-    shares = min(len(affinity(0)) if affinity else os.cpu_count() or 1, n)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    shares = min(cores, n) if n >= MIN_CLIPS_FOR_THREADS else 1
     errors = [None] * shares
 
     def score_share(k):

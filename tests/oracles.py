@@ -1,7 +1,8 @@
 """Shared test oracles: a frozen-noise surrogate objective, central
 finite differences over it, the triplet loss by enumeration, the
-per-tensor SGD rule, the per-query retrieval rank and exact record
-equality.
+per-tensor SGD rule, the per-query retrieval rank, exact record
+equality, and a corpus-file reader and writer that edit records field by
+field in either file version.
 
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
@@ -13,6 +14,9 @@ compute_gradients, whose gradients it ignores.
 """
 
 from __future__ import annotations
+
+import base64
+import json
 
 import numpy as np
 
@@ -178,3 +182,42 @@ def records_equal(a, b):
         and np.array_equal(a.frames_raw, b.frames_raw)
         and np.array_equal(a.grounded, b.grounded)
     )
+
+
+def corpus_fields(path):
+    """(header, records) of a version-2 corpus file, as JSON dicts.
+
+    Each record's "sentence" becomes a (d,) array and "frames" a (F, d)
+    array, decoded independently of pairsieve.corpus.
+    """
+    header, *lines = path.read_text().splitlines()
+    header = json.loads(header)
+    assert header["version"] == 2, header
+    records = []
+    for line in lines:
+        rec = json.loads(line)
+        sentence = np.frombuffer(base64.b64decode(rec["sentence"]), "<f8")
+        rec["sentence"] = sentence
+        rec["frames"] = np.frombuffer(base64.b64decode(rec["frames"]), "<f8").reshape(
+            -1, sentence.shape[0])
+        records.append(rec)
+    return header, records
+
+
+def corpus_line(record, version):
+    """One record line in a corpus file version, from corpus_fields' form.
+
+    "frames" may be a list of rows of unequal length: version 1 writes
+    the rows as they are, version 2 writes their floats one after another.
+    """
+    rec = dict(record)
+    rows = [np.asarray(row, dtype=float) for row in rec["frames"]]
+    if version == 1:
+        rec["sentence"] = np.asarray(rec["sentence"], dtype=float).tolist()
+        rec["frames"] = [row.tolist() for row in rows]
+    else:
+        rec["sentence"] = base64.b64encode(
+            np.asarray(rec["sentence"], dtype="<f8").tobytes()).decode()
+        rec["frames"] = base64.b64encode(
+            np.concatenate(rows).astype("<f8").tobytes()).decode()
+    return json.dumps(rec)

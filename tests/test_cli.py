@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import pytest
 from pairsieve.cli import main
 from pairsieve.corpus import load_corpus
 from pairsieve.model import ATTENTION_KINDS, init_model, load_checkpoint, save_checkpoint
+
+from oracles import corpus_fields, corpus_line
 
 CORPUS_KEYS = ["--set", "n_train=30", "--set", "n_test=8",
                "--set", "d=8", "--set", "k=12"]
@@ -175,26 +178,31 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
         assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
 
     # a record one dimension short under "d": null, and a corpus whose d is not the
-    # checkpoint's d_in, each end in one error line from eval and attention-dump
+    # checkpoint's d_in, each end in one error line from eval and attention-dump;
+    # each case is written in both corpus file versions
     test_corpus = workspace / "corpus" / "test.corpus"
-    lines = test_corpus.read_text().splitlines()
-    header = json.loads(lines[0])
-    records = [json.loads(line) for line in lines[1:]]
-    for rec in records:
-        rec["sentence"] = rec["sentence"][:-1]
-        rec["frames"] = [f[:-1] for f in rec["frames"]]
-    short = [json.dumps(rec) for rec in records]
-    ragged_corpus = tmp_path / "ragged.corpus"
-    ragged_corpus.write_text("\n".join([json.dumps({**header, "d": None}), *lines[1:3], short[2]])
-                             + "\n")
-    narrow_corpus = tmp_path / "narrow.corpus"
-    narrow_corpus.write_text("\n".join([json.dumps({**header, "d": 7}), *short]) + "\n")
-    for bad_corpus in (ragged_corpus, narrow_corpus):
-        for command in (["eval"], ["attention-dump", "--out", str(tmp_path / "att.csv")]):
-            assert main(command + ["--checkpoint", str(checkpoint),
-                                   "--corpus", str(bad_corpus)]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+    header, records = corpus_fields(test_corpus)
+    short = [dict(rec, sentence=rec["sentence"][:-1], frames=rec["frames"][:, :-1])
+             for rec in records]
+    for version in (2, 1):
+        full_lines = [corpus_line(rec, version) for rec in records]
+        short_lines = [corpus_line(rec, version) for rec in short]
+        ragged_corpus = tmp_path / f"ragged_v{version}.corpus"
+        ragged_corpus.write_text("\n".join(
+            [json.dumps({**header, "version": version, "d": None}), *full_lines[:2],
+             short_lines[2]]) + "\n")
+        narrow_corpus = tmp_path / f"narrow_v{version}.corpus"
+        narrow_corpus.write_text("\n".join(
+            [json.dumps({**header, "version": version, "d": 7}), *short_lines]) + "\n")
+        assert load_corpus(narrow_corpus)[0].sentence_raw.shape == (7,)
+        for bad_corpus, why in ((ragged_corpus, "line 4: dimension mismatch"),
+                                (narrow_corpus, "feature dimension 7")):
+            for command in (["eval"], ["attention-dump", "--out", str(tmp_path / "att.csv")]):
+                assert main(command + ["--checkpoint", str(checkpoint),
+                                       "--corpus", str(bad_corpus)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
+                assert why in err, err
     out = tmp_path / "ablate_narrow"
     assert main(["ablate", "--corpus", str(corpus), "--test-corpus", str(narrow_corpus),
                  "--axis", "bvf_count", "--out", str(out)]) == 1
@@ -273,6 +281,25 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
     assert "batch_size 62" in err and "has 30" in err, err
     assert not out.exists()
+
+
+def test_gen_corpus_refuses_an_oversized_spec_before_allocating(tmp_path, capsys):
+    # d=1e8 asks for 2.1e12 frame floats (16 TiB): one error line naming the keys,
+    # the value and the limit, before any array is drawn
+    out = tmp_path / "huge_corpus"
+    for setting, message in (
+            ("d=100000000", "(n_train + n_test) * frame_len_max * d = 2100000000000 exceeds "
+                            "the limit of 134217728 feature floats"),
+            ("k=100000000", "k * d = 3200000000 exceeds the limit of 134217728 feature floats")):
+        tracemalloc.start()
+        try:
+            assert main(["gen-corpus", "--out", str(out), "--set", setting]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"pairsieve: error: {message}\n"
+        assert peak < 4 * 2**20, peak
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("message,shown", [

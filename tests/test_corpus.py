@@ -1,12 +1,16 @@
 """Synthetic corpus generation, persistence, and batch/frame sampling."""
 
+import base64
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
 
+from pairsieve.cli import main
 from pairsieve.corpus import (
+    MAX_CORPUS_FLOATS,
     ClipRecord,
     CorpusError,
     CorpusSpec,
@@ -17,8 +21,9 @@ from pairsieve.corpus import (
     sample_frames,
     save_corpus,
 )
+from pairsieve.model import init_model, save_checkpoint
 
-from oracles import records_equal
+from oracles import corpus_fields, corpus_line, records_equal
 
 SMALL = CorpusSpec(n_train=60, n_test=10, d=8, k=12, seed=5)
 
@@ -107,6 +112,20 @@ def test_spec_validation_errors():
         CorpusSpec(frame_len_min=6, frame_len_max=4).validate()
 
 
+def test_spec_bounds_the_feature_floats_it_can_draw():
+    # the default spec holds (2000 + 100) * 10 * 32 frame floats; the bound is on
+    # the largest the spec allows, and on the concept bank
+    limit = MAX_CORPUS_FLOATS
+    CorpusSpec(n_train=limit // 20 - 1, n_test=1, frame_len_max=10, d=2).validate()
+    with pytest.raises(CorpusError, match=re.escape(
+            f"(n_train + n_test) * frame_len_max * d = {limit + 2} exceeds the limit of {limit}")):
+        CorpusSpec(n_train=limit // 2, n_test=1, frame_len_min=1, frame_len_max=1,
+                   d=2).validate()
+    CorpusSpec(k=limit // 32, d=32, n_train=0).validate()
+    with pytest.raises(CorpusError, match=re.escape(f"k * d = {limit + 32} exceeds")):
+        CorpusSpec(k=limit // 32 + 1, d=32, n_train=0).validate()
+
+
 def test_save_load_round_trip_exact(tmp_path):
     train, test = generate_corpus(SMALL)
     path = tmp_path / "train.corpus"
@@ -151,15 +170,23 @@ def test_load_empty_file_is_empty_corpus(tmp_path):
 
 
 def test_load_reports_line_numbers(tmp_path):
+    # every case is written as a real record of each file version: version 2 carries
+    # the features as base64 float64, version 1 as JSON number lists
+    for version in (2, 1):
+        _check_line_numbers(tmp_path, version)
+
+
+def _check_line_numbers(tmp_path, version):
     train, _ = generate_corpus(SMALL)
     path = tmp_path / "bad.corpus"
     save_corpus(train[:3], path)
-    lines = path.read_text().splitlines()
+    header, recs = corpus_fields(path)
+    header["version"] = version
+    lines = [json.dumps(header)] + [corpus_line(rec, version) for rec in recs]
 
-    # frame dimension mismatch inside one record
-    rec = json.loads(lines[2])
-    rec["frames"][0] = rec["frames"][0][:-1]
-    path.write_text("\n".join([lines[0], lines[1], json.dumps(rec)]) + "\n")
+    # frames one float short: a ragged list, or a payload that is not whole rows
+    rec = dict(recs[1], frames=[recs[1]["frames"][0][:-1], *recs[1]["frames"][1:]])
+    path.write_text("\n".join([lines[0], lines[1], corpus_line(rec, version)]) + "\n")
     with pytest.raises(CorpusError, match="line 3"):
         load_corpus(path)
 
@@ -172,6 +199,14 @@ def test_load_reports_line_numbers(tmp_path):
     path.write_text(lines[0] + "\nnot json\n")
     with pytest.raises(CorpusError, match="line 2"):
         load_corpus(path)
+    # JSON that the parser refuses by depth or by integer length
+    for junk in ("[" * 100_000, '{"id": ' + "9" * 5000 + "}"):
+        path.write_text(lines[0] + "\n" + junk + "\n")
+        with pytest.raises(CorpusError, match="line 2: invalid record"):
+            load_corpus(path)
+        path.write_text(junk + "\n")
+        with pytest.raises(CorpusError, match="line 1: invalid header"):
+            load_corpus(path)
 
     # malformed arrays and non-object records name their line
     for field, value in (("frames", 5), ("frames", [[1, "a"]]), ("sentence", "x"),
@@ -191,21 +226,18 @@ def test_load_reports_line_numbers(tmp_path):
         load_corpus(path)
 
     # with "d": null the first record sets d; a record one dimension short names its line
-    header = json.loads(lines[0])
-    header["d"] = None
-    short = json.loads(lines[2])
-    short["sentence"] = short["sentence"][:-1]
-    short["frames"] = [f[:-1] for f in short["frames"]]
-    null_header = json.dumps(header)
+    null_header = json.dumps({**header, "d": None})
+    short = corpus_line(dict(recs[1], sentence=recs[1]["sentence"][:-1],
+                             frames=recs[1]["frames"][:, :-1]), version)
     path.write_text("\n".join([null_header, lines[1], lines[2]]) + "\n")
     assert [r.sentence_raw.shape[0] for r in load_corpus(path)] == [8, 8]
-    path.write_text("\n".join([null_header, lines[1], json.dumps(short)]) + "\n")
+    path.write_text("\n".join([null_header, lines[1], short]) + "\n")
     with pytest.raises(CorpusError, match="line 3: dimension mismatch.*line 2 d=8"):
         load_corpus(path)
-    path.write_text("\n".join([null_header, json.dumps(short), lines[1]]) + "\n")
+    path.write_text("\n".join([null_header, short, lines[1]]) + "\n")
     with pytest.raises(CorpusError, match="line 3: dimension mismatch.*line 2 d=7"):
         load_corpus(path)
-    path.write_text("\n".join([lines[0], json.dumps(short)]) + "\n")
+    path.write_text("\n".join([lines[0], short]) + "\n")
     with pytest.raises(CorpusError, match="line 2: dimension mismatch.*header d=8"):
         load_corpus(path)
 
@@ -219,6 +251,144 @@ def test_load_reports_line_numbers(tmp_path):
     path.write_bytes(b"\xff\xfe" + "\n".join(lines).encode())
     with pytest.raises(CorpusError, match=re.escape(f"{path}: line 1: not UTF-8")):
         load_corpus(path)
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def test_load_rejects_malformed_base64_features(tmp_path):
+    # each bad version-2 payload is one CorpusError naming its line and field
+    train, _ = generate_corpus(SMALL)
+    path = tmp_path / "bad.corpus"
+    save_corpus(train[:2], path)
+    head, first, second = path.read_text().splitlines()
+    header, recs = corpus_fields(path)
+    sentence, frames = recs[1]["sentence"], recs[1]["frames"]
+    text = json.loads(second)
+    nan_frames = frames.copy()
+    nan_frames[1, 2] = np.nan
+    inf_sentence = sentence.copy()
+    inf_sentence[0] = -np.inf
+    cases = [
+        ("sentence", text["sentence"][:5] + "*" + text["sentence"][5:], "'sentence' is not base64"),
+        ("frames", text["frames"][:7] + "\u00e9" + text["frames"][8:], "'frames' is not base64"),
+        ("sentence", text["sentence"].rstrip("="), "'sentence' is not base64.*padding"),
+        ("frames", "", "'frames' holds 0 bytes"),
+        ("sentence", base64.b64encode(sentence.tobytes()[:-4]).decode(), "'sentence' holds 60 bytes"),
+        ("sentence", _b64(sentence[:-1]), "dimension mismatch.*sentence d=7"),
+        ("frames", _b64(frames.ravel()[:-3]), "'frames' holds 69 floats, not whole rows of d=8"),
+        ("frames", _b64(nan_frames), "non-finite feature values in frames"),
+        ("sentence", _b64(inf_sentence), "non-finite feature values in sentence"),
+        ("sentence", sentence.tolist(), "'sentence' must be a base64 string, not an array"),
+        ("frames", frames.tolist(), "'frames' must be a base64 string, not an array"),
+        ("frames", 3.5, "'frames' must be a base64 string, not a number"),
+        ("sentence", None, "'sentence' must be a base64 string, not null"),
+    ]
+    for field, value, message in cases:
+        path.write_text("\n".join([head, first, json.dumps({**text, field: value})]) + "\n")
+        with pytest.raises(CorpusError, match=f"^line 3: .*{message}"):
+            load_corpus(path)
+    path.write_text("\n".join([head, first, json.dumps(text)]) + "\n")
+    assert records_equal(load_corpus(path)[1], train[1])
+
+
+def test_version_1_file_loads_bit_identical_to_its_version_2_resave(tmp_path):
+    train, test = generate_corpus(SMALL)
+    v1 = tmp_path / "v1.corpus"
+    with open(v1, "w") as fh:
+        fh.write(json.dumps({"format": "pairsieve-corpus", "version": 1, "d": 8}) + "\n")
+        for rec in train:
+            fh.write(json.dumps({"id": rec.id, "tag": rec.tag,
+                                 "sentence": rec.sentence_raw.tolist(),
+                                 "frames": rec.frames_raw.tolist(),
+                                 "grounded": rec.grounded.astype(int).tolist()}) + "\n")
+    old = load_corpus(v1)
+    v2 = tmp_path / "v2.corpus"
+    save_corpus(old, v2)
+    assert json.loads(v2.read_text().splitlines()[0])["version"] == 2
+    new = load_corpus(v2)
+    assert len(old) == len(new) == len(train)
+    for a, b, rec in zip(old, new, train):
+        assert records_equal(a, b) and records_equal(a, rec)
+        for x, y in ((a.sentence_raw, b.sentence_raw), (a.frames_raw, b.frames_raw)):
+            assert x.dtype == y.dtype == np.float64
+            assert x.flags.writeable and y.flags.writeable
+    # version 2: save -> load -> save is byte-identical
+    again = tmp_path / "again.corpus"
+    save_corpus(new, again)
+    assert again.read_bytes() == v2.read_bytes()
+
+
+def _mutated(data, kind, rng):
+    """One mutation of a corpus file's bytes; JSON edits keep save_corpus's layout."""
+    if kind == "byte flip":
+        out = bytearray(data)
+        out[rng.integers(len(out))] ^= int(rng.integers(1, 256))
+        return bytes(out)
+    if kind == "truncation":
+        return data[:rng.integers(len(data))]
+    lines = data.decode().splitlines()
+    if kind == "base64 swap":
+        lineno = int(rng.integers(1, len(lines)))
+        rec = json.loads(lines[lineno])
+        field = ("sentence", "frames")[rng.integers(2)]
+        chars = list(rec[field])
+        i, j = rng.choice(len(chars), size=2, replace=False)
+        chars[i], chars[j] = chars[j], chars[i]
+        rec[field] = "".join(chars)
+    else:  # a JSON value swap, in the header or a record
+        lineno = int(rng.integers(len(lines)))
+        rec = json.loads(lines[lineno])
+        key = sorted(rec)[rng.integers(len(rec))]
+        value = rec[key]
+        if isinstance(value, str):
+            swapped = 3
+        elif isinstance(value, (int, float)):
+            swapped = str(value)
+        else:
+            swapped = json.dumps(value)
+        rec[key] = (swapped, None, float("nan"), 1e308, [[1.0, [2.0]]])[rng.integers(5)]
+    lines[lineno] = json.dumps(rec)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_load_corpus_mutation_fuzz(tmp_path, capsys):
+    # ~300 seeded mutations of a 5-record corpus: each load returns records or
+    # raises CorpusError, never another exception; `eval` on a rejected file ends
+    # in one error line
+    train, _ = generate_corpus(SMALL)
+    path = tmp_path / "fuzz.corpus"
+    save_corpus(train[:5], path)
+    data = path.read_bytes()
+    kinds = ("byte flip", "truncation", "base64 swap", "JSON value swap")
+    rng = np.random.default_rng(zlib.crc32(b"load_corpus mutation fuzz"))
+    outcomes = {}
+    rejected = {}
+    for i in range(300):
+        kind = kinds[i % len(kinds)]
+        path.write_bytes(_mutated(data, kind, rng))
+        try:
+            records = load_corpus(path)
+        except CorpusError:
+            rejected.setdefault(kind, path.read_bytes())
+            outcome = "rejected"
+        except Exception as exc:  # report the mutation that escaped
+            pytest.fail(f"mutation {i} ({kind}): {type(exc).__name__}: {exc}")
+        else:
+            assert all(isinstance(r, ClipRecord) for r in records), i
+            outcome = "loaded"
+        outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
+    assert sorted(rejected) == sorted(kinds), outcomes
+    assert sum(n for (_, outcome), n in outcomes.items() if outcome == "loaded") > 0, outcomes
+
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(init_model(8, 6, "dot", "residual", 2, np.random.default_rng(0)), checkpoint)
+    for kind, bad in rejected.items():
+        path.write_bytes(bad)
+        assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pairsieve: error:") and err.count("\n") == 1, (kind, err)
 
 
 def test_load_rejects_wrong_format_or_version(tmp_path):

@@ -104,10 +104,15 @@ def test_score_matrix_matches_per_pair_loop(kind):
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
 
 
-def _use_cores(monkeypatch, cores):
-    """Make score_matrix see `cores` usable cores, whatever the host has."""
+def _use_cores(monkeypatch, cores, min_clips_for_threads=1):
+    """Make score_matrix see `cores` usable cores, whatever the host has.
+
+    By default it also splits any number of clips over them, so that a few
+    clips exercise the threaded path.
+    """
     monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
+    monkeypatch.setattr(evaluation, "MIN_CLIPS_FOR_THREADS", min_clips_for_threads)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "dot", "multiplicative", "additive"])
@@ -137,6 +142,29 @@ def test_score_matrix_same_for_any_core_count(kind, monkeypatch):
                 assert len(threads) == min(cores, len(records)), (cores, len(records))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_score_matrix_scores_fewer_clips_than_the_crossover_on_the_calling_thread(monkeypatch):
+    # below MIN_CLIPS_FOR_THREADS no thread starts, and the matrix is the same bits
+    # as the threaded one
+    crossover = evaluation.MIN_CLIPS_FOR_THREADS
+    records = _records(n=crossover, seed=12)
+    params = init_model(8, 6, "additive", "residual", 2, np.random.default_rng(2))
+    _use_cores(monkeypatch, 2)
+    want = score_matrix(params, records[:-1])
+    started = []
+    thread = threading.Thread
+
+    def recording_thread(*args, **kwargs):
+        started.append(args or kwargs)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation.threading, "Thread", recording_thread)
+    _use_cores(monkeypatch, 2, min_clips_for_threads=crossover)
+    assert np.array_equal(score_matrix(params, records[:-1]), want)
+    assert started == []
+    score_matrix(params, records)
+    assert len(started) == 1
 
 
 def test_score_matrix_threads_keep_callers_error_state(monkeypatch):
