@@ -33,6 +33,10 @@ SAMPLER_KINDS = ("gumbel_hard", "softmax_soft")
 
 PARAMS_FORMAT = "pairsieve-params"
 PARAMS_VERSION = 1
+# init_model and load_checkpoint refuse a model of more values than this
+# (512 MiB as float64) before allocating it; training also holds a velocity
+# and a gradient of the same size
+MAX_MODEL_VALUES = 2**26
 
 
 class ModelError(ValueError):
@@ -112,8 +116,8 @@ def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_value
 
     Validates the attention kind, the input mode and the sizes first; a
     d_att below 1 means d_emb. A layout of more than max_values values
-    (a checkpoint's bound from its file length) is rejected before
-    anything is allocated.
+    (a checkpoint's bound from its file length) or of more than
+    MAX_MODEL_VALUES is rejected before anything is allocated.
     """
     if attention_kind not in ATTENTION_KINDS:
         raise ModelError(f"unknown attention kind {attention_kind!r}")
@@ -134,9 +138,14 @@ def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_value
                ("disc.a_adv", (2,) if input_mode == "concat" else (1,)),
                ("disc.b_adv", (1,)), ("a_lvc", (1,)), ("b_lvc", (1,))]
     layout = pack_layout(shapes)
-    if max_values is not None and layout[-1][2] > max_values:
+    n_values = layout[-1][2]
+    if max_values is not None and n_values > max_values:
         raise ModelError("checkpoint meta describes more values than the file holds")
-    flat = np.zeros(layout[-1][2])
+    if n_values > MAX_MODEL_VALUES:
+        raise ModelError(f"a model with d_in={d_in}, d_emb={d_emb}, bvf_count={n_bvf}, "
+                         f"d_att={d_att} has {n_values} values, above the limit of "
+                         f"{MAX_MODEL_VALUES}")
+    flat = np.zeros(n_values)
     t = tensor_views(flat, layout)
     attention = AttentionParams(kind=attention_kind, w_mult=t.get("attention.w_mult"),
                                 w1=t.get("attention.w1"), w2=t.get("attention.w2"),
@@ -152,6 +161,9 @@ def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_value
 
 def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
     """Random init; weights ~ N(0, 1/sqrt(fan_in)), biases zero.
+
+    A model of more than MAX_MODEL_VALUES values is a ModelError, raised
+    before anything is allocated.
 
     The gate bias starts slightly negative so early training keeps most
     pairs, matching the warm-up behaviour we want before the channels

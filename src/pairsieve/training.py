@@ -20,6 +20,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .config import ConfigError
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
 from .gradients import NumericError, compute_gradients, first_nonfinite
 from .model import init_bvf, init_model, param_tensors, save_checkpoint
@@ -28,6 +29,10 @@ from .optim import sgd_step, update_runs
 DISC_TENSORS = frozenset({"disc.bvf", "disc.a_adv", "disc.b_adv"})
 # Match-logit scale and offset: kept out of weight decay (see optim).
 NO_DECAY = frozenset({"a_lvc", "b_lvc"})
+# train refuses a config whose per-frame step tensors, batch_size * n_f rows
+# as wide as the widest of d_in, d_emb and d_att, would hold more floats than
+# this (128 MiB as float64), before anything is allocated
+MAX_STEP_FLOATS = 2**24
 
 
 @dataclass
@@ -117,7 +122,8 @@ def train(cfg, corpus, run_dir=None, log=None):
     """Train on a tagged corpus; returns (params, per-epoch metrics).
 
     With run_dir set, metrics.csv is streamed row by row and checkpoints
-    are written at the freeze/joint boundary and at the end.
+    are written at the freeze/joint boundary and at the end. Sizes beyond
+    MAX_STEP_FLOATS or model.MAX_MODEL_VALUES are refused first.
     """
     cfg.validate()
     d_in = _corpus_dim(corpus)
@@ -125,6 +131,10 @@ def train(cfg, corpus, run_dir=None, log=None):
     if cfg.batch_size // 2 > len(corpus):
         raise CorpusError(f"batch_size {cfg.batch_size} needs at least {cfg.batch_size // 2} "
                           f"clips, the corpus has {len(corpus)}")
+    step_floats = cfg.batch_size * cfg.n_f * max(d_in, cfg.d_emb, cfg.d_att)
+    if step_floats > MAX_STEP_FLOATS:
+        raise ConfigError(f"batch_size * n_f * max(d_in, d_emb, d_att) = {step_floats} "
+                          f"exceeds the limit of {MAX_STEP_FLOATS} floats per step tensor")
     root = np.random.SeedSequence(cfg.seed)
     ss_init, ss_bvf, ss_batch, ss_frame, ss_gate = root.spawn(5)
     rng_init = np.random.default_rng(ss_init)

@@ -1,8 +1,9 @@
 """Shared test oracles: a frozen-noise surrogate objective, central
 finite differences over it, the triplet loss by enumeration, the
 per-tensor SGD rule, the per-query retrieval rank, exact record
-equality, and a corpus-file reader and writer that edit records field by
-field in either file version.
+equality, a corpus-file reader and writer that edit records field by
+field in either file version, and the corpus generator drawn and
+normalised one vector at a time.
 
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
@@ -21,6 +22,7 @@ import json
 import numpy as np
 
 from pairsieve.config import TrainConfig
+from pairsieve.corpus import TAGS, ClipRecord, CorpusError, build_concept_bank
 from pairsieve.gradients import compute_gradients
 from pairsieve.model import init_model, param_tensors
 
@@ -221,3 +223,86 @@ def corpus_line(record, version):
         rec["frames"] = base64.b64encode(
             np.concatenate(rows).astype("<f8").tobytes()).decode()
     return json.dumps(rec)
+
+
+def _unit(x):
+    n = np.linalg.norm(x)
+    if n < 1e-12:
+        raise CorpusError("degenerate feature vector (norm ~ 0)")
+    return x / n
+
+
+def _perturbed_unit(concepts, subset, sigma, rng):
+    # unit-norm composition of the subset, jittered, then re-normalized
+    base = _unit(concepts[subset].sum(axis=0))
+    if sigma > 0:
+        base = _unit(base + sigma * rng.normal(size=base.shape))
+    return base
+
+
+def _reference_record(rec_id, tag, concepts, spec, rng):
+    m = spec.concepts_per_pair
+    n_frames = int(rng.integers(spec.frame_len_min, spec.frame_len_max + 1))
+    own = rng.choice(spec.k, size=m, replace=False)
+    rest = np.setdiff1d(np.arange(spec.k), own)
+    sentence = _perturbed_unit(concepts, own, spec.feature_noise_sigma, rng)
+
+    frames = np.empty((n_frames, spec.d))
+    grounded = np.zeros(n_frames, dtype=bool)
+    if tag == "clean":
+        n_grounded = int(rng.integers((n_frames + 1) // 2, n_frames + 1))
+        grounded[rng.choice(n_frames, size=n_grounded, replace=False)] = True
+        for i in range(n_frames):
+            subset = own if grounded[i] else rng.choice(rest, size=m, replace=False)
+            frames[i] = _perturbed_unit(concepts, subset, spec.feature_noise_sigma, rng)
+    elif tag == "loose":
+        g = int(rng.integers(n_frames))
+        grounded[g] = True
+        shared = own[int(rng.integers(m))]
+        for i in range(n_frames):
+            if i == g:
+                subset = np.concatenate(
+                    [[shared], rng.choice(rest, size=m - 1, replace=False)]
+                ).astype(int)
+            else:
+                subset = rng.choice(rest, size=m, replace=False)
+            frames[i] = _perturbed_unit(concepts, subset, spec.feature_noise_sigma, rng)
+    elif tag == "noise":
+        for i in range(n_frames):
+            subset = rng.choice(rest, size=m, replace=False)
+            frames[i] = _perturbed_unit(concepts, subset, spec.feature_noise_sigma, rng)
+    else:
+        raise CorpusError(f"unknown tag {tag!r}")
+
+    record = ClipRecord(
+        id=rec_id, sentence_raw=sentence, frames_raw=frames, tag=tag, grounded=grounded
+    )
+    record.validate()
+    return record
+
+
+def reference_corpus(spec):
+    """(train, test) record lists as the generator drew them one vector at a time.
+
+    Each sentence and frame is composed, jittered and normalised on its own,
+    with the norm from np.linalg.norm; generate_corpus must match it bit for bit.
+    """
+    spec.validate()
+    root = np.random.SeedSequence(spec.seed)
+    ss_bank, ss_train, ss_test = root.spawn(3)
+    concepts = build_concept_bank(spec.k, spec.d, ss_bank)
+
+    rng_train = np.random.default_rng(ss_train)
+    probs = np.array([spec.frac_clean, spec.frac_loose, spec.frac_noise])
+    tag_idx = rng_train.choice(len(TAGS), size=spec.n_train, p=probs / probs.sum())
+    train = [
+        _reference_record(f"train-{i:05d}", TAGS[tag_idx[i]], concepts, spec, rng_train)
+        for i in range(spec.n_train)
+    ]
+
+    rng_test = np.random.default_rng(ss_test)
+    test = [
+        _reference_record(f"test-{i:04d}", "clean", concepts, spec, rng_test)
+        for i in range(spec.n_test)
+    ]
+    return train, test

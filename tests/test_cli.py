@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +303,108 @@ def test_gen_corpus_refuses_an_oversized_spec_before_allocating(tmp_path, capsys
         assert peak < 4 * 2**20, peak
         assert not out.exists()
 
+
+
+def test_train_refuses_oversized_sizes_before_allocating(workspace, capsys):
+    # n_f=1e8 or d_emb=1e7 would ask for tens of GiB per step tensor, and
+    # bvf_count=1e8 for a 6 GiB model: one error line each, before allocating
+    corpus = workspace / "corpus" / "train.corpus"
+    for setting, message in (
+            ("n_f=100000000", "batch_size * n_f * max(d_in, d_emb, d_att) = 6400000000 "
+                              "exceeds the limit of 16777216 floats per step tensor"),
+            ("d_emb=10000000", "batch_size * n_f * max(d_in, d_emb, d_att) = 240000000 "
+                               "exceeds the limit of 16777216 floats per step tensor"),
+            ("bvf_count=100000000", "a model with d_in=8, d_emb=8, bvf_count=100000000, "
+                                    "d_att=8 has 800000148 values, above the limit of 67108864")):
+        tracemalloc.start()
+        try:
+            code = main(["train", "--corpus", str(corpus), "--quiet"] + TRAIN_KEYS
+                        + ["--set", setting])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == f"pairsieve: error: {message}\n"
+        assert peak < 4 * 2**20, peak
+
+
+# a one-epoch train; no spaces, so one flipped byte cannot lengthen a number,
+# and a string value last, so a flipped final newline cannot either
+FUZZ_CONFIG = ("d_emb=6\nbatch_size=8\nn_f=3\nfreeze_epochs=0\njoint_epochs=1\n"
+               "bvf_count=2\nlr=0.1\ntau=1.0\nloss_kind=bce\nattention_kind=dot\n")
+JSON_SWAPS = ("a string", None, float("nan"), 1e308, [[1.0, [2.0]]])
+CONFIG_SWAPS = ("a string", "null", "nan", "1e308", "[[1.0, [2.0]]]")
+
+
+def _json_slots(node):
+    """(container, key) of every value in a JSON tree; of a list, its first item."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield node, key
+            yield from _json_slots(value)
+    elif isinstance(node, list) and node:
+        yield node, 0
+        yield from _json_slots(node[0])
+
+
+def _mutant(data, kind, rng):
+    """One byte flip, truncation or value swap of a checkpoint or config file."""
+    if kind == "byte flip":
+        out = bytearray(data)
+        out[rng.integers(len(out))] ^= int(rng.integers(1, 256))
+        return bytes(out)
+    if kind == "truncation":
+        return data[:rng.integers(len(data))]
+    text = data.decode()
+    if text.startswith("{"):
+        doc = json.loads(text)
+        slots = list(_json_slots(doc))
+        node, key = slots[rng.integers(len(slots))]
+        node[key] = JSON_SWAPS[rng.integers(len(JSON_SWAPS))]
+        return json.dumps(doc).encode()
+    lines = text.splitlines()
+    i = rng.integers(len(lines))
+    lines[i] = lines[i].partition("=")[0] + "=" + CONFIG_SWAPS[rng.integers(len(CONFIG_SWAPS))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_checkpoint_and_config_mutation_fuzz(workspace, tmp_path, capsys):
+    # 300 seeded mutants, run in process: a checkpoint through eval or
+    # attention-dump, a config file through train. Each ends in exit 0 or 1, or
+    # 2 for a numeric failure in train (lr=1e308), with at most one stderr line
+    corpus = workspace / "corpus"
+    checkpoint, config = tmp_path / "checkpoint.json", tmp_path / "run.cfg"
+    sources = {checkpoint: (workspace / "run" / "checkpoint_final.json").read_bytes(),
+               config: FUZZ_CONFIG.encode()}
+    commands = {
+        "eval": (checkpoint, ["eval", "--checkpoint", str(checkpoint),
+                              "--corpus", str(corpus / "test.corpus")]),
+        "attention-dump": (checkpoint, ["attention-dump", "--checkpoint", str(checkpoint),
+                                        "--corpus", str(corpus / "test.corpus"),
+                                        "--out", str(tmp_path / "attention.csv")]),
+        "train": (config, ["train", "--config", str(config),
+                           "--corpus", str(corpus / "train.corpus"), "--quiet"]),
+    }
+    kinds = ("byte flip", "truncation", "value swap")
+    rng = np.random.default_rng(zlib.crc32(b"checkpoint and config mutation fuzz"))
+    codes = Counter()
+    for i in range(300):
+        command, kind = list(commands)[i % 3], kinds[i // 3 % 3]
+        target, argv = commands[command]
+        target.write_bytes(_mutant(sources[target], kind, rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second message
+            try:
+                code = main(argv)
+            except Exception as exc:  # report the mutant that escaped
+                pytest.fail(f"mutant {i} ({command}, {kind}): {type(exc).__name__}: {exc}")
+        err = capsys.readouterr().err
+        assert err.count("\n") <= 1 and "Traceback" not in err, (i, command, kind, err)
+        assert code in (0, 1) or (code == 2 and command == "train"
+                                  and err.startswith("pairsieve: numeric failure:")), \
+            (i, command, kind, code, err)
+        codes[command, code] += 1
+    assert all(codes[command, 0] and codes[command, 1] for command in commands), codes
 
 @pytest.mark.parametrize("message,shown", [
     ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),

@@ -23,7 +23,7 @@ from pairsieve.corpus import (
 )
 from pairsieve.model import init_model, save_checkpoint
 
-from oracles import corpus_fields, corpus_line, records_equal
+from oracles import corpus_fields, corpus_line, records_equal, reference_corpus
 
 SMALL = CorpusSpec(n_train=60, n_test=10, d=8, k=12, seed=5)
 
@@ -52,6 +52,54 @@ def test_generate_is_deterministic():
     train_b, test_b = generate_corpus(SMALL)
     assert all(records_equal(x, y) for x, y in zip(train_a + test_a, train_b + test_b))
 
+
+
+def _record_bytes(r):
+    return (r.id, r.tag, r.grounded.tobytes(), r.sentence_raw.shape, r.sentence_raw.tobytes(),
+            r.frames_raw.shape, r.frames_raw.tobytes())
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(seed=0),
+    CorpusSpec(seed=11),
+    CorpusSpec(n_train=600, n_test=2000),
+    CorpusSpec(n_train=200, feature_noise_sigma=0.0),
+    CorpusSpec(n_train=200, concepts_per_pair=1),
+    CorpusSpec(n_train=200, frame_len_min=7, frame_len_max=7),
+    CorpusSpec(n_train=200, frac_clean=0.0, frac_loose=1.0, frac_noise=0.0),
+    CorpusSpec(n_train=200, frac_clean=0.0, frac_loose=0.0, frac_noise=1.0),
+    CorpusSpec(n_train=0),
+], ids=["default", "seed11", "retrieve2k", "sigma0", "m1", "fixed_len", "loose_only",
+        "noise_only", "no_train"])
+def test_generate_matches_the_per_vector_reference(spec):
+    # the reference draws and normalises one vector at a time; generate_corpus
+    # makes the same draws but does a record's arithmetic in one pass, bit for bit
+    for got, want in zip(generate_corpus(spec), reference_corpus(spec), strict=True):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert _record_bytes(a) == _record_bytes(b), a.id
+
+
+def _antipodal_bank(k, d, seed):
+    v, w = np.eye(d)[:2]
+    return np.stack([v, -v, w, -w])
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.0])
+def test_degenerate_feature_vector_is_an_error(tmp_path, monkeypatch, capsys, sigma):
+    # with concepts v, -v, w, -w a subset {v, -v} or {w, -w} sums to exactly zero
+    monkeypatch.setattr("pairsieve.corpus.build_concept_bank", _antipodal_bank)
+    settings = {"n_train": 20, "n_test": 5, "d": 4, "k": 4, "concepts_per_pair": 2,
+                "feature_noise_sigma": sigma}
+    with pytest.raises(CorpusError, match=r"^degenerate feature vector \(norm ~ 0\)$"):
+        generate_corpus(CorpusSpec(**settings))
+    out = tmp_path / "corpus"
+    argv = ["gen-corpus", "--out", str(out)]
+    for key, value in settings.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "pairsieve: error: degenerate feature vector (norm ~ 0)\n"
+    assert not list(tmp_path.rglob("*.corpus"))
 
 def test_degenerate_fractions_all_clean():
     spec = CorpusSpec(n_train=10, n_test=2, d=8, k=12,

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pairsieve.config import TrainConfig
+from pairsieve.config import ConfigError, TrainConfig
 from pairsieve.corpus import CorpusError
 from pairsieve.gradients import NumericError
-from pairsieve.model import init_bvf, init_model, load_checkpoint, param_tensors
+from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint, param_tensors
 from pairsieve.training import NO_DECAY, metrics_csv_header, train
 
 from golden_grid import grid_digests
@@ -153,3 +153,20 @@ def test_corpus_validation(tiny_corpus):
     )]
     with pytest.raises(CorpusError):
         train(SMALL, mixed)
+
+
+def test_size_limits_admit_exactly_the_limit(tiny_corpus, monkeypatch):
+    # d_emb=4 on the d=8 corpus, so d_in is the widest: 8 * 3 * 8 = 192 floats
+    # per step tensor, and a model of 2 * (8 * 4 + 4) + 2 * 4 + 4 = 84 values
+    corpus, _ = tiny_corpus
+    cfg = _cfg(d_emb=4, freeze_epochs=1, joint_epochs=0)
+    monkeypatch.setattr("pairsieve.training.MAX_STEP_FLOATS", 192)
+    monkeypatch.setattr("pairsieve.model.MAX_MODEL_VALUES", 84)
+    train(cfg, corpus)
+    monkeypatch.setattr("pairsieve.training.MAX_STEP_FLOATS", 191)
+    with pytest.raises(ConfigError, match=r"= 192 exceeds the limit of 191 floats"):
+        train(cfg, corpus)
+    monkeypatch.setattr("pairsieve.training.MAX_STEP_FLOATS", 192)
+    monkeypatch.setattr("pairsieve.model.MAX_MODEL_VALUES", 83)
+    with pytest.raises(ModelError, match=r"has 84 values, above the limit of 83"):
+        train(cfg, corpus)
