@@ -45,7 +45,7 @@ from .model import (
     load_checkpoint,
     write_atomically,
 )
-from .training import train
+from .training import check_sizes, train
 
 ABLATION_AXES = {
     "bvf_count": [4, 16, 64],
@@ -164,9 +164,11 @@ def cmd_ablate(args):
     axis_values = ABLATION_AXES[args.axis]
     if args.values:
         axis_values = _parse_axis_values(args.axis, args.values)
-    # build every config first, so a bad value fails before any run
+    # build and size-check every config first, so a bad value fails before any run
     cfgs = [train_config_from({**values, args.axis: val}, seed_override=args.seed)
             for val in axis_values]
+    for cfg in cfgs:
+        check_sizes(cfg, corpus)
     os.makedirs(args.out, exist_ok=True)
     header = ("axis,value,map_video_search,map_sentence_search,"
               "rec_at_5_video_search,rec_at_5_sentence_search,final_z0_fraction")

@@ -94,7 +94,6 @@ class DirectionReport:
 
     mean_ap: float
     recall: dict
-    ranks: np.ndarray
 
 
 @dataclass
@@ -131,7 +130,7 @@ def retrieval_ranks(scores):
 def _direction_report(ranks):
     mean_ap = float((1.0 / ranks).mean() * 100.0)
     recall = {k: float((ranks <= k).mean() * 100.0) for k in DEFAULT_RECALL_KS}
-    return DirectionReport(mean_ap=mean_ap, recall=recall, ranks=ranks)
+    return DirectionReport(mean_ap=mean_ap, recall=recall)
 
 
 def bidirectional_retrieval(params, records):

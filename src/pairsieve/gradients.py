@@ -24,10 +24,11 @@ the discriminator is frozen: the gate still filters pairs but
 contributes no gradient, and the adversarial term is not optimized.
 
 compute_gradients runs the forward and then the backward over one
-batch of plain arrays. The forward formulas are not written here:
-embedding, attention, pooling, the gate logit and the gate sampler come
-from model and the triplet hinges from losses, the code eval and
-attention-dump run too.
+batch of plain arrays, and returns only what training reads: each
+pair's keep weight, the loss sums and the gradient vector. The forward
+formulas are not written here: embedding, attention, pooling, the gate
+logit and the gate sampler come from model and the triplet hinges from
+losses, the code eval and attention-dump run too.
 """
 
 from __future__ import annotations
@@ -53,37 +54,17 @@ def first_nonfinite(tensors):
 
 @dataclass
 class BatchForward:
-    """Everything the training loop and the tests need from one forward."""
+    """What the training loop reads from one forward.
 
-    s: np.ndarray            # (B, E) sentence embeddings
-    H: np.ndarray            # (B, F, E) frame embeddings
-    alpha: np.ndarray        # (B, F) attention weights
-    v: np.ndarray            # (B, E) pooled video embeddings
-    p_lvc: np.ndarray        # (B,) pair scores
-    f_lvc: np.ndarray        # (B,) match logits
-    z: np.ndarray            # (B,) hard gate calls
-    w: np.ndarray            # (B,) smooth gate weights
-    gumbels: np.ndarray | None
-    keep: np.ndarray         # (B,) lvc mixing weight: 1-z hard, 1-w soft
-    pair_lvc_loss: np.ndarray | None  # (B,) bce kind only
-    pair_adv_loss: np.ndarray         # (B,)
-    member_idx: np.ndarray   # (M,) triplet anchors (empty for bce kind)
-    member_hinges: np.ndarray  # (M,) per-anchor row+col hinge sums
-    # reporting means loss_lvc = lvc_sum / lvc_weight, weighted by kept mass (bce) or
-    # member count (triplet, 0 below 2), and loss_adv = adv_sum / discarded mass
+    Epoch means divide the sums: loss_lvc = lvc_sum / lvc_weight, weighted
+    by kept mass (bce) or member count (triplet, 0 below 2), and loss_adv =
+    adv_sum / discarded mass, the sum of 1 - keep.
+    """
+
+    keep: np.ndarray  # (B,) lvc mixing weight: 1-z hard, 1-w soft, 1 with the gate off
     lvc_sum: float
     lvc_weight: float
     adv_sum: float
-    adv_weight: float
-    loss: float              # the optimized objective
-
-    @property
-    def loss_lvc(self):
-        return self.lvc_sum / self.lvc_weight if self.lvc_weight > 0 else 0.0
-
-    @property
-    def loss_adv(self):
-        return self.adv_sum / self.adv_weight if self.adv_weight > 0 else 0.0
 
 
 def _l2relu_backward(d_out, unit, norm, pre):
@@ -113,17 +94,16 @@ def _attention_backward(att, de, s, H, cache, ds, dH, grads):
         grads["attention.w2"] += H.reshape(-1, H.shape[-1]).T @ dt.reshape(-1, dt.shape[-1])
 
 
-def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None, gumbels=None,
-                      z_override=None):
+def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
     """Forward plus exact gradients of the surrogate objective for one batch.
 
     xs (B, d_in) holds the sentences, xf (B, F, d_in) the sampled frames and
-    labels (B,) a 1 per matched pair. The gate draws its noise from rng
-    unless gumbels (B, 2) are given; z_override (B,) pins the hard calls.
-    Returns (fwd, grads, grad): grad is one vector laid out like
-    params.flat, and grads maps each trainable tensor's name to its view
-    into grad, zeros included. In the freeze phase the discriminator
-    tensors get exactly zero gradient and the gate contributes no pathway.
+    labels (B,) a 1 per matched pair. The gumbel_hard gate draws its noise,
+    one (B, 2) sample_gumbel call, from rng; nothing else draws from it.
+    Returns (fwd, grad): fwd is the BatchForward summary and grad one
+    vector laid out like params.flat. In the freeze phase the
+    discriminator tensors get exactly zero gradient and the gate
+    contributes no pathway.
     """
     if phase not in PHASES:
         raise ModelError(f"unknown phase {phase!r}")
@@ -136,10 +116,6 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None, gumbels=None
         raise ModelError("sentence and frame feature dimensions differ")
     if not np.all((labels == 0) | (labels == 1)):
         raise ModelError("labels must be 0 or 1")
-    if z_override is not None:
-        z_override = np.asarray(z_override, dtype=int)
-        if z_override.shape != (b,) or not np.all((z_override == 0) | (z_override == 1)):
-            raise ModelError("z_override must be a 0/1 vector of batch length")
     att = params.attention
     disc = params.disc
     disc_on = cfg.discriminator_enabled
@@ -158,19 +134,16 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None, gumbels=None
         jstar = q.argmax(axis=1)
         p_adv = q[np.arange(b), jstar]
         f_adv = adv_logit(disc, p_lvc, p_adv)
-        z, w, gumbels = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng, gumbels)
-        if z_override is not None:
-            z = z_override
+        z, w, _ = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng)
         pair_adv = softplus(f_adv)
         keep = 1.0 - z if hard else 1.0 - w
     else:
-        z, w, pair_adv, keep = np.zeros(b, dtype=int), np.zeros(b), np.zeros(b), np.ones(b)
+        z, pair_adv, keep = np.zeros(b, dtype=int), np.zeros(b), np.ones(b)
 
     if cfg.loss_kind == "bce":
         pair_lvc = bce_loss(labels, f_lvc)
         lvc_sum, lvc_weight = float((keep * pair_lvc).sum()), float(keep.sum())
         lvc_term = lvc_sum / b
-        member_idx, hinges = np.array([], dtype=int), np.array([])
     else:
         pair_lvc = None
         pos = np.flatnonzero(labels == 1)
@@ -185,22 +158,14 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None, gumbels=None
             lvc_sum, lvc_weight = float((keep[member_idx] * hinges).sum()), m
             lvc_term = lvc_sum / m
         else:
-            hinges = np.zeros(m)
             lvc_sum, lvc_weight, lvc_term = 0.0, 0, 0.0
 
-    gate = 1.0 - keep
-    adv_sum = float((gate * pair_adv).sum())
+    adv_sum = float(((1.0 - keep) * pair_adv).sum())
     adv_term = adv_sum / b if (disc_on and joint) else 0.0
     loss = lvc_term + adv_term
-
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss; check learning rate and inputs")
-    fwd = BatchForward(
-        s=s, H=H, alpha=alpha, v=v, p_lvc=p_lvc, f_lvc=f_lvc, z=z, w=w, gumbels=gumbels,
-        keep=keep, pair_lvc_loss=pair_lvc, pair_adv_loss=pair_adv, member_idx=member_idx,
-        member_hinges=hinges, lvc_sum=lvc_sum, lvc_weight=lvc_weight, adv_sum=adv_sum,
-        adv_weight=float(gate.sum()), loss=loss,
-    )
+    fwd = BatchForward(keep=keep, lvc_sum=lvc_sum, lvc_weight=lvc_weight, adv_sum=adv_sum)
 
     # backward
     grad = np.zeros(params.flat.size)
@@ -276,4 +241,4 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None, gumbels=None
 
     if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient in {first_nonfinite(grads)}")
-    return fwd, grads, grad
+    return fwd, grad

@@ -111,13 +111,13 @@ def tensor_views(flat, layout):
     return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
 
 
-def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_values=None):
-    """Zero-filled ModelParams whose tensors are views into one flat vector.
+def model_layout(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_values=None):
+    """The flat layout of a model, checked before anything is allocated.
 
-    Validates the attention kind, the input mode and the sizes first; a
-    d_att below 1 means d_emb. A layout of more than max_values values
-    (a checkpoint's bound from its file length) or of more than
-    MAX_MODEL_VALUES is rejected before anything is allocated.
+    Validates the attention kind, the input mode and the sizes; a d_att
+    below 1 means d_emb. A layout of more than max_values values (a
+    checkpoint's bound from its file length) or of more than
+    MAX_MODEL_VALUES is a ModelError.
     """
     if attention_kind not in ATTENTION_KINDS:
         raise ModelError(f"unknown attention kind {attention_kind!r}")
@@ -145,7 +145,16 @@ def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_value
         raise ModelError(f"a model with d_in={d_in}, d_emb={d_emb}, bvf_count={n_bvf}, "
                          f"d_att={d_att} has {n_values} values, above the limit of "
                          f"{MAX_MODEL_VALUES}")
-    flat = np.zeros(n_values)
+    return layout
+
+
+def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_values=None):
+    """Zero-filled ModelParams whose tensors are views into one flat vector.
+
+    The arguments are model_layout's, which checks them first.
+    """
+    layout = model_layout(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_values)
+    flat = np.zeros(layout[-1][2])
     t = tensor_views(flat, layout)
     attention = AttentionParams(kind=attention_kind, w_mult=t.get("attention.w_mult"),
                                 w1=t.get("attention.w1"), w2=t.get("attention.w2"),

@@ -10,7 +10,9 @@ Each step takes (sentence_idx, clip_idx) index arrays from
 corpus.epoch_batches, positives first, so one label vector serves every
 step; sentences are rows of one (n, d) matrix, and frames come from one
 batched sample_frames call per step. Epoch loss means divide the loss
-sums each forward reports.
+sums each forward reports; the adversarial mean divides by the
+discarded mass, the sum of 1 - keep. check_sizes holds the size limits
+that train and ablate both check before allocating.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .config import ConfigError
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
 from .gradients import NumericError, compute_gradients, first_nonfinite
-from .model import init_bvf, init_model, param_tensors, save_checkpoint
+from .model import init_bvf, init_model, model_layout, param_tensors, save_checkpoint
 from .optim import sgd_step, update_runs
 
 DISC_TENSORS = frozenset({"disc.bvf", "disc.a_adv", "disc.b_adv"})
@@ -83,7 +85,7 @@ class _EpochStats:
         self.lvc_num += fwd.lvc_sum
         self.lvc_den += fwd.lvc_weight
         self.adv_num += fwd.adv_sum
-        self.adv_den += fwd.adv_weight
+        self.adv_den += float(gate.sum())
         g = gate[:pos_tags.shape[0]]
         for k in range(len(TAGS)):
             sel = pos_tags == k
@@ -105,14 +107,31 @@ class _EpochStats:
         )
 
 
-def _corpus_dim(corpus):
+def check_sizes(cfg, corpus):
+    """train's checks of a config against its corpus; returns the corpus's d_in.
+
+    The corpus needs at least 2 clips, all of one feature dimension, and
+    batch_size // 2 clips. A step tensor of more than MAX_STEP_FLOATS or
+    a model of more than model.MAX_MODEL_VALUES values is refused. Nothing
+    is allocated.
+    """
     if len(corpus) < 2:
         raise CorpusError("training needs at least 2 clips")
-    d = corpus[0].sentence_raw.shape[0]
+    d_in = corpus[0].sentence_raw.shape[0]
     for c in corpus:
-        if c.sentence_raw.shape[0] != d or c.frames_raw.shape[1] != d:
-            raise CorpusError(f"clip {c.id} has feature dimension != {d}")
-    return d
+        if c.sentence_raw.shape[0] != d_in or c.frames_raw.shape[1] != d_in:
+            raise CorpusError(f"clip {c.id} has feature dimension != {d_in}")
+    # a larger positive half repeats clips, which then hinge against their own copies
+    if cfg.batch_size // 2 > len(corpus):
+        raise CorpusError(f"batch_size {cfg.batch_size} needs at least {cfg.batch_size // 2} "
+                          f"clips, the corpus has {len(corpus)}")
+    step_floats = cfg.batch_size * cfg.n_f * max(d_in, cfg.d_emb, cfg.d_att)
+    if step_floats > MAX_STEP_FLOATS:
+        raise ConfigError(f"batch_size * n_f * max(d_in, d_emb, d_att) = {step_floats} "
+                          f"exceeds the limit of {MAX_STEP_FLOATS} floats per step tensor")
+    model_layout(d_in, cfg.d_emb, cfg.attention_kind, cfg.input_mode, cfg.bvf_count,
+                 cfg.d_att)
+    return d_in
 
 
 # non-finite values are caught by the checks in the step loop and reported
@@ -122,19 +141,11 @@ def train(cfg, corpus, run_dir=None, log=None):
     """Train on a tagged corpus; returns (params, per-epoch metrics).
 
     With run_dir set, metrics.csv is streamed row by row and checkpoints
-    are written at the freeze/joint boundary and at the end. Sizes beyond
-    MAX_STEP_FLOATS or model.MAX_MODEL_VALUES are refused first.
+    are written at the freeze/joint boundary and at the end. check_sizes
+    runs first.
     """
     cfg.validate()
-    d_in = _corpus_dim(corpus)
-    # a larger positive half repeats clips, which then hinge against their own copies
-    if cfg.batch_size // 2 > len(corpus):
-        raise CorpusError(f"batch_size {cfg.batch_size} needs at least {cfg.batch_size // 2} "
-                          f"clips, the corpus has {len(corpus)}")
-    step_floats = cfg.batch_size * cfg.n_f * max(d_in, cfg.d_emb, cfg.d_att)
-    if step_floats > MAX_STEP_FLOATS:
-        raise ConfigError(f"batch_size * n_f * max(d_in, d_emb, d_att) = {step_floats} "
-                          f"exceeds the limit of {MAX_STEP_FLOATS} floats per step tensor")
+    d_in = check_sizes(cfg, corpus)
     root = np.random.SeedSequence(cfg.seed)
     ss_init, ss_bvf, ss_batch, ss_frame, ss_gate = root.spawn(5)
     rng_init = np.random.default_rng(ss_init)
@@ -174,8 +185,8 @@ def train(cfg, corpus, run_dir=None, log=None):
             for step, (sentence_idx, clip_idx) in enumerate(batches):
                 xf = sample_frames(corpus, clip_idx, cfg.n_f, rng_frame)
                 try:
-                    fwd, _, grad = compute_gradients(params, sentences[sentence_idx], xf,
-                                                     labels, cfg, phase, rng=rng_gate)
+                    fwd, grad = compute_gradients(params, sentences[sentence_idx], xf,
+                                                  labels, cfg, phase, rng=rng_gate)
                     sgd_step(params.flat, grad, velocity, lr, cfg.momentum,
                              cfg.weight_decay, runs)
                     if not np.isfinite(params.flat).all():

@@ -8,10 +8,11 @@ normalised one vector at a time.
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
 sampled values while the smooth gate weight w tracks the parameters
-(straight-through). surrogate_loss rebuilds that objective from a
-forward pass, so finite differences can probe it one coordinate at a
-time and the comparison is meaningful. The forward comes from
-compute_gradients, whose gradients it ignores.
+(straight-through). surrogate composes that objective from model's
+formula functions (embed, attend, adv_logit, sample_gate) and the loss
+functions, so finite differences can probe it one coordinate at a time.
+It reads nothing from compute_gradients; gradient_mismatches checks the
+step's reported sums against its own.
 """
 
 from __future__ import annotations
@@ -24,50 +25,68 @@ import numpy as np
 from pairsieve.config import TrainConfig
 from pairsieve.corpus import TAGS, ClipRecord, CorpusError, build_concept_bank
 from pairsieve.gradients import compute_gradients
-from pairsieve.model import init_model, param_tensors
+from pairsieve.losses import bce_loss, softplus, triplet_hinges
+from pairsieve.model import (adv_logit, attend, embed, init_model, param_tensors,
+                             sample_gate, sample_gumbel, tensor_views)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 ABS_TOL = 1e-7
+# the oracle's keep and loss sums against the step's
+SUM_TOL = 1e-12
 
 
-def surrogate_loss(params, batch, cfg, phase, frozen):
-    """Objective value with the gate noise pinned to `frozen`.
+def surrogate(params, batch, cfg, phase, gumbels, pinned=None):
+    """The step's objective with the gate noise pinned, and what it reports.
 
-    batch = (xs, xf, labels) as compute_gradients takes them and
-    frozen = (z0, w0, gumbels) captured at the base point. Mirrors the
-    gradient code exactly: hard sampler weights the match loss by
-    1 - z0 - w + w0 and the adversarial loss by z0 + w - w0; the soft
-    sampler uses 1 - w and w; the freeze phase holds the weights fixed
-    and drops the adversarial term.
+    batch = (xs, xf, labels) as compute_gradients takes them, gumbels the
+    (B, 2) gate noise (unused by softmax_soft) and pinned = (z0, w0) the
+    hard calls and gate weights at the base point; None makes this call
+    the base point. The gate weight is z0 + w - w0 for the hard sampler
+    and w for the soft one, held at its base value in the freeze phase;
+    keep = 1 - gate weights the match loss, and gate the adversarial loss,
+    which only the joint phase optimizes. Triplet members are the
+    positives with z0 = 0 (all positives for the soft sampler).
+
+    Returns (loss, keep, lvc_sum, lvc_weight, adv_sum, pinned); the middle
+    four are what compute_gradients reports at the base point.
     """
-    z0, w0, gumbels = frozen
-    fwd = compute_gradients(params, *batch, cfg, phase, gumbels=gumbels, z_override=z0)[0]
-    b = batch[0].shape[0]
+    xs, xf, labels = batch
+    b = xs.shape[0]
     hard = cfg.sampler_kind == "gumbel_hard"
     joint = phase == "joint"
-    if not cfg.discriminator_enabled:
-        keep = np.ones(b)
-        gate = np.zeros(b)
-    elif not joint:
-        keep = 1.0 - z0 if hard else 1.0 - w0
-        gate = np.zeros(b)
-    elif hard:
-        keep = 1.0 - z0 - fwd.w + w0
-        gate = z0 + fwd.w - w0
+    s = embed(params.language, xs)[0]
+    v = attend(params.attention, s, embed(params.vision, xf)[0])[0]
+    p_lvc = (s * v).sum(axis=1)
+    if cfg.discriminator_enabled:
+        f_adv = adv_logit(params.disc, p_lvc, (s @ params.disc.bvf.T).max(axis=1))
+        z, w, _ = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, gumbels=gumbels)
+        z0, w0 = pinned = (z, w) if pinned is None else pinned
+        if not joint:
+            gate = z0 if hard else w0
+        else:
+            gate = z0 + (w - w0) if hard else w
+        pair_adv = softplus(f_adv)
     else:
-        keep = 1.0 - fwd.w
-        gate = fwd.w
+        z0, gate, pair_adv = np.zeros(b, dtype=int), np.zeros(b), np.zeros(b)
+    keep = 1.0 - gate
 
     if cfg.loss_kind == "bce":
-        lvc = float((keep * fwd.pair_lvc_loss).sum() / b)
+        pair_lvc = bce_loss(labels, params.a_lvc[0] * p_lvc + params.b_lvc[0])
+        lvc_sum, lvc_weight = float((keep * pair_lvc).sum()), float(keep.sum())
+        lvc = lvc_sum / b
     else:
-        m = fwd.member_idx.shape[0]
-        lvc = float((keep[fwd.member_idx] * fwd.member_hinges).sum() / m) if m >= 2 else 0.0
-    adv = 0.0
-    if cfg.discriminator_enabled and joint:
-        adv = float((gate * fwd.pair_adv_loss).sum() / b)
-    return lvc + adv
+        pos = np.flatnonzero(labels == 1)
+        members = pos[z0[pos] == 0] if hard else pos
+        m = members.shape[0]
+        lvc_sum, lvc_weight, lvc = 0.0, 0, 0.0
+        if m >= 2:
+            r_h, c_h, _, _ = triplet_hinges(s[members] @ v[members].T, cfg.triplet_margin)
+            lvc_sum, lvc_weight = float((keep[members] * (r_h + c_h)).sum()), m
+            lvc = lvc_sum / m
+    adv_sum = float((gate * pair_adv).sum())
+    adv = adv_sum / b if cfg.discriminator_enabled and joint else 0.0
+    return lvc + adv, keep, lvc_sum, lvc_weight, adv_sum, pinned
 
 
 def finite_difference(fn, arr, h=FD_STEP):
@@ -89,22 +108,28 @@ def finite_difference(fn, arr, h=FD_STEP):
 def gradient_mismatches(params, batch, cfg, phase, rng):
     """Compare analytic gradients against finite differences.
 
-    Returns a list of (tensor name, index, analytic, numeric) tuples for
-    every coordinate outside tolerance; an empty list means agreement.
+    The gate's noise is the only draw compute_gradients makes from its
+    rng, so one seed taken from rng gives the step a fresh generator and
+    the surrogate the same gumbels. The step's keep and loss sums must
+    match the surrogate's at the base point to SUM_TOL. Returns a list of
+    (tensor name, index, analytic, numeric) tuples for every coordinate
+    outside tolerance; an empty list means agreement.
     """
-    fwd, grads, _ = compute_gradients(params, *batch, cfg, phase, rng=rng)
-    gumbels = None if fwd.gumbels is None else fwd.gumbels.copy()
-    frozen = (fwd.z.copy(), fwd.w.copy(), gumbels)
-    base = surrogate_loss(params, batch, cfg, phase, frozen)
-    if abs(base - fwd.loss) > 1e-12 * max(1.0, abs(fwd.loss)):
-        raise AssertionError(
-            f"surrogate does not reproduce the forward loss: {base!r} vs {fwd.loss!r}"
-        )
+    seed = int(rng.integers(2**63))
+    fwd, grad = compute_gradients(params, *batch, cfg, phase, rng=np.random.default_rng(seed))
+    gumbels = sample_gumbel(np.random.default_rng(seed), (batch[0].shape[0], 2))
+    _, keep, lvc_sum, lvc_weight, adv_sum, pinned = surrogate(params, batch, cfg, phase,
+                                                             gumbels)
+    for name, ours, step in (("keep", keep, fwd.keep), ("lvc_sum", lvc_sum, fwd.lvc_sum),
+                             ("lvc_weight", lvc_weight, fwd.lvc_weight),
+                             ("adv_sum", adv_sum, fwd.adv_sum)):
+        if not np.allclose(ours, step, rtol=SUM_TOL, atol=SUM_TOL):
+            raise AssertionError(f"surrogate {name} {ours!r} differs from the step's {step!r}")
+    grads = tensor_views(grad, params.layout)
     bad = []
     for name, arr in param_tensors(params).items():
         num = finite_difference(
-            lambda: surrogate_loss(params, batch, cfg, phase, frozen), arr
-        )
+            lambda: surrogate(params, batch, cfg, phase, gumbels, pinned)[0], arr)
         ana = grads[name]
         err = np.abs(ana - num)
         tol = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(ana), np.abs(num)))

@@ -328,6 +328,20 @@ def test_train_refuses_oversized_sizes_before_allocating(workspace, capsys):
         assert peak < 4 * 2**20, peak
 
 
+def test_ablate_refuses_an_oversized_value_before_any_run(workspace, tmp_path, capsys):
+    # the second value's model is over the limit: nothing is trained or written
+    corpus_dir = workspace / "corpus"
+    out = tmp_path / "ablate_oversized"
+    code = main(["ablate", "--corpus", str(corpus_dir / "train.corpus"),
+                 "--test-corpus", str(corpus_dir / "test.corpus"), "--axis", "bvf_count",
+                 "--values", "2,100000000", "--out", str(out)] + TRAIN_KEYS)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("pairsieve: error: a model with d_in=8, d_emb=8, bvf_count=100000000, "
+                   "d_att=8 has 800000148 values, above the limit of 67108864\n")
+    assert not out.exists()
+
+
 # a one-epoch train; no spaces, so one flipped byte cannot lengthen a number,
 # and a string value last, so a flipped final newline cannot either
 FUZZ_CONFIG = ("d_emb=6\nbatch_size=8\nn_f=3\nfreeze_epochs=0\njoint_epochs=1\n"

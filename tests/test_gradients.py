@@ -1,4 +1,5 @@
-"""Forward-pass invariants and analytic gradients vs finite differences."""
+"""The training step's reported sums, its gradients against finite
+differences, and its input checks."""
 
 import zlib
 
@@ -6,68 +7,88 @@ import numpy as np
 import pytest
 
 from pairsieve.gradients import NumericError, compute_gradients
-from pairsieve.losses import bce_loss
-from pairsieve.model import ModelError
+from pairsieve.losses import bce_loss, sigmoid
+from pairsieve.model import ModelError, adv_logit, attend, embed, tensor_views
 
 from oracles import gradient_mismatches, random_problem, triplet_by_enumeration
 
-
-def test_forward_attention_rows_normalized():
-    rng = np.random.default_rng(0)
-    for kind in ("uniform", "dot", "multiplicative", "additive"):
-        params, batch, cfg = random_problem(rng, attention=kind, n_frames=3)
-        fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
-        assert np.all(fwd.alpha >= 0)
-        assert np.allclose(fwd.alpha.sum(axis=1), 1.0, atol=1e-12)
-        assert np.allclose(fwd.v, np.einsum("bf,bfe->be", fwd.alpha, fwd.H))
+DISC_TENSORS = ("disc.bvf", "disc.a_adv", "disc.b_adv")
 
 
-def test_forward_pair_scores_are_cosines():
-    rng = np.random.default_rng(1)
-    params, batch, cfg = random_problem(rng)
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
-    assert np.allclose(fwd.p_lvc, (fwd.s * fwd.v).sum(axis=1))
-    assert np.all(np.abs(fwd.p_lvc) <= 1.0 + 1e-12)
+class PinnedUniform:
+    """Stands in for the gate's generator: its one uniform draw returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, low, high, size):
+        assert size == self.u.shape
+        return self.u
+
+
+def _gate_rng(z):
+    """A PinnedUniform that forces the hard calls z.
+
+    sample_gumbel maps u to -log(-log(u)): about -6.6 for the smallest
+    float and 27.6 for 1 - 1e-12, a gap far wider than the gate logits of
+    these small problems.
+    """
+    lo, hi = np.finfo(float).tiny, 1.0 - 1e-12
+    return PinnedUniform(np.where(np.asarray(z)[:, None] == 1, [lo, hi], [hi, lo]))
+
+
+def _pooled(params, xs, xf):
+    s = embed(params.language, xs)[0]
+    return s, attend(params.attention, s, embed(params.vision, xf)[0])[0]
 
 
 def test_forward_bce_pairs_match_loss_module():
     rng = np.random.default_rng(2)
     params, batch, cfg = random_problem(rng)
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
-    expect = bce_loss(batch[2].astype(float), fwd.f_lvc)
-    assert np.allclose(fwd.pair_lvc_loss, expect)
+    xs, xf, labels = batch
+    z = np.array([0, 1, 0, 0])
+    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    s, v = _pooled(params, xs, xf)
+    pair = bce_loss(labels, params.a_lvc[0] * (s * v).sum(axis=1) + params.b_lvc[0])
+    # the kept pairs' match losses, weighted by the kept mass
+    assert np.isclose(fwd.lvc_sum, pair[z == 0].sum(), rtol=1e-12)
+    assert fwd.lvc_weight == 3.0
 
 
 def test_forward_keep_tracks_sampler():
     rng = np.random.default_rng(3)
     params, batch, cfg = random_problem(rng, sampler="gumbel_hard")
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
-    assert np.array_equal(fwd.keep, 1.0 - fwd.z)
+    z = np.array([1, 0, 0, 1])
+    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    assert np.array_equal(fwd.keep, 1.0 - z)
 
+    # the soft gate draws no noise: keep is 1 - sigmoid(f_adv / tau)
     params, batch, cfg = random_problem(rng, sampler="softmax_soft")
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
-    assert np.allclose(fwd.keep, 1.0 - fwd.w)
-    assert np.array_equal(fwd.z, (fwd.w > 0.5).astype(int))
+    fwd = compute_gradients(params, *batch, cfg, "joint")[0]
+    s, v = _pooled(params, *batch[:2])
+    f_adv = adv_logit(params.disc, (s * v).sum(axis=1), (s @ params.disc.bvf.T).max(axis=1))
+    assert np.allclose(fwd.keep, 1.0 - sigmoid(f_adv / cfg.tau), rtol=0, atol=1e-12)
+    assert np.all((fwd.keep > 0) & (fwd.keep < 1))
 
 
 def test_forward_disc_off_keeps_everything():
     rng = np.random.default_rng(4)
     params, batch, cfg = random_problem(rng, disc_on=False)
     fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
-    assert np.array_equal(fwd.z, np.zeros(4, dtype=int))
     assert np.array_equal(fwd.keep, np.ones(4))
-    assert fwd.loss_adv == 0.0
+    assert fwd.lvc_weight == 4.0
+    assert fwd.adv_sum == 0.0
 
 
 def test_forward_deterministic_with_fixed_gumbels():
+    # the gate's noise is the rng's only draw: same seed, same noise, same bits
     rng = np.random.default_rng(5)
     params, batch, cfg = random_problem(rng)
-    gumbels = np.random.default_rng(99).gumbel(size=(4, 2))
-    a = compute_gradients(params, *batch, cfg, "joint", gumbels=gumbels)[0]
-    b = compute_gradients(params, *batch, cfg, "joint", gumbels=gumbels)[0]
-    assert np.array_equal(a.z, b.z)
-    assert np.array_equal(a.w, b.w)
-    assert a.loss == b.loss
+    a, grad_a = compute_gradients(params, *batch, cfg, "joint", rng=np.random.default_rng(99))
+    b, grad_b = compute_gradients(params, *batch, cfg, "joint", rng=np.random.default_rng(99))
+    assert a.keep.tobytes() == b.keep.tobytes()
+    assert (a.lvc_sum, a.lvc_weight, a.adv_sum) == (b.lvc_sum, b.lvc_weight, b.adv_sum)
+    assert grad_a.tobytes() == grad_b.tobytes()
 
 
 def test_freeze_phase_zeroes_discriminator_gradients():
@@ -75,21 +96,21 @@ def test_freeze_phase_zeroes_discriminator_gradients():
     for sampler in ("gumbel_hard", "softmax_soft"):
         for loss in ("bce", "triplet"):
             params, batch, cfg = random_problem(rng, sampler=sampler, loss=loss)
-            _, grads, _ = compute_gradients(params, *batch, cfg, "freeze", rng=rng)
-            for name in ("disc.bvf", "disc.a_adv", "disc.b_adv"):
+            grads = tensor_views(compute_gradients(params, *batch, cfg, "freeze", rng=rng)[1],
+                                 params.layout)
+            for name in DISC_TENSORS:
                 assert not grads[name].any(), f"{name} should be zero in freeze"
 
 
 def test_disc_off_zeroes_discriminator_gradients():
     rng = np.random.default_rng(7)
     params, batch, cfg = random_problem(rng, disc_on=False)
-    _, grads, grad = compute_gradients(params, *batch, cfg, "joint", rng=rng)
-    for name in ("disc.bvf", "disc.a_adv", "disc.b_adv"):
-        assert not grads[name].any()
-    # the name -> array map views the one returned gradient vector
+    grad = compute_gradients(params, *batch, cfg, "joint", rng=rng)[1]
+    # one gradient vector laid out like the parameters
     assert grad.shape == params.flat.shape
-    assert all(np.shares_memory(g, grad) for g in grads.values())
-    assert sum(g.size for g in grads.values()) == grad.size
+    grads = tensor_views(grad, params.layout)
+    for name in DISC_TENSORS:
+        assert not grads[name].any()
 
 
 def test_triplet_members_follow_gate():
@@ -97,25 +118,25 @@ def test_triplet_members_follow_gate():
     params, batch, cfg = random_problem(rng, loss="triplet", batch=6)
     # gate out the second positive: only pairs 0 and 2 stay members
     z = np.array([0, 1, 0, 0, 0, 0])
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng, z_override=z)[0]
-    assert fwd.member_idx.tolist() == [0, 2]
+    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    assert fwd.lvc_weight == 2
 
     # a single member is not enough for a triplet
     z = np.array([0, 1, 1, 0, 0, 0])
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng, z_override=z)[0]
-    assert fwd.member_idx.tolist() == [0]
-    assert fwd.loss_lvc == 0.0
+    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    assert fwd.lvc_weight == 0
+    assert fwd.lvc_sum == 0.0
 
 
 def test_triplet_term_matches_loss_module():
     rng = np.random.default_rng(9)
     params, batch, cfg = random_problem(rng, loss="triplet", batch=8, n_frames=3)
-    z = np.zeros(8, dtype=int)
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng, z_override=z)[0]
-    mi = fwd.member_idx
-    assert mi.tolist() == [0, 1, 2, 3]
-    sim = fwd.s[mi] @ fwd.v[mi].T
-    assert np.isclose(fwd.loss_lvc, triplet_by_enumeration(sim, cfg.triplet_margin))
+    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(np.zeros(8)))[0]
+    assert fwd.lvc_weight == 4
+    s, v = _pooled(params, *batch[:2])
+    sim = s[:4] @ v[:4].T
+    assert np.isclose(fwd.lvc_sum / fwd.lvc_weight,
+                      triplet_by_enumeration(sim, cfg.triplet_margin))
 
 
 FD_CASES = [
@@ -159,8 +180,6 @@ def test_batch_validation():
         compute_gradients(params, xs, xf, np.array([1, 2, 0, 0]), cfg, "joint", rng=rng)
     with pytest.raises(ModelError):
         compute_gradients(params, *batch, cfg, "warmup", rng=rng)
-    with pytest.raises(ModelError):
-        compute_gradients(params, *batch, cfg, "joint", rng=rng, z_override=np.array([1, 0]))
 
 
 def test_gumbel_hard_needs_rng_or_gumbels():

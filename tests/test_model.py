@@ -72,6 +72,15 @@ def test_attention_weights_sum_to_one():
         assert np.allclose(v, alpha @ h)
         if kind == "uniform":
             assert np.allclose(alpha, np.full(7, 1.0 / 7.0))
+        # a batch (B, E) against (B, F, E), as a training step pools its pairs
+        s = embed(params.language, rng.normal(size=(4, 6)))[0]
+        h = embed(params.vision, rng.normal(size=(4, 3, 6)))[0]
+        v, alpha, _ = attend(params.attention, s, h)
+        assert alpha.shape == (4, 3) and np.all(alpha >= 0)
+        assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(v, np.einsum("bf,bfe->be", alpha, h))
+        # unit sentences against convex mixes of unit frames: pair scores are cosines
+        assert np.all(np.abs((s * v).sum(axis=1)) <= 1.0 + 1e-12)
 
 
 def _manual_scores(att, s, h):
