@@ -42,6 +42,40 @@ def _pooled(params, xs, xf):
     return s, attend(params.attention, s, embed(params.vision, xf)[0])[0]
 
 
+def test_forward_attention_rows_normalized():
+    # the step pools each pair's frames with attention rows that are convex
+    # weights; with the gate off its match sum is the bce of those pooled pairs
+    rng = np.random.default_rng(0)
+    for kind in ("uniform", "dot", "multiplicative", "additive"):
+        params, batch, cfg = random_problem(rng, attention=kind, n_frames=3, disc_on=False)
+        xs, xf, labels = batch
+        fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
+        s = embed(params.language, xs)[0]
+        h = embed(params.vision, xf)[0]
+        v, alpha, _ = attend(params.attention, s, h)
+        assert alpha.shape == (4, 3) and np.all(alpha >= 0)
+        assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(v, np.einsum("bf,bfe->be", alpha, h))
+        pair = bce_loss(labels, params.a_lvc[0] * (s * v).sum(axis=1) + params.b_lvc[0])
+        assert np.isclose(fwd.lvc_sum, pair.sum(), rtol=1e-12)
+
+
+def test_forward_pair_scores_are_cosines():
+    # unit sentences against convex mixes of unit frames: every pair score is
+    # a cosine bound, and the step's kept-mass match sum is built on them
+    rng = np.random.default_rng(1)
+    params, batch, cfg = random_problem(rng)
+    xs, xf, labels = batch
+    z = np.array([1, 0, 0, 0])
+    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    s, v = _pooled(params, xs, xf)
+    assert np.allclose(np.linalg.norm(s, axis=1), 1.0, atol=1e-12)
+    p_lvc = (s * v).sum(axis=1)
+    assert np.all(np.abs(p_lvc) <= 1.0 + 1e-12)
+    pair = bce_loss(labels, params.a_lvc[0] * p_lvc + params.b_lvc[0])
+    assert np.isclose(fwd.lvc_sum, pair[z == 0].sum(), rtol=1e-12)
+
+
 def test_forward_bce_pairs_match_loss_module():
     rng = np.random.default_rng(2)
     params, batch, cfg = random_problem(rng)
