@@ -135,7 +135,8 @@ def _check_dim(records, path, d, owner):
 def _load_scoring_inputs(args):
     params = load_checkpoint(args.checkpoint)
     records = load_corpus(args.corpus)
-    _check_dim(records, args.corpus, params.language.weight.shape[0], "the checkpoint's d_in")
+    _check_dim(records, args.corpus, params.tensors["language.weight"].shape[0],
+               "the checkpoint's d_in")
     return params, records
 
 

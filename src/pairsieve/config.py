@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import CorpusError, CorpusSpec
-from .model import (ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS, ModelError, read_text,
-                    write_atomically)
+from .model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS, read_text, write_atomically
 
 LOSS_KINDS = ("bce", "triplet")
 
@@ -187,7 +186,7 @@ def _build(values, which, cls, seed_override=None):
     obj = cls(**kwargs)
     try:
         obj.validate()
-    except (CorpusError, ModelError) as exc:
+    except CorpusError as exc:
         raise ConfigError(str(exc)) from exc
     return obj
 

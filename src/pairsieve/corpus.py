@@ -348,7 +348,8 @@ def load_corpus(path):
     header's version (1 or 2) picks how features are decoded. Every
     malformed record, including one that repeats an earlier id or whose
     dimension differs from the header's d, is a CorpusError naming its
-    line. A header with "d": null takes d from the first record.
+    line. A header with "d": null takes d from the first record; any
+    other d that is not an integer is a line-1 CorpusError.
     """
     with open(path, "rb") as fh:
         lines = _text_lines(path, fh)
@@ -366,6 +367,8 @@ def load_corpus(path):
         if decode is None:
             raise CorpusError(f"line 1: unsupported corpus version {version!r}")
         d, d_source = header.get("d"), "header"
+        if d is not None and type(d) is not int:
+            raise CorpusError(f"line 1: header d must be an integer or null, got {d!r}")
         records = []
         first_line = {}
         for lineno, line in lines:

@@ -54,11 +54,11 @@ def score_matrix(params, records):
     """
     if not records:
         raise EvalError("no records to evaluate")
-    att = params.attention
-    s = embed(params.language, np.stack([r.sentence_raw for r in records]))[0]
+    kind = params.attention_kind
+    s = embed(params, "language", np.stack([r.sentence_raw for r in records]))[0]
     sT = np.ascontiguousarray(s.T)
-    w = {"multiplicative": att.w_mult, "additive": att.w1}.get(att.kind)
-    q = None if w is None else w.T @ sT
+    w_name = {"multiplicative": "attention.w_mult", "additive": "attention.w1"}.get(kind)
+    q = None if w_name is None else params.tensors[w_name].T @ sT
     n = len(records)
     out = np.empty((n, n))
     affinity = getattr(os, "sched_getaffinity", None)
@@ -68,10 +68,10 @@ def score_matrix(params, records):
 
     def score_share(k):
         try:
-            buf = np.empty_like(q) if att.kind == "additive" else None
+            buf = np.empty_like(q) if kind == "additive" else None
             for j in range(k * n // shares, (k + 1) * n // shares):
-                h = embed(params.vision, records[j].frames_raw)[0]
-                out[:, j] = clip_scores(att, h, sT, q, buf)
+                h = embed(params, "vision", records[j].frames_raw)[0]
+                out[:, j] = clip_scores(params, h, sT, q, buf)
         except BaseException as exc:  # re-raised in the caller after every join
             errors[k] = exc
 
@@ -186,8 +186,8 @@ def export_attention(params, records):
         raise EvalError("no records to dump")
     rows = []
     for rec in records:
-        s = embed(params.language, rec.sentence_raw)[0]
-        _, alpha, _ = attend(params.attention, s, embed(params.vision, rec.frames_raw)[0])
+        s = embed(params, "language", rec.sentence_raw)[0]
+        _, alpha, _ = attend(params, s, embed(params, "vision", rec.frames_raw)[0])
         if not np.isfinite(alpha).all():
             raise EvalError(f"clip {rec.id}: attention weights must be finite")
         top = alpha.max()

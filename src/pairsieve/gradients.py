@@ -74,23 +74,24 @@ def _l2relu_backward(d_out, unit, norm, pre):
     return d_act * (pre > 0)
 
 
-def _attention_backward(att, de, s, H, cache, ds, dH, grads):
-    if att.kind == "dot":
+def _attention_backward(params, de, s, H, cache, ds, dH, grads):
+    kind, t = params.attention_kind, params.tensors
+    if kind == "dot":
         ds += np.einsum("bf,bfe->be", de, H)
         dH += de[:, :, None] * s[:, None, :]
-    elif att.kind == "multiplicative":
+    elif kind == "multiplicative":
         g = np.einsum("bf,bfe->be", de, H)
-        ds += g @ att.w_mult.T
+        ds += g @ t["attention.w_mult"].T
         dH += de[:, :, None] * cache["u"][:, None, :]
         grads["attention.w_mult"] += s.T @ g
-    elif att.kind == "additive":
-        t = cache["t"]
-        dt = de[:, :, None] * att.w_score * (1.0 - t * t)
-        grads["attention.w_score"] += de.reshape(-1) @ t.reshape(-1, t.shape[-1])
+    elif kind == "additive":
+        th = cache["t"]
+        dt = de[:, :, None] * t["attention.w_score"] * (1.0 - th * th)
+        grads["attention.w_score"] += de.reshape(-1) @ th.reshape(-1, th.shape[-1])
         dp = dt.sum(axis=1)
-        ds += dp @ att.w1.T
+        ds += dp @ t["attention.w1"].T
         grads["attention.w1"] += s.T @ dp
-        dH += dt @ att.w2.T
+        dH += dt @ t["attention.w2"].T
         grads["attention.w2"] += H.reshape(-1, H.shape[-1]).T @ dt.reshape(-1, dt.shape[-1])
 
 
@@ -116,25 +117,24 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
         raise ModelError("sentence and frame feature dimensions differ")
     if not np.all((labels == 0) | (labels == 1)):
         raise ModelError("labels must be 0 or 1")
-    att = params.attention
-    disc = params.disc
+    t = params.tensors
     disc_on = cfg.discriminator_enabled
     hard = cfg.sampler_kind == "gumbel_hard"
     joint = phase == "joint"
 
     # forward
-    s, pre_s, ns = embed(params.language, xs)
-    H, pre_h, nh = embed(params.vision, xf)
-    v, alpha, att_cache = attend(att, s, H)
+    s, pre_s, ns = embed(params, "language", xs)
+    H, pre_h, nh = embed(params, "vision", xf)
+    v, alpha, att_cache = attend(params, s, H)
     p_lvc = np.einsum("be,be->b", s, v)
-    f_lvc = params.a_lvc[0] * p_lvc + params.b_lvc[0]
+    f_lvc = t["a_lvc"][0] * p_lvc + t["b_lvc"][0]
 
     if disc_on:
-        q = s @ disc.bvf.T
+        q = s @ t["disc.bvf"].T
         jstar = q.argmax(axis=1)
         p_adv = q[np.arange(b), jstar]
-        f_adv = adv_logit(disc, p_lvc, p_adv)
-        z, w, _ = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng)
+        f_adv = adv_logit(params, p_lvc, p_adv)
+        z, w = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng)
         pair_adv = softplus(f_adv)
         keep = 1.0 - z if hard else 1.0 - w
     else:
@@ -177,7 +177,7 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
         df_lvc = keep / b * (sigmoid(f_lvc) - labels)
         grads["a_lvc"][0] += float(df_lvc @ p_lvc)
         grads["b_lvc"][0] += float(df_lvc.sum())
-        dp_lvc += df_lvc * params.a_lvc[0]
+        dp_lvc += df_lvc * t["a_lvc"][0]
 
     # adversarial loss and gate pathway (joint phase only)
     if disc_on and joint:
@@ -187,21 +187,21 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
             dw_coef[member_idx] -= hinges / m
         df_adv = b_coef * sigmoid(f_adv) + dw_coef * w * (1.0 - w) / cfg.tau
 
-        if disc.input_mode == "residual":
+        if params.input_mode == "residual":
             grads["disc.a_adv"][0] += float(df_adv @ (p_adv - p_lvc))
             grads["disc.b_adv"][0] += float(df_adv.sum())
-            dp_adv = df_adv * disc.a_adv[0]
-            dp_lvc -= df_adv * disc.a_adv[0]
-        elif disc.input_mode == "concat":
+            dp_adv = df_adv * t["disc.a_adv"][0]
+            dp_lvc -= df_adv * t["disc.a_adv"][0]
+        elif params.input_mode == "concat":
             grads["disc.a_adv"][0] += float(df_adv @ p_adv)
             grads["disc.a_adv"][1] += float(df_adv @ p_lvc)
             grads["disc.b_adv"][0] += float(df_adv.sum())
-            dp_adv = df_adv * disc.a_adv[0]
-            dp_lvc += df_adv * disc.a_adv[1]
+            dp_adv = df_adv * t["disc.a_adv"][0]
+            dp_lvc += df_adv * t["disc.a_adv"][1]
         else:
             grads["disc.a_adv"][0] += float(df_adv @ p_adv)
             grads["disc.b_adv"][0] += float(df_adv.sum())
-            dp_adv = df_adv * disc.a_adv[0]
+            dp_adv = df_adv * t["disc.a_adv"][0]
 
         np.add.at(grads["disc.bvf"], jstar, dp_adv[:, None] * s)
 
@@ -209,7 +209,7 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
     ds = dp_lvc[:, None] * v
     dv = dp_lvc[:, None] * s
     if disc_on and joint:
-        ds += dp_adv[:, None] * disc.bvf[jstar]
+        ds += dp_adv[:, None] * t["disc.bvf"][jstar]
 
     # triplet matrix: S = Sm @ Vm.T over members, feeding the same ds/dv
     if cfg.loss_kind == "triplet" and m >= 2:
@@ -226,9 +226,9 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
     # attention pooling backward for every pair
     dalpha = np.einsum("be,bfe->bf", dv, H)
     dH = alpha[:, :, None] * dv[:, None, :]
-    if att.kind != "uniform":
+    if params.attention_kind != "uniform":
         de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        _attention_backward(att, de, s, H, att_cache, ds, dH, grads)
+        _attention_backward(params, de, s, H, att_cache, ds, dH, grads)
 
     # shared encoder backward
     dpre_s = _l2relu_backward(ds, s, ns, pre_s)

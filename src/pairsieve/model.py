@@ -8,11 +8,15 @@ small bank of background video features and turns that margin into a
 keep-or-discard gate via the Gumbel trick.
 
 This module is the only home of the forward formulas; training, eval
-and attention-dump all call them. Shape contract: embed maps (..., d_in)
-to (..., E); attention_scores and attend take sentences s (..., E) and
-frames h (..., F, E): one pair (E,) with (F, E) or a batch (B, E) with
-(B, F, E); clip_scores takes one clip (F, E) and every query on the last
-axis, s.T (E, n); adv_logit and sample_gate work elementwise on arrays.
+and attention-dump all call them. A formula that uses trainable tensors
+takes the ModelParams and reads them by layout name ("attention.w1",
+"disc.a_adv"), the names the gradient, the SGD step and checkpoints use
+too. Shape contract: embed maps (..., d_in) to (..., E) through the
+"language" or "vision" channel; attention_scores and attend take
+sentences s (..., E) and frames h (..., F, E): one pair (E,) with (F, E)
+or a batch (B, E) with (B, F, E); clip_scores takes one clip (F, E) and
+every query on the last axis, s.T (E, n); adv_logit and sample_gate work
+elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -44,56 +48,28 @@ class ModelError(ValueError):
 
 
 @dataclass
-class ChannelParams:
-    """One modality's embedding layer: y = l2norm(relu(x @ weight + bias))."""
-
-    weight: np.ndarray  # (d_in, d_emb)
-    bias: np.ndarray    # (d_emb,)
-
-
-@dataclass
-class AttentionParams:
-    """Frame scorer parameters; only the active kind's tensors are set."""
-
-    kind: str
-    w_mult: np.ndarray | None = None   # (d_emb, d_emb), multiplicative
-    w1: np.ndarray | None = None       # (d_emb, d_att), additive, sentence side
-    w2: np.ndarray | None = None       # (d_emb, d_att), additive, frame side
-    w_score: np.ndarray | None = None  # (d_att,), additive
-
-
-@dataclass
-class DiscriminatorParams:
-    """Background bank plus the affine map from pair scores to the gate logit."""
-
-    # (n_bvf, d_emb). Rows start as unit vectors (init_model, init_bvf);
-    # nothing projects them back, so SGD and weight decay may shrink them.
-    bvf: np.ndarray
-    a_adv: np.ndarray      # (1,) residual/adv_only; (2,) concat
-    b_adv: np.ndarray      # (1,)
-    input_mode: str
-
-
-@dataclass
 class ModelParams:
-    """Everything trainable, grouped by role.
+    """Everything trainable, addressed by layout name.
 
-    Each array is a view into the one vector flat, placed by the
-    (name, start, stop, shape) entries of layout. Write tensors in
-    place: a rebound attribute is cut off from flat and from training.
+    flat holds every value and layout places each tensor in it as a
+    (name, start, stop, shape) entry; model_layout picks the names and
+    shapes. tensors maps each name to its view of flat, in layout order.
+    Write tensors in place: a rebound entry is cut off from flat and from
+    training.
+
+    disc.bvf rows start as unit vectors (init_model, init_bvf); nothing
+    projects them back, so SGD and weight decay may shrink them. a_lvc,
+    the scale on the pair score for the match logit, and b_lvc, its
+    offset, are exempt from weight decay: the pair score lies in [0, 1],
+    so decay on the scale would flatten the logit (optim,
+    training.NO_DECAY).
     """
 
-    language: ChannelParams
-    vision: ChannelParams
-    attention: AttentionParams
-    disc: DiscriminatorParams
-    # (1,) scale on the pair score for the match logit. It and b_lvc are
-    # exempt from weight decay: the pair score lies in [0, 1], so decay
-    # on the scale would flatten the logit (optim, training.NO_DECAY).
-    a_lvc: np.ndarray
-    b_lvc: np.ndarray  # (1,) offset of the match logit
+    attention_kind: str
+    input_mode: str
     flat: np.ndarray
     layout: tuple
+    tensors: dict
 
 
 def pack_layout(shapes):
@@ -155,17 +131,7 @@ def _zero_model(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_value
     """
     layout = model_layout(d_in, d_emb, attention_kind, input_mode, n_bvf, d_att, max_values)
     flat = np.zeros(layout[-1][2])
-    t = tensor_views(flat, layout)
-    attention = AttentionParams(kind=attention_kind, w_mult=t.get("attention.w_mult"),
-                                w1=t.get("attention.w1"), w2=t.get("attention.w2"),
-                                w_score=t.get("attention.w_score"))
-    disc = DiscriminatorParams(bvf=t["disc.bvf"], a_adv=t["disc.a_adv"],
-                               b_adv=t["disc.b_adv"], input_mode=input_mode)
-    return ModelParams(
-        language=ChannelParams(weight=t["language.weight"], bias=t["language.bias"]),
-        vision=ChannelParams(weight=t["vision.weight"], bias=t["vision.bias"]),
-        attention=attention, disc=disc, a_lvc=t["a_lvc"], b_lvc=t["b_lvc"],
-        flat=flat, layout=layout)
+    return ModelParams(attention_kind, input_mode, flat, layout, tensor_views(flat, layout))
 
 
 def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
@@ -179,7 +145,7 @@ def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
     have learned anything.
     """
     params = _zero_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, d_att)
-    t = param_tensors(params)
+    t = params.tensors
     for name in ("language.weight", "vision.weight", "attention.w_mult",
                  "attention.w1", "attention.w2", "attention.w_score"):
         if name in t:
@@ -196,15 +162,17 @@ def init_model(d_in, d_emb, cfg_attention, cfg_input_mode, n_bvf, rng, d_att=0):
     return params
 
 
-def embed(channel, x):
+def embed(params, side, x):
     """l2norm(relu(x @ W + b)) over the last axis; returns (y, pre, norm).
 
-    pre is the pre-activation and norm the ReLU output's L2 norm, both
-    kept for the backward pass. If ReLU zeroes every unit the embedding
-    is the zero vector, not an error; downstream scores with it are
-    simply 0.
+    side, "language" or "vision", names the channel whose weight W and
+    bias b apply. pre is the pre-activation and norm the ReLU output's L2
+    norm, both kept for the backward pass. If ReLU zeroes every unit the
+    embedding is the zero vector, not an error; downstream scores with it
+    are simply 0.
     """
-    pre = x @ channel.weight + channel.bias
+    t = params.tensors
+    pre = x @ t[f"{side}.weight"] + t[f"{side}.bias"]
     act = np.maximum(pre, 0.0)
     norm = np.sqrt(np.einsum("...e,...e->...", act, act))[..., None]
     return act / np.where(norm > 0, norm, np.inf), pre, norm
@@ -222,22 +190,23 @@ def _per_frame(a, h):
     return np.einsum("...e,...fe->...f", a, h)
 
 
-def attention_scores(attention, s, h):
+def attention_scores(params, s, h):
     """Raw frame scores e (..., F) and the cache backward needs.
 
     s is (..., E) and h is (..., F, E): one pair or a batch of pairs.
     """
-    if attention.kind == "uniform":
+    kind, t = params.attention_kind, params.tensors
+    if kind == "uniform":
         return np.zeros(np.broadcast_shapes(s.shape[:-1] + (1,), h.shape[:-1])), {}
-    if attention.kind == "dot":
+    if kind == "dot":
         return _per_frame(s, h), {}
-    if attention.kind == "multiplicative":
-        u = s @ attention.w_mult
+    if kind == "multiplicative":
+        u = s @ t["attention.w_mult"]
         return _per_frame(u, h), {"u": u}
-    if attention.kind == "additive":
-        t = np.tanh((s @ attention.w1)[..., None, :] + h @ attention.w2)  # (..., F, A)
-        return t @ attention.w_score, {"t": t}
-    raise ModelError(f"unknown attention kind {attention.kind!r}")
+    if kind == "additive":
+        th = np.tanh((s @ t["attention.w1"])[..., None, :] + h @ t["attention.w2"])  # (..., F, A)
+        return th @ t["attention.w_score"], {"t": th}
+    raise ModelError(f"unknown attention kind {kind!r}")
 
 
 def softmax(e, axis=-1):
@@ -246,51 +215,53 @@ def softmax(e, axis=-1):
     return w / w.sum(axis=axis, keepdims=True)
 
 
-def attend(attention, s, h):
+def attend(params, s, h):
     """Pool frames into video vectors; returns (v (..., E), alpha (..., F), cache).
 
     Shapes as in attention_scores; cache is its backward cache.
     """
-    e, cache = attention_scores(attention, s, h)
+    e, cache = attention_scores(params, s, h)
     alpha = softmax(e)
     v = alpha @ h if h.ndim == 2 else np.einsum("...f,...fe->...e", alpha, h)
     return v, alpha, cache
 
 
-def clip_scores(attention, h, sT, q, buf):
+def clip_scores(params, h, sT, q, buf):
     """s_i . v_i for every query i against one clip h (F, E); sT is (E, n).
 
     q is the query-side projection, (s @ w_mult).T or (s @ w1).T, and buf
     an (A, n) scratch array where additive scores one frame at a time; both
     are None where unused. As s . v = sum_f alpha_f s . h_f, v is not built.
     """
+    kind, t = params.attention_kind, params.tensors
     p = h @ sT  # (F, n)
-    if attention.kind == "uniform":
+    if kind == "uniform":
         e = np.zeros_like(p)
-    elif attention.kind == "dot":
+    elif kind == "dot":
         e = p
-    elif attention.kind == "multiplicative":
+    elif kind == "multiplicative":
         e = h @ q
-    elif attention.kind == "additive":
+    elif kind == "additive":
         e = np.empty_like(p)
-        for f, hf in enumerate(h @ attention.w2):
+        for f, hf in enumerate(h @ t["attention.w2"]):
             np.add(q, hf[:, None], out=buf)
             np.tanh(buf, out=buf)
-            np.matmul(attention.w_score, buf, out=e[f])
+            np.matmul(t["attention.w_score"], buf, out=e[f])
     else:
-        raise ModelError(f"unknown attention kind {attention.kind!r}")
+        raise ModelError(f"unknown attention kind {kind!r}")
     return np.einsum("fn,fn->n", softmax(e, axis=0), p)
 
 
-def adv_logit(disc, p_lvc, p_adv):
+def adv_logit(params, p_lvc, p_adv):
     """Gate logit from the two pair scores, per the input mode; elementwise."""
-    if disc.input_mode == "residual":
-        return disc.a_adv[0] * (p_adv - p_lvc) + disc.b_adv[0]
-    if disc.input_mode == "concat":
-        return disc.a_adv[0] * p_adv + disc.a_adv[1] * p_lvc + disc.b_adv[0]
-    if disc.input_mode == "adv_only":
-        return disc.a_adv[0] * p_adv + disc.b_adv[0]
-    raise ModelError(f"unknown discriminator input mode {disc.input_mode!r}")
+    mode, a, b = params.input_mode, params.tensors["disc.a_adv"], params.tensors["disc.b_adv"]
+    if mode == "residual":
+        return a[0] * (p_adv - p_lvc) + b[0]
+    if mode == "concat":
+        return a[0] * p_adv + a[1] * p_lvc + b[0]
+    if mode == "adv_only":
+        return a[0] * p_adv + b[0]
+    raise ModelError(f"unknown discriminator input mode {mode!r}")
 
 
 def sample_gumbel(rng, size=None):
@@ -298,15 +269,14 @@ def sample_gumbel(rng, size=None):
     return -np.log(-np.log(u))
 
 
-def sample_gate(f_adv, tau, sampler, rng=None, gumbels=None):
-    """Draw keep/discard decisions for logits (0, f_adv); returns (z, w, gumbels).
+def sample_gate(f_adv, tau, sampler, rng=None):
+    """Draw keep/discard decisions for logits (0, f_adv); returns (z, w).
 
-    gumbel_hard perturbs both logits with Gumbel(0,1) noise, gumbels
-    (..., 2) pre-drawn or drawn from rng, and takes the argmax; its
-    marginal P(z=1) is sigma(f_adv) for any tau. w is the softmax weight
-    of the discard side at temperature tau. softmax_soft skips the noise
-    (gumbels is None): w = sigma(f_adv / tau) and z is just the induced
-    hard call (w > 1/2).
+    gumbel_hard perturbs both logits with Gumbel(0,1) noise, one (..., 2)
+    sample_gumbel draw from rng, and takes the argmax; its marginal
+    P(z=1) is sigma(f_adv) for any tau. w is the softmax weight of the
+    discard side at temperature tau. softmax_soft draws no noise:
+    w = sigma(f_adv / tau) and z is just the induced hard call (w > 1/2).
     """
     if sampler not in SAMPLER_KINDS:
         raise ModelError(f"unknown sampler {sampler!r}")
@@ -314,13 +284,12 @@ def sample_gate(f_adv, tau, sampler, rng=None, gumbels=None):
         raise ModelError("tau must be > 0")
     if sampler == "softmax_soft":
         w = sigmoid(f_adv / tau)
-        return np.greater(w, 0.5).astype(int), w, None
-    if gumbels is None:
-        if rng is None:
-            raise ModelError("gumbel_hard needs an rng or pre-drawn gumbels")
-        gumbels = sample_gumbel(rng, size=np.shape(f_adv) + (2,))
+        return np.greater(w, 0.5).astype(int), w
+    if rng is None:
+        raise ModelError("gumbel_hard needs an rng")
+    gumbels = sample_gumbel(rng, size=np.shape(f_adv) + (2,))
     margin = f_adv + gumbels[..., 1] - gumbels[..., 0]
-    return (margin > 0).astype(int), sigmoid(margin / tau), gumbels
+    return (margin > 0).astype(int), sigmoid(margin / tau)
 
 
 def init_bvf(params, clips, rng):
@@ -331,12 +300,11 @@ def init_bvf(params, clips, rng):
     normalized group mean. Groups that die under ReLU fall back to a
     random unit vector.
     """
-    n_bvf = params.disc.bvf.shape[0]
+    bank = params.tensors["disc.bvf"]  # written row by row in place: a view into params.flat
     if not clips:
         raise ModelError("cannot seed background bank from an empty corpus")
-    pooled = np.stack([embed(params.vision, c.frames_raw)[0].mean(axis=0) for c in clips])
-    groups = np.array_split(rng.permutation(len(clips)), n_bvf)
-    bank = params.disc.bvf  # written row by row in place: a view into params.flat
+    pooled = np.stack([embed(params, "vision", c.frames_raw)[0].mean(axis=0) for c in clips])
+    groups = np.array_split(rng.permutation(len(clips)), bank.shape[0])
     for i, g in enumerate(groups):
         mean = pooled[g].mean(axis=0) if g.size else np.zeros(bank.shape[1])
         norm = np.linalg.norm(mean)
@@ -344,11 +312,6 @@ def init_bvf(params, clips, rng):
             mean = rng.normal(size=bank.shape[1])
             norm = np.linalg.norm(mean)
         bank[i] = mean / norm
-
-
-def param_tensors(params):
-    """Ordered name -> view into params.flat of every trainable tensor."""
-    return tensor_views(params.flat, params.layout)
 
 
 def read_text(path, error):
@@ -384,18 +347,18 @@ def save_checkpoint(params, path):
 
     The file is replaced atomically (write_atomically).
     """
-    att = params.attention
+    t = params.tensors
     meta = {
-        "attention_kind": att.kind,
-        "input_mode": params.disc.input_mode,
-        "d_in": int(params.language.weight.shape[0]),
-        "d_emb": int(params.language.weight.shape[1]),
-        "d_att": int(att.w_score.shape[0]) if att.kind == "additive" else 0,
-        "n_bvf": int(params.disc.bvf.shape[0]),
+        "attention_kind": params.attention_kind,
+        "input_mode": params.input_mode,
+        "d_in": int(t["language.weight"].shape[0]),
+        "d_emb": int(t["language.weight"].shape[1]),
+        "d_att": int(t["attention.w_score"].shape[0]) if "attention.w_score" in t else 0,
+        "n_bvf": int(t["disc.bvf"].shape[0]),
     }
     tensors = {
         name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-        for name, arr in param_tensors(params).items()
+        for name, arr in t.items()
     }
     doc = {
         "format": PARAMS_FORMAT,
@@ -433,7 +396,7 @@ def load_checkpoint(path):
     # each stored value takes >= 2 characters: bounds what _zero_model allocates
     params = _zero_model(d_in, d_emb, meta.get("attention_kind"), meta.get("input_mode"),
                          n_bvf, d_att, max_values=len(text) // 2)
-    for name, arr in param_tensors(params).items():
+    for name, arr in params.tensors.items():
         entry = entries.get(name)
         if not isinstance(entry, dict):
             raise ModelError(f"checkpoint tensor {name!r} is missing or not an object")

@@ -25,7 +25,7 @@ import numpy as np
 from .config import ConfigError
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
 from .gradients import NumericError, compute_gradients, first_nonfinite
-from .model import init_bvf, init_model, model_layout, param_tensors, save_checkpoint
+from .model import init_bvf, init_model, model_layout, save_checkpoint
 from .optim import sgd_step, update_runs
 
 DISC_TENSORS = frozenset({"disc.bvf", "disc.a_adv", "disc.b_adv"})
@@ -191,7 +191,7 @@ def train(cfg, corpus, run_dir=None, log=None):
                              cfg.weight_decay, runs)
                     if not np.isfinite(params.flat).all():
                         raise NumericError("non-finite parameter in "
-                                           f"{first_nonfinite(param_tensors(params))}")
+                                           f"{first_nonfinite(params.tensors)}")
                 except NumericError as exc:
                     raise NumericError(f"epoch {epoch}, step {step} ({phase}): {exc}") from None
                 stats.add(fwd, tag_idx[clip_idx[:half]])

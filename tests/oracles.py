@@ -1,9 +1,9 @@
 """Shared test oracles: a frozen-noise surrogate objective, central
-finite differences over it, the triplet loss by enumeration, the
-per-tensor SGD rule, the per-query retrieval rank, exact record
-equality, a corpus-file reader and writer that edit records field by
-field in either file version, and the corpus generator drawn and
-normalised one vector at a time.
+finite differences over it, a generator whose one uniform draw is
+pinned, the triplet loss by enumeration, the per-tensor SGD rule, the
+per-query retrieval rank, exact record equality, a corpus-file reader
+and writer that edit records field by field in either file version, and
+the corpus generator drawn and normalised one vector at a time.
 
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
@@ -26,8 +26,7 @@ from pairsieve.config import TrainConfig
 from pairsieve.corpus import TAGS, ClipRecord, CorpusError, build_concept_bank
 from pairsieve.gradients import compute_gradients
 from pairsieve.losses import bce_loss, softplus, triplet_hinges
-from pairsieve.model import (adv_logit, attend, embed, init_model, param_tensors,
-                             sample_gate, sample_gumbel, tensor_views)
+from pairsieve.model import adv_logit, attend, embed, init_model, sample_gate, tensor_views
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -36,11 +35,12 @@ ABS_TOL = 1e-7
 SUM_TOL = 1e-12
 
 
-def surrogate(params, batch, cfg, phase, gumbels, pinned=None):
+def surrogate(params, batch, cfg, phase, seed, pinned=None):
     """The step's objective with the gate noise pinned, and what it reports.
 
-    batch = (xs, xf, labels) as compute_gradients takes them, gumbels the
-    (B, 2) gate noise (unused by softmax_soft) and pinned = (z0, w0) the
+    batch = (xs, xf, labels) as compute_gradients takes them, seed that of
+    a fresh generator for the gate's one (B, 2) noise draw, the draw the
+    step makes (softmax_soft draws none), and pinned = (z0, w0) the
     hard calls and gate weights at the base point; None makes this call
     the base point. The gate weight is z0 + w - w0 for the hard sampler
     and w for the soft one, held at its base value in the freeze phase;
@@ -55,12 +55,13 @@ def surrogate(params, batch, cfg, phase, gumbels, pinned=None):
     b = xs.shape[0]
     hard = cfg.sampler_kind == "gumbel_hard"
     joint = phase == "joint"
-    s = embed(params.language, xs)[0]
-    v = attend(params.attention, s, embed(params.vision, xf)[0])[0]
+    t = params.tensors
+    s = embed(params, "language", xs)[0]
+    v = attend(params, s, embed(params, "vision", xf)[0])[0]
     p_lvc = (s * v).sum(axis=1)
     if cfg.discriminator_enabled:
-        f_adv = adv_logit(params.disc, p_lvc, (s @ params.disc.bvf.T).max(axis=1))
-        z, w, _ = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, gumbels=gumbels)
+        f_adv = adv_logit(params, p_lvc, (s @ t["disc.bvf"].T).max(axis=1))
+        z, w = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng=np.random.default_rng(seed))
         z0, w0 = pinned = (z, w) if pinned is None else pinned
         if not joint:
             gate = z0 if hard else w0
@@ -72,7 +73,7 @@ def surrogate(params, batch, cfg, phase, gumbels, pinned=None):
     keep = 1.0 - gate
 
     if cfg.loss_kind == "bce":
-        pair_lvc = bce_loss(labels, params.a_lvc[0] * p_lvc + params.b_lvc[0])
+        pair_lvc = bce_loss(labels, t["a_lvc"][0] * p_lvc + t["b_lvc"][0])
         lvc_sum, lvc_weight = float((keep * pair_lvc).sum()), float(keep.sum())
         lvc = lvc_sum / b
     else:
@@ -87,6 +88,17 @@ def surrogate(params, batch, cfg, phase, gumbels, pinned=None):
     adv_sum = float((gate * pair_adv).sum())
     adv = adv_sum / b if cfg.discriminator_enabled and joint else 0.0
     return lvc + adv, keep, lvc_sum, lvc_weight, adv_sum, pinned
+
+
+class PinnedUniform:
+    """Stands in for the gate's generator: its one uniform draw returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, low, high, size):
+        assert size == self.u.shape
+        return self.u
 
 
 def finite_difference(fn, arr, h=FD_STEP):
@@ -109,17 +121,15 @@ def gradient_mismatches(params, batch, cfg, phase, rng):
     """Compare analytic gradients against finite differences.
 
     The gate's noise is the only draw compute_gradients makes from its
-    rng, so one seed taken from rng gives the step a fresh generator and
-    the surrogate the same gumbels. The step's keep and loss sums must
-    match the surrogate's at the base point to SUM_TOL. Returns a list of
-    (tensor name, index, analytic, numeric) tuples for every coordinate
-    outside tolerance; an empty list means agreement.
+    rng, so one seed taken from rng gives the step and every surrogate
+    call a fresh generator of the same noise. The step's keep and loss
+    sums must match the surrogate's at the base point to SUM_TOL. Returns
+    a list of (tensor name, index, analytic, numeric) tuples for every
+    coordinate outside tolerance; an empty list means agreement.
     """
     seed = int(rng.integers(2**63))
     fwd, grad = compute_gradients(params, *batch, cfg, phase, rng=np.random.default_rng(seed))
-    gumbels = sample_gumbel(np.random.default_rng(seed), (batch[0].shape[0], 2))
-    _, keep, lvc_sum, lvc_weight, adv_sum, pinned = surrogate(params, batch, cfg, phase,
-                                                             gumbels)
+    _, keep, lvc_sum, lvc_weight, adv_sum, pinned = surrogate(params, batch, cfg, phase, seed)
     for name, ours, step in (("keep", keep, fwd.keep), ("lvc_sum", lvc_sum, fwd.lvc_sum),
                              ("lvc_weight", lvc_weight, fwd.lvc_weight),
                              ("adv_sum", adv_sum, fwd.adv_sum)):
@@ -127,9 +137,9 @@ def gradient_mismatches(params, batch, cfg, phase, rng):
             raise AssertionError(f"surrogate {name} {ours!r} differs from the step's {step!r}")
     grads = tensor_views(grad, params.layout)
     bad = []
-    for name, arr in param_tensors(params).items():
+    for name, arr in params.tensors.items():
         num = finite_difference(
-            lambda: surrogate(params, batch, cfg, phase, gumbels, pinned)[0], arr)
+            lambda: surrogate(params, batch, cfg, phase, seed, pinned)[0], arr)
         ana = grads[name]
         err = np.abs(ana - num)
         tol = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(ana), np.abs(num)))
@@ -151,8 +161,8 @@ def random_problem(rng, attention="dot", input_mode="residual",
     params = init_model(d_in, d_emb, attention, input_mode, n_bvf, rng)
     # keep most relu units clear of the kink, where central differences
     # measure the wrong thing
-    params.language.bias += 0.3
-    params.vision.bias += 0.3
+    params.tensors["language.bias"] += 0.3
+    params.tensors["vision.bias"] += 0.3
     half = batch // 2
     xs = rng.normal(size=(batch, d_in))
     xf = rng.normal(size=(batch, n_frames, d_in))

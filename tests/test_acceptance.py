@@ -21,9 +21,7 @@ from pairsieve.model import (
     attend,
     init_model,
     load_checkpoint,
-    param_tensors,
     sample_gate,
-    sample_gumbel,
 )
 from pairsieve.training import train
 
@@ -139,8 +137,7 @@ def test_criterion_3_gate_distribution():
     worst = 0.0
     for i, (tau, f) in enumerate(itertools.product((0.5, 1.0), (-2.0, 0.0, 1.0))):
         rng = np.random.default_rng(300 + i)
-        noise = sample_gumbel(rng, size=(n, 2))
-        hits = int(sample_gate(f, tau, "gumbel_hard", gumbels=noise)[0].sum())
+        hits = int(sample_gate(np.full(n, f), tau, "gumbel_hard", rng=rng)[0].sum())
         p = float(sigmoid(np.array(f)))
         se = np.sqrt(p * (1.0 - p) / n)
         worst = max(worst, abs(hits / n - p) / se)
@@ -260,20 +257,20 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     loaded = load_checkpoint(tmp_path / "a" / "checkpoint_final.json")
     reloaded = load_checkpoint(tmp_path / "a" / "checkpoint_final.json")
     ckpt_ok = all(
-        np.array_equal(arr, param_tensors(reloaded)[name])
-        for name, arr in param_tensors(loaded).items()
+        np.array_equal(arr, reloaded.tensors[name])
+        for name, arr in loaded.tensors.items()
     )
 
     rng = np.random.default_rng(8)
     d = 8
-    atts = [init_model(d, d, kind, "residual", 2, rng).attention
-            for kind in ("uniform", "dot", "multiplicative", "additive")]
+    models = [init_model(d, d, kind, "residual", 2, rng)
+              for kind in ("uniform", "dot", "multiplicative", "additive")]
     worst = 0.0
     for i in range(10**4):
-        att = atts[i % len(atts)]
+        model = models[i % len(models)]
         s = rng.normal(size=d)
         h = rng.normal(size=(1 + i % 8, d))
-        _, alpha, _ = attend(att, s, h)
+        _, alpha, _ = attend(model, s, h)
         worst = max(worst, abs(float(alpha.sum()) - 1.0))
     sums_ok = worst <= 1e-12
 

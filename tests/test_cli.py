@@ -248,7 +248,8 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     huge_ckpts = []
     for kind in ATTENTION_KINDS:
         params = init_model(8, 8, kind, "residual", 2, np.random.default_rng(0))
-        params.vision.weight[...] = np.resize([1e308, -1e308], params.vision.weight.shape)
+        weight = params.tensors["vision.weight"]
+        weight[...] = np.resize([1e308, -1e308], weight.shape)
         huge_ckpts.append(tmp_path / f"huge_{kind}.json")
         save_checkpoint(params, huge_ckpts[-1])
     for command in (

@@ -288,6 +288,14 @@ def _check_line_numbers(tmp_path, version):
     path.write_text("\n".join([lines[0], short]) + "\n")
     with pytest.raises(CorpusError, match="line 2: dimension mismatch.*header d=8"):
         load_corpus(path)
+    # a header d that is neither an integer nor null is one line-1 error naming its repr
+    for value in ("8", True, 8.0):
+        path.write_text("\n".join([json.dumps({**header, "d": value}), lines[1]]) + "\n")
+        with pytest.raises(CorpusError, match=f"^line 1: .*{re.escape(repr(value))}$"):
+            load_corpus(path)
+    # save_corpus writes d = 0 for an empty corpus
+    path.write_text(json.dumps({**header, "d": 0}) + "\n")
+    assert load_corpus(path) == []
 
     # bytes that are not UTF-8 name the path and their line
     path.write_bytes("\n".join(lines).encode() + b"\n")

@@ -79,9 +79,9 @@ def _per_pair_scores(params, records):
     """s_i . v_ij from one attend call per (sentence, clip) pair."""
     out = np.empty((len(records), len(records)))
     for i, qi in enumerate(records):
-        s = embed(params.language, qi.sentence_raw)[0]
+        s = embed(params, "language", qi.sentence_raw)[0]
         for j, cj in enumerate(records):
-            v, _, _ = attend(params.attention, s, embed(params.vision, cj.frames_raw)[0])
+            v, _, _ = attend(params, s, embed(params, "vision", cj.frames_raw)[0])
             out[i, j] = float(s @ v)
     return out
 
@@ -172,7 +172,8 @@ def test_score_matrix_threads_keep_callers_error_state(monkeypatch):
     # no share may warn, though numpy's error state does not pass to new threads
     _use_cores(monkeypatch, 2)
     params = init_model(8, 8, "additive", "residual", 2, np.random.default_rng(0))
-    params.vision.weight[...] = np.resize([1e308, -1e308], params.vision.weight.shape)
+    weight = params.tensors["vision.weight"]
+    weight[...] = np.resize([1e308, -1e308], weight.shape)
     records = _records(n=6, seed=3)
     with pytest.warns(RuntimeWarning):
         score_matrix(params, records[3:])  # the second share's clips overflow
@@ -190,14 +191,14 @@ def test_score_matrix_worker_error_is_raised_after_every_join(tmp_path, monkeypa
     records = _records(n=6, seed=10)
     params = init_model(8, 6, "additive", "residual", 2, np.random.default_rng(6))
     failing = {"Unable to allocate 1.00 GiB for an array":
-               embed(params.vision, records[-1].frames_raw)[0]}
+               embed(params, "vision", records[-1].frames_raw)[0]}
     clip_scores = evaluation.clip_scores
 
-    def failing_clip_scores(attention, h, *rest):
+    def failing_clip_scores(model, h, *rest):
         for message, frames in failing.items():
             if np.array_equal(h, frames):
                 raise MemoryError(message)
-        return clip_scores(attention, h, *rest)
+        return clip_scores(model, h, *rest)
 
     monkeypatch.setattr(evaluation, "clip_scores", failing_clip_scores)
     before = threading.active_count()
@@ -205,7 +206,7 @@ def test_score_matrix_worker_error_is_raised_after_every_join(tmp_path, monkeypa
         score_matrix(params, records)
     assert threading.active_count() == before
     # with both shares failing, the first share's error is the one raised
-    failing["first share"] = embed(params.vision, records[0].frames_raw)[0]
+    failing["first share"] = embed(params, "vision", records[0].frames_raw)[0]
     with pytest.raises(MemoryError, match="first share"):
         score_matrix(params, records)
     del failing["first share"]
@@ -225,7 +226,7 @@ def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
     _use_cores(monkeypatch, 2)
     records = _records(n=400, seed=6)
     params = init_model(8, 32, "additive", "residual", 2, np.random.default_rng(5))
-    n, d_att = len(records), params.attention.w_score.shape[0]
+    n, d_att = len(records), params.tensors["attention.w_score"].shape[0]
     f_max = max(r.frames_raw.shape[0] for r in records)
     tracemalloc.start()
     try:

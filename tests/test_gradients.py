@@ -10,20 +10,9 @@ from pairsieve.gradients import NumericError, compute_gradients
 from pairsieve.losses import bce_loss, sigmoid
 from pairsieve.model import ModelError, adv_logit, attend, embed, tensor_views
 
-from oracles import gradient_mismatches, random_problem, triplet_by_enumeration
+from oracles import PinnedUniform, gradient_mismatches, random_problem, triplet_by_enumeration
 
 DISC_TENSORS = ("disc.bvf", "disc.a_adv", "disc.b_adv")
-
-
-class PinnedUniform:
-    """Stands in for the gate's generator: its one uniform draw returns u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self, low, high, size):
-        assert size == self.u.shape
-        return self.u
 
 
 def _gate_rng(z):
@@ -38,8 +27,8 @@ def _gate_rng(z):
 
 
 def _pooled(params, xs, xf):
-    s = embed(params.language, xs)[0]
-    return s, attend(params.attention, s, embed(params.vision, xf)[0])[0]
+    s = embed(params, "language", xs)[0]
+    return s, attend(params, s, embed(params, "vision", xf)[0])[0]
 
 
 def test_forward_attention_rows_normalized():
@@ -50,13 +39,14 @@ def test_forward_attention_rows_normalized():
         params, batch, cfg = random_problem(rng, attention=kind, n_frames=3, disc_on=False)
         xs, xf, labels = batch
         fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
-        s = embed(params.language, xs)[0]
-        h = embed(params.vision, xf)[0]
-        v, alpha, _ = attend(params.attention, s, h)
+        s = embed(params, "language", xs)[0]
+        h = embed(params, "vision", xf)[0]
+        v, alpha, _ = attend(params, s, h)
         assert alpha.shape == (4, 3) and np.all(alpha >= 0)
         assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(v, np.einsum("bf,bfe->be", alpha, h))
-        pair = bce_loss(labels, params.a_lvc[0] * (s * v).sum(axis=1) + params.b_lvc[0])
+        t = params.tensors
+        pair = bce_loss(labels, t["a_lvc"][0] * (s * v).sum(axis=1) + t["b_lvc"][0])
         assert np.isclose(fwd.lvc_sum, pair.sum(), rtol=1e-12)
 
 
@@ -72,7 +62,7 @@ def test_forward_pair_scores_are_cosines():
     assert np.allclose(np.linalg.norm(s, axis=1), 1.0, atol=1e-12)
     p_lvc = (s * v).sum(axis=1)
     assert np.all(np.abs(p_lvc) <= 1.0 + 1e-12)
-    pair = bce_loss(labels, params.a_lvc[0] * p_lvc + params.b_lvc[0])
+    pair = bce_loss(labels, params.tensors["a_lvc"][0] * p_lvc + params.tensors["b_lvc"][0])
     assert np.isclose(fwd.lvc_sum, pair[z == 0].sum(), rtol=1e-12)
 
 
@@ -83,7 +73,8 @@ def test_forward_bce_pairs_match_loss_module():
     z = np.array([0, 1, 0, 0])
     fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
     s, v = _pooled(params, xs, xf)
-    pair = bce_loss(labels, params.a_lvc[0] * (s * v).sum(axis=1) + params.b_lvc[0])
+    t = params.tensors
+    pair = bce_loss(labels, t["a_lvc"][0] * (s * v).sum(axis=1) + t["b_lvc"][0])
     # the kept pairs' match losses, weighted by the kept mass
     assert np.isclose(fwd.lvc_sum, pair[z == 0].sum(), rtol=1e-12)
     assert fwd.lvc_weight == 3.0
@@ -100,7 +91,7 @@ def test_forward_keep_tracks_sampler():
     params, batch, cfg = random_problem(rng, sampler="softmax_soft")
     fwd = compute_gradients(params, *batch, cfg, "joint")[0]
     s, v = _pooled(params, *batch[:2])
-    f_adv = adv_logit(params.disc, (s * v).sum(axis=1), (s @ params.disc.bvf.T).max(axis=1))
+    f_adv = adv_logit(params, (s * v).sum(axis=1), (s @ params.tensors["disc.bvf"].T).max(axis=1))
     assert np.allclose(fwd.keep, 1.0 - sigmoid(f_adv / cfg.tau), rtol=0, atol=1e-12)
     assert np.all((fwd.keep > 0) & (fwd.keep < 1))
 

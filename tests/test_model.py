@@ -1,7 +1,6 @@
 """Embedding channels, attention scorers, gating, and checkpoints."""
 
 import json
-import operator
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from pairsieve.corpus import CorpusSpec, generate_corpus
 from pairsieve.model import (
     ATTENTION_KINDS,
     INPUT_MODES,
-    ChannelParams,
     ModelError,
     adv_logit,
     attend,
@@ -19,34 +17,39 @@ from pairsieve.model import (
     init_bvf,
     init_model,
     load_checkpoint,
-    param_tensors,
     sample_gate,
     sample_gumbel,
     save_checkpoint,
     softmax,
 )
 
+from oracles import PinnedUniform
 
-def _model(kind="dot", mode="residual", seed=0, d_in=6, d_emb=5, n_bvf=3):
-    return init_model(d_in, d_emb, kind, mode, n_bvf, np.random.default_rng(seed))
+
+def _model(kind="dot", mode="residual", seed=0, d_in=6, d_emb=5, n_bvf=3, d_att=0):
+    return init_model(d_in, d_emb, kind, mode, n_bvf, np.random.default_rng(seed), d_att=d_att)
 
 
 def test_embed_unit_norm():
     rng = np.random.default_rng(0)
-    ch = ChannelParams(weight=rng.normal(size=(6, 5)), bias=rng.normal(size=5))
+    params = _model()
+    t = params.tensors
+    t["language.weight"][...] = rng.normal(size=(6, 5))
+    t["language.bias"][...] = rng.normal(size=5)
     x = rng.normal(size=(10, 6))
-    y, pre, norm = embed(ch, x)
+    y, pre, norm = embed(params, "language", x)
     norms = np.linalg.norm(y, axis=1)
     assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
     assert np.all(y >= 0)  # relu output
     # the backward cache: pre-activation and the norm of its relu
-    assert np.allclose(pre, x @ ch.weight + ch.bias)
+    assert np.allclose(pre, x @ t["language.weight"] + t["language.bias"])
     assert np.allclose(norm[:, 0], np.linalg.norm(np.maximum(pre, 0.0), axis=1))
 
 
 def test_embed_dead_relu_gives_zero_vector():
-    ch = ChannelParams(weight=-np.ones((3, 4)), bias=np.zeros(4))
-    y = embed(ch, np.ones(3))[0]
+    params = _model(d_in=3, d_emb=4)
+    params.tensors["vision.weight"][...] = -1.0  # biases start at zero
+    y = embed(params, "vision", np.ones(3))[0]
     assert np.array_equal(y, np.zeros(4))
     # downstream scores with a dead embedding are simply zero
     assert float(y @ np.ones(4)) == 0.0
@@ -65,17 +68,17 @@ def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(1)
     for kind in ATTENTION_KINDS:
         params = _model(kind=kind, seed=2)
-        s = embed(params.language, rng.normal(size=6))[0]
-        h = embed(params.vision, rng.normal(size=(7, 6)))[0]
-        v, alpha, _ = attend(params.attention, s, h)
+        s = embed(params, "language", rng.normal(size=6))[0]
+        h = embed(params, "vision", rng.normal(size=(7, 6)))[0]
+        v, alpha, _ = attend(params, s, h)
         assert np.isclose(alpha.sum(), 1.0, atol=1e-12)
         assert np.allclose(v, alpha @ h)
         if kind == "uniform":
             assert np.allclose(alpha, np.full(7, 1.0 / 7.0))
         # a batch (B, E) against (B, F, E), as a training step pools its pairs
-        s = embed(params.language, rng.normal(size=(4, 6)))[0]
-        h = embed(params.vision, rng.normal(size=(4, 3, 6)))[0]
-        v, alpha, _ = attend(params.attention, s, h)
+        s = embed(params, "language", rng.normal(size=(4, 6)))[0]
+        h = embed(params, "vision", rng.normal(size=(4, 3, 6)))[0]
+        v, alpha, _ = attend(params, s, h)
         assert alpha.shape == (4, 3) and np.all(alpha >= 0)
         assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(v, np.einsum("bf,bfe->be", alpha, h))
@@ -83,18 +86,20 @@ def test_attention_weights_sum_to_one():
         assert np.all(np.abs((s * v).sum(axis=1)) <= 1.0 + 1e-12)
 
 
-def _manual_scores(att, s, h):
+def _manual_scores(params, s, h):
     """Frame-by-frame score of one sentence s (E,) against frames h (F, E)."""
+    t = params.tensors
     out = []
     for frame in h:
-        if att.kind == "uniform":
+        if params.attention_kind == "uniform":
             out.append(0.0)
-        elif att.kind == "dot":
+        elif params.attention_kind == "dot":
             out.append(s @ frame)
-        elif att.kind == "multiplicative":
-            out.append(s @ att.w_mult @ frame)
+        elif params.attention_kind == "multiplicative":
+            out.append(s @ t["attention.w_mult"] @ frame)
         else:
-            out.append(np.tanh(s @ att.w1 + frame @ att.w2) @ att.w_score)
+            out.append(np.tanh(s @ t["attention.w1"] + frame @ t["attention.w2"])
+                       @ t["attention.w_score"])
     return np.array(out)
 
 
@@ -103,36 +108,36 @@ def test_attention_scores_match_manual_forms():
     s = rng.normal(size=(3, 5))
     h = rng.normal(size=(3, 4, 5))
     for kind in ATTENTION_KINDS:
-        att = _model(kind=kind, d_in=5).attention
-        pair, _ = attention_scores(att, s[0], h[0])
-        batch, _ = attention_scores(att, s, h)     # sentence i with clip i
-        grid, _ = attention_scores(att, s, h[0])   # every sentence with clip 0
+        params = _model(kind=kind, d_in=5)
+        pair, _ = attention_scores(params, s[0], h[0])
+        batch, _ = attention_scores(params, s, h)     # sentence i with clip i
+        grid, _ = attention_scores(params, s, h[0])   # every sentence with clip 0
         assert pair.shape == (4,) and batch.shape == grid.shape == (3, 4), kind
-        assert np.allclose(pair, _manual_scores(att, s[0], h[0])), kind
-        v, alpha, _ = attend(att, s, h[0])
+        assert np.allclose(pair, _manual_scores(params, s[0], h[0])), kind
+        v, alpha, _ = attend(params, s, h[0])
         for i in range(3):
-            assert np.allclose(batch[i], _manual_scores(att, s[i], h[i])), kind
-            assert np.allclose(grid[i], _manual_scores(att, s[i], h[0])), kind
+            assert np.allclose(batch[i], _manual_scores(params, s[i], h[i])), kind
+            assert np.allclose(grid[i], _manual_scores(params, s[i], h[0])), kind
             assert np.allclose(v[i], alpha[i] @ h[0]), kind
 
 
 def test_adv_logit_modes():
     params = _model(mode="residual")
-    params.disc.a_adv[:] = [2.0]
-    params.disc.b_adv[:] = [0.5]
-    assert np.isclose(adv_logit(params.disc, 0.3, 0.8), 2.0 * 0.5 + 0.5)
+    params.tensors["disc.a_adv"][:] = [2.0]
+    params.tensors["disc.b_adv"][:] = [0.5]
+    assert np.isclose(adv_logit(params, 0.3, 0.8), 2.0 * 0.5 + 0.5)
 
     params = _model(mode="concat")
-    params.disc.a_adv[:] = [2.0, -1.0]
-    params.disc.b_adv[:] = [0.5]
-    assert np.isclose(adv_logit(params.disc, 0.3, 0.8), 2.0 * 0.8 - 1.0 * 0.3 + 0.5)
+    params.tensors["disc.a_adv"][:] = [2.0, -1.0]
+    params.tensors["disc.b_adv"][:] = [0.5]
+    assert np.isclose(adv_logit(params, 0.3, 0.8), 2.0 * 0.8 - 1.0 * 0.3 + 0.5)
 
     params = _model(mode="adv_only")
-    params.disc.a_adv[:] = [2.0]
-    params.disc.b_adv[:] = [0.5]
-    assert np.isclose(adv_logit(params.disc, 0.3, 0.8), 2.0 * 0.8 + 0.5)
+    params.tensors["disc.a_adv"][:] = [2.0]
+    params.tensors["disc.b_adv"][:] = [0.5]
+    assert np.isclose(adv_logit(params, 0.3, 0.8), 2.0 * 0.8 + 0.5)
     # elementwise over arrays of pair scores
-    got = adv_logit(params.disc, np.array([0.3, 0.1]), np.array([0.8, -0.2]))
+    got = adv_logit(params, np.array([0.3, 0.1]), np.array([0.8, -0.2]))
     assert np.allclose(got, [2.0 * 0.8 + 0.5, 2.0 * -0.2 + 0.5])
 
 
@@ -145,27 +150,35 @@ def test_sample_gumbel_moments():
 
 
 def test_sample_gate_soft_is_deterministic():
-    z, w, gumbels = sample_gate(1.0, 0.5, "softmax_soft")
+    # an rng without methods: the soft gate draws no noise
+    z, w = sample_gate(1.0, 0.5, "softmax_soft", rng=object())
     assert w == pytest.approx(1.0 / (1.0 + np.exp(-2.0)))
     assert z == 1
-    assert gumbels is None
-    z, w, _ = sample_gate(-1.0, 1.0, "softmax_soft")
+    z, w = sample_gate(-1.0, 1.0, "softmax_soft")
     assert z == 0
+
+
+def _noise(gumbels):
+    """A generator whose one uniform draw sample_gumbel maps to these gumbels."""
+    return PinnedUniform(np.exp(-np.exp(-np.asarray(gumbels))))
 
 
 def test_sample_gate_hard_with_pinned_noise():
-    z, w, _ = sample_gate(0.5, 1.0, "gumbel_hard", gumbels=np.array([0.2, 0.1]))
+    z, w = sample_gate(0.5, 1.0, "gumbel_hard", rng=_noise([0.2, 0.1]))
     assert z == int(0.5 + 0.1 > 0.2) == 1
     assert w == pytest.approx(1.0 / (1.0 + np.exp(-0.4)))
-    z, _, _ = sample_gate(-2.0, 1.0, "gumbel_hard", gumbels=np.array([1.0, 0.5]))
+    z, _ = sample_gate(-2.0, 1.0, "gumbel_hard", rng=_noise([1.0, 0.5]))
     assert z == 0
     # one call gates a whole array of logits, drawing (..., 2) noise
-    z, w, gumbels = sample_gate(np.array([0.5, -2.0]), 1.0, "gumbel_hard",
-                                gumbels=np.array([[0.2, 0.1], [1.0, 0.5]]))
+    z, w = sample_gate(np.array([0.5, -2.0]), 1.0, "gumbel_hard",
+                       rng=_noise([[0.2, 0.1], [1.0, 0.5]]))
     assert z.tolist() == [1, 0]
     assert w[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.4)))
-    _, _, drawn = sample_gate(np.zeros(3), 1.0, "gumbel_hard", rng=np.random.default_rng(0))
-    assert drawn.shape == (3, 2)
+    # from a real generator, that draw is one sample_gumbel call of shape (3, 2)
+    f = np.array([0.3, -0.2, 1.0])
+    z, w = sample_gate(f, 1.0, "gumbel_hard", rng=np.random.default_rng(0))
+    g = sample_gumbel(np.random.default_rng(0), (3, 2))
+    assert np.array_equal(z, (f + g[:, 1] - g[:, 0] > 0).astype(int))
 
 
 def test_sample_gate_validation():
@@ -178,15 +191,15 @@ def test_sample_gate_validation():
 
 
 def test_init_model_shapes_and_validation():
-    params = _model(kind="additive", mode="concat")
-    assert params.language.weight.shape == (6, 5)
-    assert params.attention.w1.shape == (5, 5)  # d_att defaults to d_emb
-    assert params.disc.a_adv.shape == (2,)
-    assert np.allclose(np.linalg.norm(params.disc.bvf, axis=1), 1.0)
+    t = _model(kind="additive", mode="concat").tensors
+    assert t["language.weight"].shape == (6, 5)
+    assert t["attention.w1"].shape == (5, 5)  # d_att defaults to d_emb
+    assert t["disc.a_adv"].shape == (2,)
+    assert np.allclose(np.linalg.norm(t["disc.bvf"], axis=1), 1.0)
 
     custom = init_model(6, 5, "additive", "residual", 3,
                         np.random.default_rng(0), d_att=2)
-    assert custom.attention.w_score.shape == (2,)
+    assert custom.tensors["attention.w_score"].shape == (2,)
 
     with pytest.raises(ModelError):
         init_model(6, 5, "bogus", "residual", 3, np.random.default_rng(0))
@@ -198,31 +211,32 @@ def test_init_model_shapes_and_validation():
 
 def test_param_tensors_keys_and_views():
     params = _model(kind="dot")
-    names = set(param_tensors(params))
+    names = set(params.tensors)
     assert names == {
         "language.weight", "language.bias", "vision.weight", "vision.bias",
         "disc.bvf", "disc.a_adv", "disc.b_adv", "a_lvc", "b_lvc",
     }
     params = _model(kind="additive")
-    assert {"attention.w1", "attention.w2", "attention.w_score"} <= set(param_tensors(params))
+    assert {"attention.w1", "attention.w2", "attention.w_score"} <= set(params.tensors)
     params = _model(kind="multiplicative")
-    tensors = param_tensors(params)
-    tensors["attention.w_mult"][0, 0] = 123.0
-    assert params.attention.w_mult[0, 0] == 123.0  # views, not copies
+    params.tensors["attention.w_mult"][0, 0] = 123.0
+    start = next(start for name, start, _, _ in params.layout if name == "attention.w_mult")
+    assert params.flat[start] == 123.0  # views, not copies
 
 
 def test_init_bvf_rows_unit_norm_and_deterministic():
     train, _ = generate_corpus(CorpusSpec(n_train=40, n_test=1, d=6, k=12, seed=1))
     params = _model()
-    before = params.disc.bvf.copy()
+    bank = params.tensors["disc.bvf"]
+    before = bank.copy()
     init_bvf(params, train, np.random.default_rng(7))
-    assert params.disc.bvf.shape == before.shape
-    assert not np.array_equal(params.disc.bvf, before)
-    assert np.allclose(np.linalg.norm(params.disc.bvf, axis=1), 1.0, atol=1e-12)
+    assert bank.shape == before.shape
+    assert not np.array_equal(bank, before)
+    assert np.allclose(np.linalg.norm(bank, axis=1), 1.0, atol=1e-12)
 
     again = _model()
     init_bvf(again, train, np.random.default_rng(7))
-    assert np.array_equal(params.disc.bvf, again.disc.bvf)
+    assert np.array_equal(bank, again.tensors["disc.bvf"])
 
     with pytest.raises(ModelError):
         init_bvf(_model(), [], np.random.default_rng(0))
@@ -230,25 +244,24 @@ def test_init_bvf_rows_unit_norm_and_deterministic():
 
 
 def _assert_views_of_flat(params):
-    """Every tensor, as param_tensors and as the attribute the forward reads, is
-    the same slice of params.flat, and the slices tile flat exactly."""
-    tensors = param_tensors(params)
+    """tensors is keyed by the layout names in layout order, every tensor is a
+    slice of params.flat, and the slices tile flat exactly."""
+    tensors = params.tensors
+    assert list(tensors) == [name for name, _, _, _ in params.layout]
     for name, view in tensors.items():
-        attr = operator.attrgetter(name)(params)
         assert np.shares_memory(view, params.flat), name
-        assert attr.ctypes.data == view.ctypes.data and attr.shape == view.shape, name
     assert sum(v.size for v in tensors.values()) == params.flat.size
 
 
 @pytest.mark.parametrize("kind", ATTENTION_KINDS)
 @pytest.mark.parametrize("mode", INPUT_MODES)
 def test_tensors_stay_views_of_flat_buffer(tmp_path, kind, mode):
-    params = _model(kind=kind, mode=mode)
+    # an attention width unlike d_emb, which the checkpoint's meta must carry
+    params = _model(kind=kind, mode=mode, d_att=2)
     _assert_views_of_flat(params)
     train, _ = generate_corpus(CorpusSpec(n_train=20, n_test=1, d=6, k=12, seed=2))
     init_bvf(params, train, np.random.default_rng(3))
     _assert_views_of_flat(params)
-    assert np.array_equal(param_tensors(params)["disc.bvf"], params.disc.bvf)
     path = tmp_path / "ck.json"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
@@ -265,12 +278,12 @@ def test_checkpoint_round_trip_exact(tmp_path, kind, mode):
     path = tmp_path / "ck.json"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    a, b = param_tensors(params), param_tensors(loaded)
+    a, b = params.tensors, loaded.tensors
     assert set(a) == set(b)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
-    assert loaded.attention.kind == kind
-    assert loaded.disc.input_mode == mode
+    assert loaded.attention_kind == kind
+    assert loaded.input_mode == mode
 
 
 def test_checkpoint_rejects_bad_files(tmp_path):
@@ -341,19 +354,19 @@ def test_checkpoint_rejects_bad_files(tmp_path):
 
 
 def test_bvf_rows_are_unit_at_initialisation():
-    # rows start unit; nothing projects them later (DiscriminatorParams.bvf)
+    # rows start unit; nothing projects them later (ModelParams)
     for mode in INPUT_MODES:
         for n_bvf in (1, 4, 64):
             params = init_model(6, 5, "dot", mode, n_bvf, np.random.default_rng(n_bvf))
-            assert np.allclose(np.linalg.norm(params.disc.bvf, axis=1), 1.0, atol=1e-12)
+            assert np.allclose(np.linalg.norm(params.tensors["disc.bvf"], axis=1), 1.0, atol=1e-12)
     train, _ = generate_corpus(CorpusSpec(n_train=40, n_test=1, d=6, k=12, seed=1))
     # more rows than clips leaves empty groups, and a dead vision channel pools
     # every clip to zero: both take the random unit fallback
     dead = _model()
-    dead.vision.bias[:] = -1e3
+    dead.tensors["vision.bias"][:] = -1e3
     for params, clips in ((_model(n_bvf=64), train), (dead, train), (_model(), train[:1])):
         init_bvf(params, clips, np.random.default_rng(3))
-        assert np.allclose(np.linalg.norm(params.disc.bvf, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(params.tensors["disc.bvf"], axis=1), 1.0, atol=1e-12)
 
 
 def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from pairsieve.config import ConfigError, TrainConfig
 from pairsieve.corpus import CorpusError
 from pairsieve.gradients import NumericError
-from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint, param_tensors
+from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint
 from pairsieve.training import NO_DECAY, metrics_csv_header, train
 
 from golden_grid import grid_digests
@@ -46,8 +46,8 @@ def test_training_is_deterministic(tiny_corpus):
     params_a, metrics_a = train(SMALL, corpus)
     params_b, metrics_b = train(SMALL, corpus)
     assert [m.csv_row() for m in metrics_a] == [m.csv_row() for m in metrics_b]
-    for name, arr in param_tensors(params_a).items():
-        assert np.array_equal(arr, param_tensors(params_b)[name]), name
+    for name, arr in params_a.tensors.items():
+        assert np.array_equal(arr, params_b.tensors[name]), name
 
     params_c, metrics_c = train(_cfg(seed=1), corpus)
     assert [m.csv_row() for m in metrics_a] != [m.csv_row() for m in metrics_c]
@@ -80,11 +80,10 @@ def test_freeze_phase_leaves_discriminator_untouched(tiny_corpus):
     cfg = _cfg(freeze_epochs=2, joint_epochs=0)
     params, _ = train(cfg, corpus)
     start = _replay_init(cfg, corpus, with_bvf=True)
-    assert np.array_equal(params.disc.bvf, start.disc.bvf)
-    assert np.array_equal(params.disc.a_adv, start.disc.a_adv)
-    assert np.array_equal(params.disc.b_adv, start.disc.b_adv)
+    for name in ("disc.bvf", "disc.a_adv", "disc.b_adv"):
+        assert np.array_equal(params.tensors[name], start.tensors[name]), name
     # while the embedding channels did move
-    assert not np.array_equal(params.language.weight, start.language.weight)
+    assert not np.array_equal(params.tensors["language.weight"], start.tensors["language.weight"])
 
 
 def test_disabled_discriminator_never_updates(tiny_corpus):
@@ -92,7 +91,7 @@ def test_disabled_discriminator_never_updates(tiny_corpus):
     cfg = _cfg(discriminator_enabled=False, freeze_epochs=0, joint_epochs=3)
     params, metrics = train(cfg, corpus)
     start = _replay_init(cfg, corpus, with_bvf=False)
-    assert np.array_equal(params.disc.bvf, start.disc.bvf)
+    assert np.array_equal(params.tensors["disc.bvf"], start.tensors["disc.bvf"])
     assert all(m.z0_fraction == 1.0 for m in metrics)
     assert all(m.loss_adv == 0.0 for m in metrics)
 
@@ -100,7 +99,7 @@ def test_disabled_discriminator_never_updates(tiny_corpus):
 def test_decay_exemption_names_the_match_logit_scalars():
     params = init_model(6, 4, "dot", "residual", 2, np.random.default_rng(0))
     assert NO_DECAY == {"a_lvc", "b_lvc"}
-    assert NO_DECAY <= set(param_tensors(params))
+    assert NO_DECAY <= set(params.tensors)
 
 
 def test_soft_sampler_and_triplet_loss_run(tiny_corpus):
@@ -122,13 +121,13 @@ def test_run_dir_artifacts(tmp_path, tiny_corpus):
     assert (run_dir / "metrics.csv").read_text() == "\n".join(lines) + "\n"
 
     final = load_checkpoint(run_dir / "checkpoint_final.json")
-    for name, arr in param_tensors(params).items():
-        assert np.array_equal(arr, param_tensors(final)[name]), name
+    for name, arr in params.tensors.items():
+        assert np.array_equal(arr, final.tensors[name]), name
 
     frozen = load_checkpoint(run_dir / "checkpoint_freeze.json")
     start = _replay_init(SMALL, corpus, with_bvf=True)
-    assert np.array_equal(frozen.disc.bvf, start.disc.bvf)
-    assert not np.array_equal(frozen.language.weight, final.language.weight)
+    assert np.array_equal(frozen.tensors["disc.bvf"], start.tensors["disc.bvf"])
+    assert not np.array_equal(frozen.tensors["language.weight"], final.tensors["language.weight"])
 
 
 def test_metrics_survive_numeric_failure(tmp_path, tiny_corpus):
