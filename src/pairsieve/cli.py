@@ -31,6 +31,7 @@ from .corpus import CorpusError, generate_corpus, load_corpus, save_corpus
 from .evaluation import (
     EvalError,
     bidirectional_retrieval,
+    check_eval_size,
     export_attention,
     report_csv,
     report_summary,
@@ -162,6 +163,7 @@ def cmd_ablate(args):
     if corpus:
         _check_dim(test_records, args.test_corpus, corpus[0].sentence_raw.shape[0],
                    "the training corpus's d")
+    check_eval_size(test_records)
     axis_values = ABLATION_AXES[args.axis]
     if args.values:
         axis_values = _parse_axis_values(args.axis, args.values)

@@ -327,14 +327,18 @@ def read_text(path, error):
 def write_atomically(path):
     """Yield a text file that replaces path only once the block completes.
 
-    Writing goes to path + ".tmp" in the same directory, which os.replace
-    then moves into place, so a write that fails midway leaves the
-    previous file as it was and no temp file. Nothing is fsynced: this
-    guards against a failing process, not against power loss.
+    Writing goes to a temporary file of a name no other write uses,
+    path + "." + 16 random hex digits + ".tmp", in the same directory,
+    which os.replace then moves into place. So a write that fails midway
+    leaves the previous file as it was and no temp file, and of writers
+    racing on one path the last to finish wins with its whole text.
+    Nothing is fsynced: this guards against a failing process, not
+    against power loss.
     """
-    tmp = f"{os.fspath(path)}.tmp"
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x")  # exclusive: a name taken after all is an error, not a shared file
     try:
-        with open(tmp, "w") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -1,9 +1,10 @@
 """Shared test oracles: a frozen-noise surrogate objective, central
 finite differences over it, a generator whose one uniform draw is
 pinned, the triplet loss by enumeration, the per-tensor SGD rule, the
-per-query retrieval rank, exact record equality, a corpus-file reader
-and writer that edit records field by field in either file version, and
-the corpus generator drawn and normalised one vector at a time.
+per-query retrieval rank, the whole score matrix from eval's blocks,
+exact record equality, a corpus-file reader and writer that edit
+records field by field in either file version, and the corpus
+generator drawn and normalised one vector at a time.
 
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
@@ -23,6 +24,7 @@ import json
 import numpy as np
 
 from pairsieve.config import TrainConfig
+from pairsieve import evaluation
 from pairsieve.corpus import TAGS, ClipRecord, CorpusError, build_concept_bank
 from pairsieve.gradients import compute_gradients
 from pairsieve.losses import bce_loss, softplus, triplet_hinges
@@ -208,6 +210,18 @@ def rank_of(scores, rel_idx):
     """
     s = scores[rel_idx]
     return 1 + int((scores > s).sum()) + int((scores[:rel_idx] == s).sum())
+
+
+def full_score_matrix(params, records):
+    """The n x n score matrix: evaluation.score_matrix's blocks side by side.
+
+    The blocks are the ones bidirectional_retrieval scores, BLOCK_CLIPS
+    clips wide, against the query side embedded once.
+    """
+    n, width = len(records), evaluation.BLOCK_CLIPS
+    queries = evaluation.embed_queries(params, records)
+    return np.hstack([evaluation.score_matrix(params, records, queries, lo, min(lo + width, n))
+                      for lo in range(0, n, width)])
 
 
 def records_equal(a, b):

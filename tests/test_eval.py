@@ -1,4 +1,4 @@
-"""Ranking metrics, the query-conditioned score matrix, and reports."""
+"""Ranking metrics, the query-conditioned score matrix in blocks, and reports."""
 
 import sys
 import threading
@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pairsieve import evaluation
+from pairsieve import cli, evaluation
 from pairsieve.cli import main
 from pairsieve.corpus import CorpusSpec, generate_corpus, save_corpus
 from pairsieve.evaluation import (
@@ -20,11 +20,10 @@ from pairsieve.evaluation import (
     report_csv,
     report_summary,
     retrieval_ranks,
-    score_matrix,
 )
 from pairsieve.model import attend, embed, init_model, save_checkpoint
 
-from oracles import rank_of
+from oracles import full_score_matrix, rank_of
 
 
 def test_rank_of_basic_and_ties():
@@ -33,13 +32,13 @@ def test_rank_of_basic_and_ties():
     scores = np.array([[0.5, 0.3, 0.5],
                        [0.9, 0.1, 0.5],
                        [0.5, 0.3, 0.5]])
-    video, sentence = retrieval_ranks(scores)
+    video, sentence = retrieval_ranks([scores])
     # ties break by candidate index: an equal score before the matched item
     # outranks it (row 2, column 2), an equal score after it does not (row 0,
     # column 0)
     assert video.tolist() == [1, 3, 2]
     assert sentence.tolist() == [2, 3, 3]
-    video, sentence = retrieval_ranks(np.array([[0.7]]))
+    video, sentence = retrieval_ranks([np.array([[0.7]])])
     assert video.tolist() == sentence.tolist() == [1]
 
 
@@ -49,9 +48,36 @@ def test_ranks_match_per_query_oracle():
     for trial in range(200):
         n = int(rng.integers(1, 31))
         scores = rng.integers(0, 3, size=(n, n)).astype(float)
-        video, sentence = retrieval_ranks(scores)
+        video, sentence = retrieval_ranks([scores])
         assert video.tolist() == [rank_of(scores[i, :], i) for i in range(n)], trial
         assert sentence.tolist() == [rank_of(scores[:, j], j) for j in range(n)], trial
+
+
+def _blocks(scores, width):
+    return [scores[:, lo:lo + width] for lo in range(0, scores.shape[1], width)]
+
+
+def test_blocked_ranks_match_per_query_oracle_for_every_width():
+    # ties that cross block edges: a constant matrix ties every pair, so each
+    # candidate at a lower index ranks ahead; a banded one ties each row with the
+    # columns next to its diagonal, on either side of any edge; integer scores from
+    # {0, 1, 2} tie everywhere. Every cut must rank as rank_of and as one block.
+    rng = np.random.default_rng(21)
+    n = 11
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    matrices = [np.zeros((n, n)), band.astype(float), (band * 2 - np.eye(n)).T]
+    matrices += [rng.integers(0, 3, size=(m, m)).astype(float) for m in (1, 2, 5, 9, 16, 23)]
+    for scores in matrices:
+        m = scores.shape[0]
+        want = ([rank_of(scores[i, :], i) for i in range(m)],
+                [rank_of(scores[:, j], j) for j in range(m)])
+        video, sentence = retrieval_ranks([scores])
+        assert (video.tolist(), sentence.tolist()) == want
+        for width in range(1, m + 1):
+            video, sentence = retrieval_ranks(_blocks(scores, width))
+            assert (video.tolist(), sentence.tolist()) == want, (m, width)
+    video, sentence = retrieval_ranks(_blocks(np.zeros((n, n)), 4))
+    assert video.tolist() == sentence.tolist() == list(range(1, n + 1))
 
 
 def test_ranks_reject_non_finite_scores():
@@ -59,7 +85,12 @@ def test_ranks_reject_non_finite_scores():
         scores = np.eye(3)
         scores[1, 2] = bad
         with pytest.raises(EvalError, match="scores must be finite"):
-            retrieval_ranks(scores)
+            retrieval_ranks([scores])
+        # also when only the last of several blocks holds it
+        scores = np.eye(7)
+        scores[0, 6] = bad
+        with pytest.raises(EvalError, match="scores must be finite"):
+            retrieval_ranks(_blocks(scores, 3))
 
 
 def test_ap_and_recall_from_rank():
@@ -94,11 +125,11 @@ def test_score_matrix_matches_per_pair_loop(kind):
     for d_att in (0, 3) if kind == "additive" else (0,):
         params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1), d_att=d_att)
         for records in (mixed, _records(n=1)):
-            got = score_matrix(params, records)
+            got = full_score_matrix(params, records)
             want = _per_pair_scores(params, records)
             assert np.allclose(got, want, rtol=0, atol=1e-12), (d_att, len(records))
         records = _records(n=40, seed=7)
-        ranks = retrieval_ranks(score_matrix(params, records))
+        ranks = retrieval_ranks([full_score_matrix(params, records)])
         want = _per_pair_scores(params, records)
         assert ranks[0].tolist() == [rank_of(want[i, :], i) for i in range(40)], d_att
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
@@ -118,7 +149,8 @@ def _use_cores(monkeypatch, cores, min_clips_for_threads=1):
 @pytest.mark.parametrize("kind", ["uniform", "dot", "multiplicative", "additive"])
 def test_score_matrix_same_for_any_core_count(kind, monkeypatch):
     # one thread per share beyond the caller's, each filling its own columns: the
-    # matrix is the same bits for 1, 2, 3 and 5 cores, also with fewer clips than cores
+    # matrix is the same bits for 1, 2, 3 and 5 cores, also with fewer clips than
+    # cores, and for any block width
     params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1))
     threads = set()
 
@@ -127,31 +159,36 @@ def test_score_matrix_same_for_any_core_count(kind, monkeypatch):
         return clip_scores(*args)
 
     clip_scores = evaluation.clip_scores
+    block_clips = evaluation.BLOCK_CLIPS
     monkeypatch.setattr(evaluation, "clip_scores", recording_clip_scores)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so that shares interleave
     try:
         for records in (_records(n=7, seed=8, frames=(1, 10)), _records(n=1), _records(n=2)):
             _use_cores(monkeypatch, 1)
-            want = score_matrix(params, records)
+            want = full_score_matrix(params, records)
             for cores in (1, 2, 3, 5):
                 _use_cores(monkeypatch, cores)
                 threads.clear()
-                got = score_matrix(params, records)
+                got = full_score_matrix(params, records)
                 assert np.array_equal(got, want), (cores, len(records))
                 assert len(threads) == min(cores, len(records)), (cores, len(records))
+            # and for any block width: blocks of 3 cut 7 clips into 3, 3 and 1
+            monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 3)
+            assert np.array_equal(full_score_matrix(params, records), want), len(records)
+            monkeypatch.setattr(evaluation, "BLOCK_CLIPS", block_clips)
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_score_matrix_scores_fewer_clips_than_the_crossover_on_the_calling_thread(monkeypatch):
-    # below MIN_CLIPS_FOR_THREADS no thread starts, and the matrix is the same bits
-    # as the threaded one
+    # below MIN_CLIPS_FOR_THREADS test clips no thread starts, and the matrix is the
+    # same bits as the threaded one; from it on, each block starts one thread
     crossover = evaluation.MIN_CLIPS_FOR_THREADS
     records = _records(n=crossover, seed=12)
     params = init_model(8, 6, "additive", "residual", 2, np.random.default_rng(2))
     _use_cores(monkeypatch, 2)
-    want = score_matrix(params, records[:-1])
+    want = full_score_matrix(params, records[:-1])
     started = []
     thread = threading.Thread
 
@@ -161,10 +198,10 @@ def test_score_matrix_scores_fewer_clips_than_the_crossover_on_the_calling_threa
 
     monkeypatch.setattr(evaluation.threading, "Thread", recording_thread)
     _use_cores(monkeypatch, 2, min_clips_for_threads=crossover)
-    assert np.array_equal(score_matrix(params, records[:-1]), want)
+    assert np.array_equal(full_score_matrix(params, records[:-1]), want)
     assert started == []
-    score_matrix(params, records)
-    assert len(started) == 1
+    full_score_matrix(params, records)
+    assert len(started) == -(-crossover // evaluation.BLOCK_CLIPS)
 
 
 def test_score_matrix_threads_keep_callers_error_state(monkeypatch):
@@ -176,11 +213,11 @@ def test_score_matrix_threads_keep_callers_error_state(monkeypatch):
     weight[...] = np.resize([1e308, -1e308], weight.shape)
     records = _records(n=6, seed=3)
     with pytest.warns(RuntimeWarning):
-        score_matrix(params, records[3:])  # the second share's clips overflow
+        full_score_matrix(params, records[3:])  # the second share's clips overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            scores = score_matrix(params, records)
+            scores = full_score_matrix(params, records)
     assert not np.isfinite(scores).all()
 
 
@@ -203,12 +240,12 @@ def test_score_matrix_worker_error_is_raised_after_every_join(tmp_path, monkeypa
     monkeypatch.setattr(evaluation, "clip_scores", failing_clip_scores)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="Unable to allocate"):
-        score_matrix(params, records)
+        full_score_matrix(params, records)
     assert threading.active_count() == before
     # with both shares failing, the first share's error is the one raised
     failing["first share"] = embed(params, "vision", records[0].frames_raw)[0]
     with pytest.raises(MemoryError, match="first share"):
-        score_matrix(params, records)
+        full_score_matrix(params, records)
     del failing["first share"]
     checkpoint, corpus = tmp_path / "checkpoint.json", tmp_path / "test.corpus"
     save_checkpoint(params, checkpoint)
@@ -220,27 +257,65 @@ def test_score_matrix_worker_error_is_raised_after_every_join(tmp_path, monkeypa
 
 
 def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
-    # the additive scorer must not hold an (n, F, A) grid: beyond the (n, n) output,
-    # its traced peak stays below the size of one such grid. Each share holds its
-    # own buffers, so the core count is pinned to make the peak host-independent.
+    # the additive scorer must not hold an (n, F, A) grid: the traced peak of scoring
+    # one block stays below the size of one such grid. Each share holds its own
+    # buffers, so the core count is pinned to make the peak host-independent. Nor
+    # does eval hold an n x n array: with blocks of 64 clips, its traced peak on one
+    # core, queries, block, deferred pieces and all, stays below n x n floats.
     _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 64)
     records = _records(n=400, seed=6)
     params = init_model(8, 32, "additive", "residual", 2, np.random.default_rng(5))
     n, d_att = len(records), params.tensors["attention.w_score"].shape[0]
     f_max = max(r.frames_raw.shape[0] for r in records)
+    queries = evaluation.embed_queries(params, records)
     tracemalloc.start()
     try:
-        score_matrix(params, records)
-        peak = tracemalloc.get_traced_memory()[1]
+        evaluation.score_matrix(params, records, queries, 0, 64)
+        block_peak = tracemalloc.get_traced_memory()[1]
+        _use_cores(monkeypatch, 1)
+        tracemalloc.reset_peak()
+        bidirectional_retrieval(params, records)
+        eval_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - n * n * 8 < n * f_max * d_att * 8, (peak, f_max)
+    assert block_peak < n * f_max * d_att * 8, (block_peak, f_max)
+    assert eval_peak < n * n * 8, eval_peak
 
 
-def test_retrieval_report_consistent_with_matrix():
+def test_eval_refuses_too_many_clips_before_scoring(tmp_path, monkeypatch, capsys):
+    # more than MAX_EVAL_CLIPS test clips end `eval` and `ablate` in one error line
+    # and exit 1 before any block is scored or any run trained; exactly the limit runs
+    records = _records(n=4, seed=9)
+    params = init_model(8, 6, "dot", "residual", 2, np.random.default_rng(7))
+    checkpoint, corpus = tmp_path / "checkpoint.json", tmp_path / "test.corpus"
+    save_checkpoint(params, checkpoint)
+    save_corpus(records, corpus)
+    monkeypatch.setattr(evaluation, "MAX_EVAL_CLIPS", 3)
+    scored = []
+    score_matrix = evaluation.score_matrix
+    monkeypatch.setattr(evaluation, "score_matrix",
+                        lambda *args: scored.append(args[3:]) or score_matrix(*args))
+    message = "pairsieve: error: test set has 4 clips; eval takes at most 3\n"
+    with pytest.raises(EvalError, match="4 clips; eval takes at most 3"):
+        bidirectional_retrieval(params, records)
+    assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err == message
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+    assert main(["ablate", "--corpus", str(corpus), "--test-corpus", str(corpus),
+                 "--axis", "bvf_count", "--values", "2", "--out", str(tmp_path / "ab")]) == 1
+    assert capsys.readouterr().err == message
+    assert scored == []
+    bidirectional_retrieval(params, records[:3])
+    assert scored == [(0, 3)]
+
+
+def test_retrieval_report_consistent_with_matrix(monkeypatch):
+    # blocks of 3 clips: 8 is not a multiple, and ranks cross block edges
+    monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 3)
     records = _records(n=8, seed=3)
     params = init_model(8, 6, "dot", "residual", 2, np.random.default_rng(2))
-    scores = score_matrix(params, records)
+    scores = full_score_matrix(params, records)
     report = bidirectional_retrieval(params, records)
     video_ranks = np.array([rank_of(scores[i, :], i) for i in range(8)])
     sent_ranks = np.array([rank_of(scores[:, j], j) for j in range(8)])
@@ -299,5 +374,5 @@ def test_export_attention_rows():
 
     with pytest.raises(EvalError):
         export_attention(params, [])
-    with pytest.raises(EvalError):
-        score_matrix(params, [])
+    with pytest.raises(EvalError, match="no records to evaluate"):
+        bidirectional_retrieval(params, [])

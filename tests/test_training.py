@@ -1,6 +1,7 @@
 """The two-phase training loop: schedule, freezing, metrics, artifacts."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pairsieve.config import ConfigError, TrainConfig
 from pairsieve.corpus import CorpusError
 from pairsieve.gradients import NumericError
 from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint
-from pairsieve.training import NO_DECAY, metrics_csv_header, train
+from pairsieve.training import NO_DECAY, _EpochStats, metrics_csv_header, train
 
 from golden_grid import grid_digests
 
@@ -169,3 +170,24 @@ def test_size_limits_admit_exactly_the_limit(tiny_corpus, monkeypatch):
     monkeypatch.setattr("pairsieve.model.MAX_MODEL_VALUES", 83)
     with pytest.raises(ModelError, match=r"has 84 values, above the limit of 83"):
         train(cfg, corpus)
+
+
+def test_epoch_stats_rates_from_planted_gates():
+    # a batch's first half holds its positive pairs, the only ones with tags, so the
+    # per-tag gate-out rates read gate = 1 - keep there alone; the negative half's
+    # gates differ from the positive half's, so reading the wrong half changes them
+    clean, loose, noise = 0, 1, 2
+    stats = _EpochStats()
+    stats.add(SimpleNamespace(keep=np.array([1.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 1.0, 1.0, 0.0]),
+                              lvc_sum=3.0, lvc_weight=2.0, adv_sum=1.5),
+              np.array([clean, loose, noise, noise, clean]))
+    stats.add(SimpleNamespace(keep=np.array([0.25, 1.0, 1.0, 0.0]),
+                              lvc_sum=1.0, lvc_weight=2.0, adv_sum=0.5),
+              np.array([noise, clean]))
+    row = stats.row(7, "joint", 0.01)
+    # positive gates: clean 0, 0.5, 0; loose 1; noise 1, 0, 0.75
+    assert (row.z1_rate_clean, row.z1_rate_loose, row.z1_rate_noise) == (0.5 / 3, 1.0, 1.75 / 3)
+    assert row.z0_fraction == 6.75 / 14
+    assert row.loss_lvc == 4.0 / 4.0
+    assert row.loss_adv == 2.0 / 7.25
+    assert (row.epoch, row.phase, row.lr) == (7, "joint", 0.01)
