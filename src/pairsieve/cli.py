@@ -206,16 +206,17 @@ def cmd_ablate(args):
 def cmd_attention_dump(args):
     params, records = _load_scoring_inputs(args)
     rows = export_attention(params, records)
-    lines = ["clip_id,frame,grounded,alpha,alpha_rel"]
-    for r in rows:
-        lines.append(f"{r['clip_id']},{r['frame']},{r['grounded']},"
-                     f"{repr(r['alpha'])},{repr(r['alpha_rel'])}")
-    text = "\n".join(lines) + "\n"
+
+    def write_rows(fh):  # each row as it is formatted: no whole-file string
+        fh.write("clip_id,frame,grounded,alpha,alpha_rel\n")
+        fh.writelines(f"{r['clip_id']},{r['frame']},{r['grounded']},"
+                      f"{repr(r['alpha'])},{repr(r['alpha_rel'])}\n" for r in rows)
+
     if args.out is None:
-        sys.stdout.write(text)
+        write_rows(sys.stdout)
     else:
         with write_atomically(args.out) as fh:
-            fh.write(text)
+            write_rows(fh)
         print(f"wrote attention weights for {len(records)} clips to {args.out}")
     return 0
 

@@ -11,14 +11,20 @@ block's clips are split into contiguous shares, one per usable core,
 and scored on threads; a smaller test set is scored serially.
 
 Video search ranks clips for each sentence (rows), sentence search
-ranks sentences for each clip (columns). A block holds its columns'
-own diagonal entries, so sentence search ranks them at once, and so
-does video search for the rows whose diagonal is already known. The
-rows below the block wait, as row pieces of one block's height, for
-the block that holds their diagonal. They peak at n^2/4 floats (2n^2
-bytes) halfway through; with one block and its masks that is the
-memory a test set of n clips needs beyond its corpus. Each query has
-exactly one relevant item, so average precision reduces to 1/rank.
+ranks sentences for each clip (columns). Before any block is scored,
+own_pair_scores computes near[i], clip i's score under sentence i,
+with training's batched embed and attend; it differs from the block's
+exact diagonal entry by rounding only. A block holds its columns' own
+diagonal entries, so sentence search ranks them at once, and so does
+video search for the rows whose diagonal is already known. A row
+below the block counts at once the entries above near + TIE_BAND and
+drops those below near - TIE_BAND; only the entries inside the band
+wait for the block that holds the row's diagonal, which first checks
+that the diagonal lies inside the band. Beyond its corpus, a test set
+of n clips then needs one block and its masks, plus the band: a few
+near-ties, up to n^2/4 floats only where every score ties with its
+row's own. Each query has exactly one relevant item, so average
+precision reduces to 1/rank.
 """
 
 from __future__ import annotations
@@ -34,12 +40,19 @@ from .model import attend, clip_scores, embed
 
 DEFAULT_RECALL_KS = (1, 5, 10)
 
-# bidirectional_retrieval scores and ranks this many clips at a time
-BLOCK_CLIPS = 256
+# bidirectional_retrieval scores and ranks this many clips at a time, and
+# own_pair_scores embeds at most this many clips of one length at once
+BLOCK_CLIPS = 128
 
-# eval refuses more test clips than this before scoring: the deferred row
-# pieces of retrieval_ranks peak at 2n^2 bytes, 2 GiB here
+# eval refuses more test clips than this before scoring: where every score
+# ties with its row's own, the band retrieval_ranks defers reaches 2n^2
+# bytes, 2 GiB here
 MAX_EVAL_CLIPS = 2**15
+
+# half-width of the band around near[i] whose entries wait for row i's exact
+# diagonal; scores are bounded by 1 in absolute value, and near differs from
+# the diagonal by rounding only
+TIE_BAND = 1e-6
 
 # A test set of fewer clips than this is scored on the calling thread alone;
 # from it on, the threads split each block's clips. On a 2-core box (OpenBLAS
@@ -124,6 +137,28 @@ def score_matrix(params, records, queries, lo, hi):
     return out
 
 
+def own_pair_scores(params, records, queries):
+    """near[i] = s_i . v_ii, clip i's score under its own sentence.
+
+    The clips are embedded and pooled with training's batched embed and
+    attend, grouped by frame count in chunks of at most BLOCK_CLIPS
+    clips; queries is embed_queries(params, records). near differs from
+    score_matrix's diagonal entry by rounding only.
+    """
+    sT = queries[0]
+    near = np.empty(len(records))
+    by_length = {}
+    for i, rec in enumerate(records):
+        by_length.setdefault(rec.frames_raw.shape[0], []).append(i)
+    for group in by_length.values():
+        for k in range(0, len(group), BLOCK_CLIPS):
+            chunk = group[k:k + BLOCK_CLIPS]
+            s = sT[:, chunk].T
+            h = embed(params, "vision", np.stack([records[i].frames_raw for i in chunk]))[0]
+            near[chunk] = np.einsum("be,be->b", s, attend(params, s, h)[0])
+    return near
+
+
 @dataclass
 class DirectionReport:
     """Metrics for one search direction, in percent."""
@@ -139,27 +174,41 @@ class RetrievalReport:
     sentence_search: DirectionReport
 
 
-def retrieval_ranks(blocks):
+def retrieval_ranks(blocks, near):
     """1-based ranks of the matched pairs on the diagonal of a blocked score matrix.
 
     blocks are the (n, w) column blocks of the n x n matrix in clip
     order, all as wide as the first but the last, which may be narrower.
-    Returns (video, sentence): video[i] ranks clip i in row i,
-    sentence[j] ranks sentence j in column j. Ties break by candidate
-    index: an equal score at a lower index ranks ahead of the matched pair.
+    near[i] is row i's diagonal entry up to rounding (own_pair_scores);
+    each diagonal entry is checked to lie within TIE_BAND of it, and one
+    that does not is an EvalError naming the clip. Returns (video,
+    sentence): video[i] ranks clip i in row i, sentence[j] ranks
+    sentence j in column j. Ties break by candidate index: an equal
+    score at a lower index ranks ahead of the matched pair.
     """
-    deferred = {}  # row lo -> pieces of that row block from earlier column blocks
+    near = np.asarray(near, dtype=float)
+    if not np.isfinite(near).all():
+        raise EvalError("scores must be finite")
+    n = near.shape[0]
+    low, high = near - TIE_BAND, near + TIE_BAND
+    video, sentence = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    diag = np.empty(n)
+    deferred = {}  # row lo -> (band values in row order, count per row) of earlier blocks
     lo = 0
     for block in blocks:
         if not np.isfinite(block).all():
             raise EvalError("scores must be finite")
-        n, w = block.shape
+        w = block.shape[1]
         if lo == 0:
-            step, diag = w, np.empty(n)
-            video, sentence = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+            step = w
         hi = lo + w
         own = np.arange(lo, hi)
         d = diag[lo:hi] = block[own, own - lo]
+        outside = ~((low[lo:hi] <= d) & (d <= high[lo:hi]))
+        if outside.any():
+            i = lo + int(np.argmax(outside))
+            raise EvalError(f"clip {i}: own-pair score differs from its pre-pass value "
+                            f"by {abs(diag[i] - near[i]):.3g}, beyond {TIE_BAND:g}")
         # a candidate ranks ahead if it scores higher, or the same at a lower index
         ahead = block == d
         ahead &= ~np.tri(n, w, k=-lo, dtype=bool)  # row i < column lo + j
@@ -170,13 +219,23 @@ def retrieval_ranks(blocks):
         ahead &= np.tri(hi, w, k=-lo - 1, dtype=bool)  # column lo + j < row i
         ahead |= top > diag[:hi, None]
         video[:hi] += np.count_nonzero(ahead, axis=1)
-        # every entry of a piece is at a lower column than its row's diagonal
-        video[lo:hi] += sum(np.count_nonzero(piece >= d[:, None], axis=1)
-                            for piece in deferred.pop(lo, ()))
+        # every deferred entry is at a lower column than its row's diagonal
+        for values, counts in deferred.pop(lo, ()):
+            rows = np.repeat(np.arange(w), counts)
+            video[lo:hi] += np.bincount(rows[values >= d[rows]], minlength=w)
+        # rows below: entries above the band rank ahead, those below it do not
+        below = block[hi:]
+        ahead = below > high[hi:, None]
+        video[hi:] += np.count_nonzero(ahead, axis=1)
+        band = below >= low[hi:, None]
+        band ^= ahead  # every entry above the band is also at or above its low edge
         for start in range(hi, n, step):
-            deferred.setdefault(start, []).append(block[start:start + step].copy())
+            mask = band[start - hi:start - hi + step]
+            if mask.any():
+                deferred.setdefault(start, []).append(
+                    (block[start:start + step][mask], np.count_nonzero(mask, axis=1)))
         lo = hi
-        del block, top, ahead  # free this block before the next one is scored
+        del block, top, ahead, below, band  # free this block before the next one is scored
     return video, sentence
 
 
@@ -189,15 +248,17 @@ def _direction_report(ranks):
 def bidirectional_retrieval(params, records):
     """Evaluate both directions over a test set of matched pairs.
 
-    The test set is size-checked first (check_eval_size); its clips are
+    The test set is size-checked first (check_eval_size); each clip's
+    own-pair score is computed next (own_pair_scores), and the clips are
     then scored and ranked BLOCK_CLIPS at a time.
     """
     check_eval_size(records)
     queries = embed_queries(params, records)
+    near = own_pair_scores(params, records, queries)
     n = len(records)
     blocks = (score_matrix(params, records, queries, lo, min(lo + BLOCK_CLIPS, n))
               for lo in range(0, n, BLOCK_CLIPS))
-    video_ranks, sentence_ranks = retrieval_ranks(blocks)
+    video_ranks, sentence_ranks = retrieval_ranks(blocks, near)
     return RetrievalReport(
         n_queries=n,
         video_search=_direction_report(video_ranks),
@@ -241,8 +302,8 @@ def report_summary(report):
 def export_attention(params, records):
     """Per-frame attention of each record under its own sentence.
 
-    Yields dict rows: clip id, frame index, grounded flag, weight, and
-    weight relative to the clip's strongest frame.
+    Returns a list of dict rows: clip id, frame index, grounded flag,
+    weight, and weight relative to the clip's strongest frame.
     """
     if not records:
         raise EvalError("no records to dump")

@@ -18,14 +18,14 @@ that train and ablate both check before allocating.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .config import ConfigError
 from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
 from .gradients import NumericError, compute_gradients, first_nonfinite
-from .model import init_bvf, init_model, model_layout, save_checkpoint
+from .model import init_bvf, init_model, model_layout, save_checkpoint, tensor_views
 from .optim import sgd_step, update_runs
 
 DISC_TENSORS = frozenset({"disc.bvf", "disc.a_adv", "disc.b_adv"})
@@ -141,8 +141,10 @@ def train(cfg, corpus, run_dir=None, log=None):
     """Train on a tagged corpus; returns (params, per-epoch metrics).
 
     With run_dir set, metrics.csv is streamed row by row and checkpoints
-    are written at the freeze/joint boundary and at the end. check_sizes
-    runs first.
+    are written at the freeze/joint boundary and at the end; a step that
+    fails with a NumericError after the first epoch first writes the
+    parameters of the last finished epoch to checkpoint_last_good.json.
+    check_sizes runs first.
     """
     cfg.validate()
     d_in = check_sizes(cfg, corpus)
@@ -168,6 +170,7 @@ def train(cfg, corpus, run_dir=None, log=None):
 
     total_epochs = cfg.freeze_epochs + cfg.joint_epochs
     metrics = []
+    last_good = None  # params.flat at the end of the last finished epoch
     csv_fh = None
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
@@ -193,8 +196,13 @@ def train(cfg, corpus, run_dir=None, log=None):
                         raise NumericError("non-finite parameter in "
                                            f"{first_nonfinite(params.tensors)}")
                 except NumericError as exc:
+                    if run_dir is not None and last_good is not None:
+                        good = replace(params, flat=last_good,
+                                       tensors=tensor_views(last_good, params.layout))
+                        save_checkpoint(good, os.path.join(run_dir, "checkpoint_last_good.json"))
                     raise NumericError(f"epoch {epoch}, step {step} ({phase}): {exc}") from None
                 stats.add(fwd, tag_idx[clip_idx[:half]])
+            last_good = params.flat.copy()
             row = stats.row(epoch, phase, lr)
             metrics.append(row)
             if csv_fh is not None:

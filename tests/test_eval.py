@@ -12,10 +12,12 @@ from pairsieve import cli, evaluation
 from pairsieve.cli import main
 from pairsieve.corpus import CorpusSpec, generate_corpus, save_corpus
 from pairsieve.evaluation import (
+    TIE_BAND,
     EvalError,
     _direction_report,
     bidirectional_retrieval,
     export_attention,
+    own_pair_scores,
     random_baseline_map,
     report_csv,
     report_summary,
@@ -32,13 +34,13 @@ def test_rank_of_basic_and_ties():
     scores = np.array([[0.5, 0.3, 0.5],
                        [0.9, 0.1, 0.5],
                        [0.5, 0.3, 0.5]])
-    video, sentence = retrieval_ranks([scores])
+    video, sentence = retrieval_ranks([scores], np.diag(scores))
     # ties break by candidate index: an equal score before the matched item
     # outranks it (row 2, column 2), an equal score after it does not (row 0,
     # column 0)
     assert video.tolist() == [1, 3, 2]
     assert sentence.tolist() == [2, 3, 3]
-    video, sentence = retrieval_ranks([np.array([[0.7]])])
+    video, sentence = retrieval_ranks([np.array([[0.7]])], [0.7])
     assert video.tolist() == sentence.tolist() == [1]
 
 
@@ -48,7 +50,7 @@ def test_ranks_match_per_query_oracle():
     for trial in range(200):
         n = int(rng.integers(1, 31))
         scores = rng.integers(0, 3, size=(n, n)).astype(float)
-        video, sentence = retrieval_ranks([scores])
+        video, sentence = retrieval_ranks([scores], np.diag(scores))
         assert video.tolist() == [rank_of(scores[i, :], i) for i in range(n)], trial
         assert sentence.tolist() == [rank_of(scores[:, j], j) for j in range(n)], trial
 
@@ -61,23 +63,42 @@ def test_blocked_ranks_match_per_query_oracle_for_every_width():
     # ties that cross block edges: a constant matrix ties every pair, so each
     # candidate at a lower index ranks ahead; a banded one ties each row with the
     # columns next to its diagonal, on either side of any edge; integer scores from
-    # {0, 1, 2} tie everywhere. Every cut must rank as rank_of and as one block.
+    # {0, 1, 2} tie everywhere, and nudged by +-TIE_BAND/4 they also hold near-ties
+    # on either side of the diagonal. Every cut must rank as rank_of and as one
+    # block, with near the exact diagonal or off it by up to TIE_BAND/2.
     rng = np.random.default_rng(21)
     n = 11
     band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
     matrices = [np.zeros((n, n)), band.astype(float), (band * 2 - np.eye(n)).T]
     matrices += [rng.integers(0, 3, size=(m, m)).astype(float) for m in (1, 2, 5, 9, 16, 23)]
+    matrices += [m + rng.choice([-TIE_BAND / 4, 0.0, TIE_BAND / 4], size=m.shape)
+                 for m in matrices[-3:]]
     for scores in matrices:
         m = scores.shape[0]
         want = ([rank_of(scores[i, :], i) for i in range(m)],
                 [rank_of(scores[:, j], j) for j in range(m)])
-        video, sentence = retrieval_ranks([scores])
-        assert (video.tolist(), sentence.tolist()) == want
-        for width in range(1, m + 1):
-            video, sentence = retrieval_ranks(_blocks(scores, width))
-            assert (video.tolist(), sentence.tolist()) == want, (m, width)
-    video, sentence = retrieval_ranks(_blocks(np.zeros((n, n)), 4))
+        for shift in (0.0, TIE_BAND / 2, -TIE_BAND / 2):
+            near = np.diag(scores) + shift
+            video, sentence = retrieval_ranks([scores], near)
+            assert (video.tolist(), sentence.tolist()) == want, (m, shift)
+            for width in range(1, m + 1):
+                video, sentence = retrieval_ranks(_blocks(scores, width), near)
+                assert (video.tolist(), sentence.tolist()) == want, (m, width, shift)
+    # every entry of a constant matrix lies in the band, and the ranks stay exact
+    video, sentence = retrieval_ranks(_blocks(np.zeros((n, n)), 4), np.zeros(n))
     assert video.tolist() == sentence.tolist() == list(range(1, n + 1))
+
+
+def test_ranks_refuse_a_near_score_off_the_diagonal():
+    # a diagonal entry more than TIE_BAND from near could have been ranked against
+    # the wrong entries, so it is an error naming the clip, for any block width
+    scores = np.random.default_rng(22).integers(0, 3, size=(7, 7)).astype(float)
+    for row in range(7):
+        near = np.diag(scores).copy()
+        near[row] += 2 * TIE_BAND
+        for width in range(1, 8):
+            with pytest.raises(EvalError, match=f"^clip {row}: own-pair score differs "):
+                retrieval_ranks(_blocks(scores, width), near)
 
 
 def test_ranks_reject_non_finite_scores():
@@ -85,12 +106,12 @@ def test_ranks_reject_non_finite_scores():
         scores = np.eye(3)
         scores[1, 2] = bad
         with pytest.raises(EvalError, match="scores must be finite"):
-            retrieval_ranks([scores])
+            retrieval_ranks([scores], np.diag(scores))
         # also when only the last of several blocks holds it
         scores = np.eye(7)
         scores[0, 6] = bad
         with pytest.raises(EvalError, match="scores must be finite"):
-            retrieval_ranks(_blocks(scores, 3))
+            retrieval_ranks(_blocks(scores, 3), np.diag(scores))
 
 
 def test_ap_and_recall_from_rank():
@@ -128,8 +149,11 @@ def test_score_matrix_matches_per_pair_loop(kind):
             got = full_score_matrix(params, records)
             want = _per_pair_scores(params, records)
             assert np.allclose(got, want, rtol=0, atol=1e-12), (d_att, len(records))
+            near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
+            assert np.allclose(near, np.diag(want), rtol=0, atol=1e-12), (d_att, len(records))
         records = _records(n=40, seed=7)
-        ranks = retrieval_ranks([full_score_matrix(params, records)])
+        scores = full_score_matrix(params, records)
+        ranks = retrieval_ranks([scores], np.diag(scores))
         want = _per_pair_scores(params, records)
         assert ranks[0].tolist() == [rank_of(want[i, :], i) for i in range(40)], d_att
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
@@ -261,7 +285,7 @@ def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
     # one block stays below the size of one such grid. Each share holds its own
     # buffers, so the core count is pinned to make the peak host-independent. Nor
     # does eval hold an n x n array: with blocks of 64 clips, its traced peak on one
-    # core, queries, block, deferred pieces and all, stays below n x n floats.
+    # core, queries, block, band and all, stays below n x n floats.
     _use_cores(monkeypatch, 2)
     monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 64)
     records = _records(n=400, seed=6)
@@ -281,6 +305,25 @@ def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
         tracemalloc.stop()
     assert block_peak < n * f_max * d_att * 8, (block_peak, f_max)
     assert eval_peak < n * n * 8, eval_peak
+
+
+def test_eval_memory_grows_linearly_in_n(monkeypatch):
+    # beyond one block and its masks eval holds only the band of near-ties, so its
+    # traced peak on one core, with blocks of 32 clips, about doubles from 800 to
+    # 1600 clips; deferring whole row pieces until each diagonal is known triples it
+    _use_cores(monkeypatch, 1)
+    monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 32)
+    params = init_model(8, 32, "dot", "residual", 2, np.random.default_rng(5))
+    peaks = []
+    for n in (800, 1600):
+        records = _records(n=n, seed=6)
+        tracemalloc.start()
+        try:
+            bidirectional_retrieval(params, records)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.3 * peaks[0], peaks
 
 
 def test_eval_refuses_too_many_clips_before_scoring(tmp_path, monkeypatch, capsys):

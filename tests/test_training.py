@@ -6,8 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pairsieve import training
+from pairsieve.cli import main
 from pairsieve.config import ConfigError, TrainConfig
-from pairsieve.corpus import CorpusError
+from pairsieve.corpus import CorpusError, save_corpus
 from pairsieve.gradients import NumericError
 from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint
 from pairsieve.training import NO_DECAY, _EpochStats, metrics_csv_header, train
@@ -115,6 +117,8 @@ def test_run_dir_artifacts(tmp_path, tiny_corpus):
     corpus, _ = tiny_corpus
     run_dir = tmp_path / "run"
     params, metrics = train(SMALL, corpus, run_dir=run_dir)
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "checkpoint_final.json", "checkpoint_freeze.json", "metrics.csv"]
 
     lines = [metrics_csv_header()] + [m.csv_row() for m in metrics]
     assert lines[0] == ("epoch,phase,lr,loss_lvc,loss_adv,"
@@ -139,6 +143,49 @@ def test_metrics_survive_numeric_failure(tmp_path, tiny_corpus):
         train(_cfg(lr=1e200, freeze_epochs=0, joint_epochs=2), corpus, run_dir=run_dir)
     text = (run_dir / "metrics.csv").read_text()
     assert text.splitlines()[0] == metrics_csv_header()
+
+
+def test_numeric_failure_keeps_the_last_finished_epoch(tmp_path, tiny_corpus, monkeypatch,
+                                                       capsys):
+    # a step of epoch 1 fails: checkpoint_last_good.json holds the parameters at the
+    # end of epoch 0, those a one-epoch run of the same config ends with; through the
+    # CLI the failure is still exit 2 with one line
+    corpus, _ = tiny_corpus
+    compute_gradients = training.compute_gradients
+    calls = []
+
+    def failing_at(call):
+        def counting_compute_gradients(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise NumericError("planted failure")
+            return compute_gradients(*args, **kwargs)
+        return counting_compute_gradients
+
+    monkeypatch.setattr(training, "compute_gradients", failing_at(0))
+    one_epoch, _ = train(_cfg(freeze_epochs=1, joint_epochs=0), corpus)
+    steps = len(calls)
+    calls.clear()
+    monkeypatch.setattr(training, "compute_gradients", failing_at(steps + 2))
+    run_dir = tmp_path / "run"
+    with pytest.raises(NumericError, match=r"^epoch 1, step 1 \(freeze\): planted failure$"):
+        train(SMALL, corpus, run_dir=run_dir)
+    assert np.array_equal(load_checkpoint(run_dir / "checkpoint_last_good.json").flat,
+                          one_epoch.flat)
+
+    save_corpus(corpus, tmp_path / "train.corpus")
+    calls.clear()
+    out = tmp_path / "cli"
+    keys = ("d_emb=8", "batch_size=8", "n_f=3", "freeze_epochs=2", "joint_epochs=3",
+            "bvf_count=2")
+    code = main(["train", "--corpus", str(tmp_path / "train.corpus"), "--out", str(out),
+                 "--seed", "0", "--quiet"] + [a for kv in keys for a in ("--set", kv)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "pairsieve: numeric failure: epoch 1, step 1 (freeze): planted failure\n"
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint_last_good.json", "metrics.csv"]
+    assert np.array_equal(load_checkpoint(out / "checkpoint_last_good.json").flat,
+                          one_epoch.flat)
 
 
 def test_corpus_validation(tiny_corpus):
