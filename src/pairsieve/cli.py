@@ -36,6 +36,7 @@ from .evaluation import (
     report_csv,
     report_summary,
 )
+from .files import write_atomically
 from .gradients import NumericError
 from .losses import LossError
 from .model import (
@@ -44,7 +45,6 @@ from .model import (
     SAMPLER_KINDS,
     ModelError,
     load_checkpoint,
-    write_atomically,
 )
 from .training import check_sizes, train
 

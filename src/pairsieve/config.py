@@ -10,10 +10,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import platform
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import CorpusError, CorpusSpec
-from .model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS, read_text, write_atomically
+from .files import read_text, write_atomically
+from .model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS
 
 LOSS_KINDS = ("bce", "triplet")
 
@@ -199,10 +203,22 @@ def train_config_from(values, seed_override=None):
     return _build(values, "train", TrainConfig, seed_override)
 
 
+def _environment():
+    """The Python, numpy and BLAS versions this process runs on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas_name = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas_name}
+
+
 def write_manifest(path, command, values, artifacts, tool_version):
     """Record how an artifact was produced; enough to rerun the command.
 
-    The file is replaced atomically (model.write_atomically).
+    The environment entry names the Python, numpy and BLAS versions, as
+    other builds round differently. The file is replaced atomically
+    (files.write_atomically).
     """
     doc = {
         "format": MANIFEST_FORMAT,
@@ -211,6 +227,7 @@ def write_manifest(path, command, values, artifacts, tool_version):
         "command": command,
         "config": dict(sorted(values.items())),
         "artifacts": artifacts,
+        "environment": _environment(),
     }
     with write_atomically(path) as fh:
         json.dump(doc, fh, indent=2)

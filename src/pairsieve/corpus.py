@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import write_atomically
+from .files import write_atomically
 
 TAGS = ("clean", "loose", "noise")
 
@@ -244,7 +244,7 @@ def save_corpus(records, path):
     The sentence and the frames (row after row) are base64 strings of
     little-endian float64, so every float round-trips bit for bit; id,
     tag and the 0/1 grounded list are plain JSON. The file is replaced
-    atomically (model.write_atomically).
+    atomically (files.write_atomically).
     """
     d = int(records[0].sentence_raw.shape[0]) if records else 0
     with write_atomically(path) as fh:

@@ -25,6 +25,15 @@ of n clips then needs one block and its masks, plus the band: a few
 near-ties, up to n^2/4 floats only where every score ties with its
 row's own. Each query has exactly one relevant item, so average
 precision reduces to 1/rank.
+
+Ranking needs each score only on its side of the two diagonals it is
+ranked against, so additive attention, the costly kind, is filtered
+before it is refined: model.clip_scores bounds every score from the
+clip's frame scores and scores exactly only the pairs whose bound
+reaches min(near[i], near[j]) - 2 TIE_BAND. A pair below that keeps its
+bound, which ranks as its exact score would: behind both diagonals and
+outside both bands. The other kinds score every pair exactly, as their
+exact score costs about as much as the bound.
 """
 
 from __future__ import annotations
@@ -56,12 +65,13 @@ TIE_BAND = 1e-6
 
 # A test set of fewer clips than this is scored on the calling thread alone;
 # from it on, the threads split each block's clips. On a 2-core box (OpenBLAS
-# with 2 threads), the median ms serially vs split over 2 threads was, for
-# additive attention, 19.6 vs 34.9 at 100 clips, 117 vs 141 at 300, 323 vs
-# 284 at 500 and 4670 vs 2875 at 2000; for dot attention, 4.1 vs 9.5 at 100,
-# 49 vs 75 at 500 and 384 vs 405 at 2000 (measured with the whole test set
-# as one block).
-MIN_CLIPS_FOR_THREADS = 500
+# with 2 threads), the median ms of a whole eval of trained checkpoints,
+# serially vs split over 2 threads, was for additive attention 86 vs 159 at
+# 300 clips, 159 vs 274 at 500, 557 vs 615 at 1000, 668 vs 765 at 1250, 1151
+# vs 1078 at 1500, 1289 vs 1309 at 1750 and 1712 vs 1423 at 2000; for dot
+# attention 16 vs 31 at 300, 32 vs 54 at 500, 129 vs 145 at 1000, 251 vs 283
+# at 1500, 347 vs 350 at 1750 and 451 vs 414 at 2000.
+MIN_CLIPS_FOR_THREADS = 1500
 
 
 class EvalError(ValueError):
@@ -90,12 +100,17 @@ def embed_queries(params, records):
     return sT, None if w_name is None else params.tensors[w_name].T @ sT
 
 
-def score_matrix(params, records, queries, lo, hi):
+def score_matrix(params, records, queries, near, lo, hi):
     """Score every sentence against clips lo..hi: out[i, j - lo] = s_i . v_ij.
 
     v_ij pools all of clip j's frames under sentence i's attention;
     model.clip_scores scores each clip against all queries at once, and
-    queries is embed_queries(params, records). From MIN_CLIPS_FOR_THREADS
+    queries is embed_queries(params, records). near is own_pair_scores':
+    clip j's floor for sentence i is min(near[i], near[j]) - 2 TIE_BAND,
+    and an additive entry whose bound lies below it holds that bound in
+    place of s_i . v_ij. Both lie below the two diagonals the entry is
+    ranked against and their tie bands, so no rank moves, and each
+    diagonal entry is scored exactly. From MIN_CLIPS_FOR_THREADS
     records on, the block's clips are split into min(usable cores,
     hi - lo) contiguous shares; the calling thread scores the first and
     one new thread each of the others. A smaller test set forms one
@@ -109,6 +124,7 @@ def score_matrix(params, records, queries, lo, hi):
     sT, q = queries
     kind = params.attention_kind
     n, width = len(records), hi - lo
+    low = near - 2 * TIE_BAND
     out = np.empty((n, width))
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -120,7 +136,7 @@ def score_matrix(params, records, queries, lo, hi):
             buf = np.empty_like(q) if kind == "additive" else None
             for j in range(k * width // shares, (k + 1) * width // shares):
                 h = embed(params, "vision", records[lo + j].frames_raw)[0]
-                out[:, j] = clip_scores(params, h, sT, q, buf)
+                out[:, j] = clip_scores(params, h, sT, q, buf, np.minimum(low, low[lo + j]))
         except BaseException as exc:  # re-raised in the caller after every join
             errors[k] = exc
 
@@ -256,7 +272,7 @@ def bidirectional_retrieval(params, records):
     queries = embed_queries(params, records)
     near = own_pair_scores(params, records, queries)
     n = len(records)
-    blocks = (score_matrix(params, records, queries, lo, min(lo + BLOCK_CLIPS, n))
+    blocks = (score_matrix(params, records, queries, near, lo, min(lo + BLOCK_CLIPS, n))
               for lo in range(0, n, BLOCK_CLIPS))
     video_ranks, sentence_ranks = retrieval_ranks(blocks, near)
     return RetrievalReport(

@@ -16,19 +16,20 @@ too. Shape contract: embed maps (..., d_in) to (..., E) through the
 sentences s (..., E) and frames h (..., F, E): one pair (E,) with (F, E)
 or a batch (B, E) with (B, F, E); clip_scores takes one clip (F, E) and
 every query on the last axis, s.T (E, n); adv_logit and sample_gate work
-elementwise on arrays.
+elementwise on arrays. For additive attention clip_scores is also eval's
+filter: a query whose upper bound on the score, from the clip's frame
+scores, lies below a given floor gets that bound, not its exact score.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import read_text, write_atomically
 from .losses import sigmoid
 
 ATTENTION_KINDS = ("uniform", "dot", "multiplicative", "additive")
@@ -226,12 +227,26 @@ def attend(params, s, h):
     return v, alpha, cache
 
 
-def clip_scores(params, h, sT, q, buf):
+def clip_scores(params, h, sT, q, buf, floor):
     """s_i . v_i for every query i against one clip h (F, E); sT is (E, n).
 
     q is the query-side projection, (s @ w_mult).T or (s @ w1).T, and buf
     an (A, n) scratch array where additive scores one frame at a time; both
-    are None where unused. As s . v = sum_f alpha_f s . h_f, v is not built.
+    are None where unused. As s . v = sum_f alpha_f s . h_f with the frame
+    scores p_f = s . h_f, v is not built.
+
+    Additive attention scores exactly only the queries whose upper bound
+    ub reaches floor (n,); every other query gets ub, which is no lower
+    than its exact score up to rounding. Two logits of one clip differ by
+    at most delta = max_fg sum_a |w_score_a| min(2, |c_fa - c_ga|) with
+    c = h @ w2, as tanh is 1-Lipschitz and bounded by 1, so every weight
+    is at least a = 1 / (1 + (F - 1) e^delta) and
+    ub = a sum_f p_f + (1 - F a) max_f p_f. The open queries are gathered
+    into one half of buf and scored in the other; past half of n, all are
+    scored in place. A lone open query (of n > 1) is scored beside a
+    second one, as numpy sums a single column in another order than
+    several, so an exact score is the same bits whatever the floor. The
+    other kinds ignore floor.
     """
     kind, t = params.attention_kind, params.tensors
     p = h @ sT  # (F, n)
@@ -242,14 +257,33 @@ def clip_scores(params, h, sT, q, buf):
     elif kind == "multiplicative":
         e = h @ q
     elif kind == "additive":
+        c, w = h @ t["attention.w2"], t["attention.w_score"]
+        delta = (np.minimum(np.abs(c[:, None] - c), 2.0) @ np.abs(w)).max()
+        frames = len(c)
+        # e^delta capped short of overflow, where a_min is already below any score's rounding
+        a_min = 1.0 / (1.0 + (frames - 1) * math.exp(min(delta, 700.0)))
+        ub = a_min * p.sum(axis=0) + (1.0 - frames * a_min) * p.max(axis=0)
+        cols = np.flatnonzero(~(ub < floor))  # a NaN bound is scored exactly
+        if cols.size == 1 < ub.size:
+            cols = np.append(cols, (cols[0] + 1) % ub.size)
+        if 2 * cols.size <= ub.size:
+            half = buf.reshape(-1)[:2 * q.shape[0] * cols.size].reshape(2, q.shape[0], -1)
+            q, work = np.take(q, cols, axis=1, out=half[0], mode="clip"), half[1]
+            p = np.take(p, cols, axis=1)
+        else:
+            cols, work = slice(None), buf
         e = np.empty_like(p)
-        for f, hf in enumerate(h @ t["attention.w2"]):
-            np.add(q, hf[:, None], out=buf)
-            np.tanh(buf, out=buf)
-            np.matmul(t["attention.w_score"], buf, out=e[f])
+        for f, cf in enumerate(c):
+            np.add(q, cf[:, None], out=work)
+            np.tanh(work, out=work)
+            np.einsum("a,an->n", w, work, out=e[f])  # matmul's gemv rounds by column position
     else:
         raise ModelError(f"unknown attention kind {kind!r}")
-    return np.einsum("fn,fn->n", softmax(e, axis=0), p)
+    scores = np.einsum("fn,fn->n", softmax(e, axis=0), p)
+    if kind != "additive":
+        return scores
+    ub[cols] = scores
+    return ub
 
 
 def adv_logit(params, p_lvc, p_adv):
@@ -314,42 +348,10 @@ def init_bvf(params, clips, rng):
         bank[i] = mean / norm
 
 
-def read_text(path, error):
-    """The whole file as text; a file that is not UTF-8 raises error naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-
-
-@contextmanager
-def write_atomically(path):
-    """Yield a text file that replaces path only once the block completes.
-
-    Writing goes to a temporary file of a name no other write uses,
-    path + "." + 16 random hex digits + ".tmp", in the same directory,
-    which os.replace then moves into place. So a write that fails midway
-    leaves the previous file as it was and no temp file, and of writers
-    racing on one path the last to finish wins with its whole text.
-    Nothing is fsynced: this guards against a failing process, not
-    against power loss.
-    """
-    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x")  # exclusive: a name taken after all is an error, not a shared file
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-
-
 def save_checkpoint(params, path):
     """Serialize all tensors plus the metadata needed to rebuild them.
 
-    The file is replaced atomically (write_atomically).
+    The file is replaced atomically (files.write_atomically).
     """
     t = params.tensors
     meta = {

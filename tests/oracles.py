@@ -212,15 +212,20 @@ def rank_of(scores, rel_idx):
     return 1 + int((scores > s).sum()) + int((scores[:rel_idx] == s).sum())
 
 
-def full_score_matrix(params, records):
+def full_score_matrix(params, records, near=None):
     """The n x n score matrix: evaluation.score_matrix's blocks side by side.
 
     The blocks are the ones bidirectional_retrieval scores, BLOCK_CLIPS
-    clips wide, against the query side embedded once.
+    clips wide, against the query side embedded once, with its own-pair
+    scores as near unless near is given: a near of -inf scores every
+    additive entry exactly, one of +inf gives every entry's bound.
     """
     n, width = len(records), evaluation.BLOCK_CLIPS
     queries = evaluation.embed_queries(params, records)
-    return np.hstack([evaluation.score_matrix(params, records, queries, lo, min(lo + width, n))
+    if near is None:
+        near = evaluation.own_pair_scores(params, records, queries)
+    return np.hstack([evaluation.score_matrix(params, records, queries, near, lo,
+                                              min(lo + width, n))
                       for lo in range(0, n, width)])
 
 

@@ -76,6 +76,22 @@ def test_train_is_reproducible(workspace):
     assert (a / "checkpoint_final.json").read_bytes() == (b / "checkpoint_final.json").read_bytes()
 
 
+def test_same_seed_reruns_write_byte_identical_manifests(workspace):
+    # the environment entry holds versions only, no time or host detail, so a rerun
+    # with the same seed writes the same manifest bytes
+    corpus = workspace / "corpus" / "train.corpus"
+    reruns = [workspace / "rerun_a", workspace / "rerun_b"]
+    for out in reruns:
+        assert main(["gen-corpus", "--out", str(out / "corpus"), "--seed", "5"]
+                    + CORPUS_KEYS) == 0
+        assert main(["train", "--corpus", str(corpus), "--out", str(out / "run"), "--quiet",
+                     "--seed", "7"] + TRAIN_KEYS) == 0
+    for name in ("corpus/manifest.json", "run/manifest.json"):
+        first = (reruns[0] / name).read_bytes()
+        assert first == (reruns[1] / name).read_bytes(), name
+        assert set(json.loads(first)["environment"]) == {"python", "numpy", "blas"}, name
+
+
 def test_train_logs_epochs_unless_quiet(workspace, capsys):
     corpus = workspace / "corpus" / "train.corpus"
     assert main(["train", "--corpus", str(corpus)] + TRAIN_KEYS) == 0

@@ -1,7 +1,9 @@
 """Flat config parsing, overrides, and run manifests."""
 
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from pairsieve.config import (
@@ -116,6 +118,16 @@ def test_manifest_round_trip(tmp_path):
     assert doc["config"] == {"lr": 0.1, "seed": 0}
     assert doc["artifacts"] == {"metrics": "metrics.csv"}
     assert doc["tool_version"] == "0.1.0"
+
+
+def test_manifest_records_python_numpy_and_blas_versions(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, "train", {"lr": 0.1}, {"metrics": "metrics.csv"}, "0.1.0")
+    env = json.loads(path.read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
 
 
 def test_manifest_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pairsieve import cli, evaluation
+from pairsieve import cli, evaluation, model
 from pairsieve.cli import main
 from pairsieve.corpus import CorpusSpec, generate_corpus, save_corpus
 from pairsieve.evaluation import (
@@ -138,25 +138,120 @@ def _per_pair_scores(params, records):
     return out
 
 
+def _dead(params, side):
+    """params with every ReLU unit of the side's channel dead: all its embeddings are 0."""
+    params.tensors[f"{side}.bias"][...] = -1e3
+    return params
+
+
+def _tied(params):
+    """params whose two channels share one weight, so own pairs tend to score highest,
+    as after training."""
+    params.tensors["language.weight"][...] = params.tensors["vision.weight"]
+    return params
+
+
+def _check_pruned(params, records, kind, near):
+    """score_matrix's entries under near: exact where the bound reaches the floor,
+    the bound, which lies below it, elsewhere; returns (pruned matrix, exact mask)."""
+    n = len(records)
+    got = full_score_matrix(params, records, near)
+    exact = full_score_matrix(params, records, np.full(n, -np.inf))
+    bound = full_score_matrix(params, records, np.full(n, np.inf))
+    floor = np.minimum.outer(near, near) - 2 * TIE_BAND
+    scored = ~(bound < floor) if kind == "additive" else np.ones((n, n), dtype=bool)
+    assert np.array_equal(got[scored], exact[scored])  # the same bits as with none pruned
+    # the other entries hold their bound, apart from one exact partner of a lone
+    # exact entry in its column
+    assert ((got == bound) | (got == exact))[~scored].all()
+    assert (bound[~scored] < floor[~scored]).all()
+    assert (bound >= exact - 1e-12).all()
+    return got, scored
+
+
 @pytest.mark.parametrize("kind", ["uniform", "dot", "multiplicative", "additive"])
 def test_score_matrix_matches_per_pair_loop(kind):
-    # clips of 1 to 10 frames, a single query, and an attention width unlike d_emb
+    # clips of 1 to 10 frames, a single query, and an attention width unlike d_emb:
+    # every entry scored exactly matches the per-pair loop to 1e-12, and an
+    # additive entry is scored exactly unless its bound lies below the floor
+    # min(near_i, near_j) - 2 TIE_BAND
     mixed = (_records(2, seed=0, frames=(1, 1)) + _records(2, seed=1, frames=(10, 10))
              + _records(2, seed=2))
     for d_att in (0, 3) if kind == "additive" else (0,):
         params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1), d_att=d_att)
         for records in (mixed, _records(n=1)):
-            got = full_score_matrix(params, records)
+            n = len(records)
             want = _per_pair_scores(params, records)
-            assert np.allclose(got, want, rtol=0, atol=1e-12), (d_att, len(records))
+            got = full_score_matrix(params, records, np.full(n, -np.inf))
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (d_att, n)
             near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
-            assert np.allclose(near, np.diag(want), rtol=0, atol=1e-12), (d_att, len(records))
+            assert np.allclose(near, np.diag(want), rtol=0, atol=1e-12), (d_att, n)
+            assert np.diag(_check_pruned(params, records, kind, near)[1]).all()
         records = _records(n=40, seed=7)
-        scores = full_score_matrix(params, records)
-        ranks = retrieval_ranks([scores], np.diag(scores))
+        near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
+        scores, scored = _check_pruned(params, records, kind, near)
+        assert np.diag(scored).all()
+        ranks = retrieval_ranks([scores], near)
         want = _per_pair_scores(params, records)
         assert ranks[0].tolist() == [rank_of(want[i, :], i) for i in range(40)], d_att
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
+
+
+def test_pruned_ranks_match_per_pair_oracle():
+    # eval's blocks, with their bounds, rank as the per-pair loop for a random, a
+    # trained-like and two all-tie models whose vision or language ReLU units are
+    # all dead, with blocks of 7 clips so that ranks cross block edges
+    records = _records(n=30, seed=13, frames=(1, 10))
+    for make in (lambda p: p, _tied, lambda p: _dead(p, "vision"),
+                 lambda p: _dead(p, "language")):
+        params = make(init_model(8, 6, "additive", "residual", 2, np.random.default_rng(3)))
+        near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
+        scores, scored = _check_pruned(params, records, "additive", near)
+        assert np.diag(scored).all()  # a diagonal entry is always scored exactly
+        want = _per_pair_scores(params, records)
+        video, sentence = retrieval_ranks(_blocks(scores, 7), near)
+        assert video.tolist() == [rank_of(want[i, :], i) for i in range(30)]
+        assert sentence.tolist() == [rank_of(want[:, j], j) for j in range(30)]
+
+
+def test_score_matrix_scores_every_entry_whose_bound_reaches_the_floor():
+    # near may lie up to TIE_BAND off the exact diagonal, so the floor keeps a margin
+    # of 2 TIE_BAND below it: with each near_i placed TIE_BAND above the bound of
+    # one entry of row i, that entry must still be scored exactly
+    records = _records(n=12, seed=14, frames=(3, 10))
+    params = _tied(init_model(8, 6, "additive", "residual", 2, np.random.default_rng(4)))
+    bound = full_score_matrix(params, records, np.full(12, np.inf))
+    exact = full_score_matrix(params, records, np.full(12, -np.inf))
+    for shift in range(1, 12):
+        cols = (np.arange(12) + shift) % 12
+        near = bound[np.arange(12), cols] + TIE_BAND
+        got = _check_pruned(params, records, "additive", near)[0]
+        assert np.array_equal(got[np.arange(12), cols], exact[np.arange(12), cols]), shift
+
+
+def test_eval_scores_fewer_additive_entries_than_n_squared(monkeypatch):
+    # under a trained-like model most entries' bounds lie below their floor, so
+    # clip_scores pools fewer than n^2 / 2 columns exactly; every column is pooled
+    # by one softmax over its frames (axis 0). Some clips leave only their own
+    # sentence open, which is pooled beside a second one and keeps its bits.
+    widths = []
+    softmax = model.softmax
+
+    def counting_softmax(e, axis=-1):
+        if axis == 0:
+            widths.append(e.shape[1])
+        return softmax(e, axis)
+
+    monkeypatch.setattr(model, "softmax", counting_softmax)
+    records = _records(n=60, seed=15)
+    params = _tied(init_model(8, 32, "additive", "residual", 2, np.random.default_rng(1)))
+    params.tensors["attention.w_score"][...] *= 0.1  # flatter attention: a tighter bound
+    bidirectional_retrieval(params, records)
+    assert len(widths) == 60
+    assert 60 <= sum(widths) < 60 * 60 / 2, sum(widths)
+    near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
+    scored = _check_pruned(params, records, "additive", near)[1]
+    assert (scored.sum(axis=0) == 1).any()
 
 
 def _use_cores(monkeypatch, cores, min_clips_for_threads=1):
@@ -236,12 +331,13 @@ def test_score_matrix_threads_keep_callers_error_state(monkeypatch):
     weight = params.tensors["vision.weight"]
     weight[...] = np.resize([1e308, -1e308], weight.shape)
     records = _records(n=6, seed=3)
+    near = np.zeros(6)  # given, so that only the shares embed clips
     with pytest.warns(RuntimeWarning):
-        full_score_matrix(params, records[3:])  # the second share's clips overflow
+        full_score_matrix(params, records[3:], near[3:])  # the second share's clips overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            scores = full_score_matrix(params, records)
+            scores = full_score_matrix(params, records, near)
     assert not np.isfinite(scores).all()
 
 
@@ -295,7 +391,7 @@ def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
     queries = evaluation.embed_queries(params, records)
     tracemalloc.start()
     try:
-        evaluation.score_matrix(params, records, queries, 0, 64)
+        evaluation.score_matrix(params, records, queries, np.full(n, -np.inf), 0, 64)
         block_peak = tracemalloc.get_traced_memory()[1]
         _use_cores(monkeypatch, 1)
         tracemalloc.reset_peak()
@@ -338,7 +434,7 @@ def test_eval_refuses_too_many_clips_before_scoring(tmp_path, monkeypatch, capsy
     scored = []
     score_matrix = evaluation.score_matrix
     monkeypatch.setattr(evaluation, "score_matrix",
-                        lambda *args: scored.append(args[3:]) or score_matrix(*args))
+                        lambda *args: scored.append(args[4:]) or score_matrix(*args))
     message = "pairsieve: error: test set has 4 clips; eval takes at most 3\n"
     with pytest.raises(EvalError, match="4 clips; eval takes at most 3"):
         bidirectional_retrieval(params, records)

@@ -1,8 +1,6 @@
 """Embedding channels, attention scorers, gating, and checkpoints."""
 
 import json
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from pairsieve.model import (
     adv_logit,
     attend,
     attention_scores,
+    clip_scores,
     embed,
     init_bvf,
     init_model,
@@ -23,7 +22,6 @@ from pairsieve.model import (
     sample_gumbel,
     save_checkpoint,
     softmax,
-    write_atomically,
 )
 
 from oracles import PinnedUniform
@@ -122,6 +120,50 @@ def test_attention_scores_match_manual_forms():
             assert np.allclose(batch[i], _manual_scores(params, s[i], h[i])), kind
             assert np.allclose(grid[i], _manual_scores(params, s[i], h[0])), kind
             assert np.allclose(v[i], alpha[i] @ h[0]), kind
+
+
+def _frame_bound(params, s, h):
+    """The additive bound on s . v for one sentence s (E,) and frames h (F, E), by its
+    formula, unit by unit."""
+    t = params.tensors
+    c, w, p = h @ t["attention.w2"], t["attention.w_score"], h @ s
+    delta = max(sum(abs(w[a]) * min(2.0, abs(c[f, a] - c[g, a])) for a in range(len(w)))
+                for f in range(len(h)) for g in range(len(h)))
+    with np.errstate(over="ignore"):
+        a_min = 1.0 / (1.0 + (len(h) - 1) * np.exp(delta))
+    return a_min * p.sum() + (1.0 - len(h) * a_min) * p.max()
+
+
+def test_clip_scores_bound_lies_above_the_exact_score():
+    # a floor of +inf returns every query's bound, one of -inf its exact score. For
+    # d_att 0 and 3, clips of 1 and 10 frames, a w2 scaled so that frame projections
+    # differ by more than 2 (where the tanh clip tightens the bound) and a w_score big
+    # enough that e^delta overflows, the bound is its formula's value and no lower
+    # than the exact score; with the overflow it is the frame maximum, reached
+    # without a floating-point warning
+    rng = np.random.default_rng(8)
+    for d_att in (0, 3):
+        for w2_scale, w_scale in ((1.0, 1.0), (10.0, 1.0), (1.0, 1e4)):
+            params = _model("additive", seed=d_att, d_att=d_att)
+            t = params.tensors
+            t["attention.w2"] *= w2_scale
+            t["attention.w_score"] *= w_scale
+            s = embed(params, "language", rng.normal(size=(9, 6)))[0]
+            sT = np.ascontiguousarray(s.T)
+            q = t["attention.w1"].T @ sT
+            for frames in (1, 10):
+                h = embed(params, "vision", rng.normal(size=(frames, 6)))[0]
+                with np.errstate(all="raise"):
+                    bound = clip_scores(params, h, sT, q, np.empty_like(q), np.full(9, np.inf))
+                exact = clip_scores(params, h, sT, q, np.empty_like(q), np.full(9, -np.inf))
+                case = (d_att, w2_scale, w_scale, frames)
+                want = [s_i @ attend(params, s_i, h)[0] for s_i in s]
+                assert np.allclose(exact, want, rtol=0, atol=1e-12), case
+                want = [_frame_bound(params, s_i, h) for s_i in s]
+                assert np.allclose(bound, want, rtol=0, atol=1e-12), case
+                assert (bound >= exact - 1e-12).all(), case
+                if w_scale > 1 and frames > 1:
+                    assert np.array_equal(bound, (h @ sT).max(axis=0)), case
 
 
 def test_adv_logit_modes():
@@ -387,52 +429,3 @@ def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypat
         save_checkpoint(_model(seed=2), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
-
-
-def test_write_atomically_failing_midway_keeps_previous_file_and_no_temp(tmp_path):
-    path = tmp_path / "out.txt"
-    path.write_text("old\n")
-    with pytest.raises(RuntimeError, match="midway"):
-        with write_atomically(path) as fh:
-            fh.write("new\n" * 5000)
-            fh.flush()
-            raise RuntimeError("midway")
-    assert path.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
-
-
-def test_write_atomically_racing_writers_leave_one_whole_text(tmp_path):
-    # two threads write one path at once, each flushing line by line so that their
-    # writes interleave; every round ends with one writer's complete text, no
-    # writer fails and no temp file is left
-    path = tmp_path / "out.txt"
-    texts = [[f"writer {w} line {i}\n" for i in range(100 + 50 * w)] for w in (0, 1)]
-    wholes = {"".join(lines) for lines in texts}
-
-    def write(lines, barrier, errors):
-        try:
-            barrier.wait(timeout=10)
-            with write_atomically(path) as fh:
-                for line in lines:
-                    fh.write(line)
-                    fh.flush()
-        except BaseException as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(20):
-            barrier, errors = threading.Barrier(2), []
-            threads = [threading.Thread(target=write, args=(lines, barrier, errors))
-                       for lines in texts]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-                assert not thread.is_alive(), trial
-            assert errors == [], (trial, errors)
-            assert path.read_text() in wholes, trial
-            assert [p.name for p in tmp_path.iterdir()] == ["out.txt"], trial
-    finally:
-        sys.setswitchinterval(interval)
