@@ -192,10 +192,12 @@ def cmd_ablate(args):
         print(row)
     with write_atomically(os.path.join(args.out, "ablation.csv")) as fh:
         fh.write("\n".join(rows) + "\n")
+    # the resolved training config every run shares, seed included; the axis is swept
+    base = {k: v for k, v in _resolved_dict(cfgs[0], "train").items() if k != args.axis}
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         "ablate",
-        dict(sorted(values.items())),
+        base,
         {"axis": args.axis, "values": [str(v) for v in axis_values],
          "table": "ablation.csv"},
         __version__,

@@ -80,6 +80,8 @@ class TrainConfig:
             raise ConfigError("d_emb must be >= 1")
         if self.d_att < 0:
             raise ConfigError("d_att must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.attention_kind not in ATTENTION_KINDS:
             raise ConfigError(
                 f"attention_kind must be one of {ATTENTION_KINDS}, got {self.attention_kind!r}"

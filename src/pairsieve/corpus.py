@@ -36,6 +36,9 @@ CORPUS_VERSION = 2
 # gen-corpus refuses a spec whose feature arrays could exceed this many floats
 # (1 GiB as float64), before it draws anything
 MAX_CORPUS_FLOATS = 2**27
+# eval scores and ranks this many clips at a time, and each pass over whole clips
+# (own-pair scores, attention-dump, the bank seed) embeds at most this many of one length
+BLOCK_CLIPS = 128
 
 
 class CorpusError(ValueError):
@@ -135,6 +138,8 @@ class CorpusSpec:
             raise CorpusError("need 1 <= frame_len_min <= frame_len_max")
         if self.feature_noise_sigma < 0:
             raise CorpusError("feature_noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise CorpusError("corpus_seed must be >= 0")
         for keys, floats in (("(n_train + n_test) * frame_len_max * d",
                               (self.n_train + self.n_test) * self.frame_len_max * self.d),
                              ("k * d", self.k * self.d)):
@@ -431,3 +436,11 @@ def sample_frames(records, clip_idx, n_f, rng):
     idx.sort(axis=1)
     starts = np.cumsum(lengths) - lengths
     return np.concatenate(clips)[starts[:, None] + idx]
+
+
+def length_chunks(records, size):
+    """Index lists of records of one frame count, at most size each, in record order."""
+    by_length = {}
+    for i, rec in enumerate(records):
+        by_length.setdefault(rec.frames_raw.shape[0], []).append(i)
+    return [g[k:k + size] for g in by_length.values() for k in range(0, len(g), size)]

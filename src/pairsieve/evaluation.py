@@ -12,28 +12,22 @@ and scored on threads; a smaller test set is scored serially.
 
 Video search ranks clips for each sentence (rows), sentence search
 ranks sentences for each clip (columns). Before any block is scored,
-own_pair_scores computes near[i], clip i's score under sentence i,
-with training's batched embed and attend; it differs from the block's
+own_pair_scores computes near[i], clip i's score under sentence i, in
+training's batched embed and attend over clips of one length, the pass
+export_attention takes its weights from; near differs from the block's
 exact diagonal entry by rounding only. A block holds its columns' own
 diagonal entries, so sentence search ranks them at once, and so does
-video search for the rows whose diagonal is already known. A row
-below the block counts at once the entries above near + TIE_BAND and
-drops those below near - TIE_BAND; only the entries inside the band
-wait for the block that holds the row's diagonal, which first checks
-that the diagonal lies inside the band. Beyond its corpus, a test set
-of n clips then needs one block and its masks, plus the band: a few
-near-ties, up to n^2/4 floats only where every score ties with its
-row's own. Each query has exactly one relevant item, so average
-precision reduces to 1/rank.
-
-Ranking needs each score only on its side of the two diagonals it is
-ranked against, so additive attention, the costly kind, is filtered
-before it is refined: model.clip_scores bounds every score from the
-clip's frame scores and scores exactly only the pairs whose bound
-reaches min(near[i], near[j]) - 2 TIE_BAND. A pair below that keeps its
-bound, which ranks as its exact score would: behind both diagonals and
-outside both bands. The other kinds score every pair exactly, as their
-exact score costs about as much as the bound.
+video search for the rows whose diagonal is already known. A row below
+the block counts at once the entries above near + TIE_BAND and drops
+those below near - TIE_BAND; only the entries inside the band wait for
+the block that holds the row's diagonal, which first checks that the
+diagonal lies inside the band. Beyond its corpus, a test set of n clips
+then needs one block and its masks, plus the band: a few near-ties, up
+to n^2/4 floats only where every score ties with its row's own. Each
+query has exactly one relevant item, so average precision reduces to
+1/rank. A score that model.clip_scores bounds below min(near[i],
+near[j]) - 2 TIE_BAND ranks as its exact score would, behind both
+diagonals and outside both bands.
 """
 
 from __future__ import annotations
@@ -45,13 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import attend, clip_scores, embed
+from .corpus import BLOCK_CLIPS, length_chunks
+from .model import attend, clip_scores, embed, query_projection
 
 DEFAULT_RECALL_KS = (1, 5, 10)
-
-# bidirectional_retrieval scores and ranks this many clips at a time, and
-# own_pair_scores embeds at most this many clips of one length at once
-BLOCK_CLIPS = 128
 
 # eval refuses more test clips than this before scoring: where every score
 # ties with its row's own, the band retrieval_ranks defers reaches 2n^2
@@ -88,16 +79,11 @@ def check_eval_size(records):
 
 
 def embed_queries(params, records):
-    """The query side of score_matrix, (sT, q): embedded sentences on the last axis.
-
-    q is the attention projection of the queries for the multiplicative
-    and additive kinds, None for the others.
-    """
+    """The query side of score_matrix, (sT, q): embedded sentences on the last
+    axis and their model.query_projection."""
     s = embed(params, "language", np.stack([r.sentence_raw for r in records]))[0]
     sT = np.ascontiguousarray(s.T)
-    w_name = {"multiplicative": "attention.w_mult",
-              "additive": "attention.w1"}.get(params.attention_kind)
-    return sT, None if w_name is None else params.tensors[w_name].T @ sT
+    return sT, query_projection(params, sT)
 
 
 def score_matrix(params, records, queries, near, lo, hi):
@@ -107,22 +93,19 @@ def score_matrix(params, records, queries, near, lo, hi):
     model.clip_scores scores each clip against all queries at once, and
     queries is embed_queries(params, records). near is own_pair_scores':
     clip j's floor for sentence i is min(near[i], near[j]) - 2 TIE_BAND,
-    and an additive entry whose bound lies below it holds that bound in
-    place of s_i . v_ij. Both lie below the two diagonals the entry is
-    ranked against and their tie bands, so no rank moves, and each
-    diagonal entry is scored exactly. From MIN_CLIPS_FOR_THREADS
-    records on, the block's clips are split into min(usable cores,
-    hi - lo) contiguous shares; the calling thread scores the first and
-    one new thread each of the others. A smaller test set forms one
-    share, scored on the calling thread. Each share writes only its own
-    columns of out and holds its own (A, n) additive buffer, so every
-    score is the same bits for any number of shares and any block. Each
-    thread runs in a copy of the caller's context, so the caller's numpy
-    error state holds there too. An error in a share is raised, the
-    first in share order, once every thread has ended.
+    and an entry that clip_scores bounds below it holds that bound in
+    place of s_i . v_ij; no rank moves, and each diagonal entry is scored
+    exactly. From MIN_CLIPS_FOR_THREADS records on, the block's clips are
+    split into min(usable cores, hi - lo) contiguous shares; the calling
+    thread scores the first and one new thread each of the others. A
+    smaller test set forms one share, scored on the calling thread. Each
+    share writes only its own columns of out and holds its own scratch
+    buffer, so every score is the same bits for any number of shares and
+    any block. Each thread runs in a copy of the caller's context, so the
+    caller's numpy error state holds there too. An error in a share is
+    raised, the first in share order, once every thread has ended.
     """
     sT, q = queries
-    kind = params.attention_kind
     n, width = len(records), hi - lo
     low = near - 2 * TIE_BAND
     out = np.empty((n, width))
@@ -133,7 +116,7 @@ def score_matrix(params, records, queries, near, lo, hi):
 
     def score_share(k):
         try:
-            buf = np.empty_like(q) if kind == "additive" else None
+            buf = None if q is None else np.empty_like(q)
             for j in range(k * width // shares, (k + 1) * width // shares):
                 h = embed(params, "vision", records[lo + j].frames_raw)[0]
                 out[:, j] = clip_scores(params, h, sT, q, buf, np.minimum(low, low[lo + j]))
@@ -153,25 +136,26 @@ def score_matrix(params, records, queries, near, lo, hi):
     return out
 
 
+def _own_pairs(params, records, sT):
+    """(chunk, s, v, alpha) per length_chunks(records, BLOCK_CLIPS): record
+    indices, their sentences from sT (E, n), and each clip embedded and
+    pooled under its own sentence by training's batched embed and attend."""
+    for chunk in length_chunks(records, BLOCK_CLIPS):
+        s = sT[:, chunk].T
+        h = embed(params, "vision", np.stack([records[i].frames_raw for i in chunk]))[0]
+        v, alpha, _ = attend(params, s, h)
+        yield chunk, s, v, alpha
+
+
 def own_pair_scores(params, records, queries):
     """near[i] = s_i . v_ii, clip i's score under its own sentence.
 
-    The clips are embedded and pooled with training's batched embed and
-    attend, grouped by frame count in chunks of at most BLOCK_CLIPS
-    clips; queries is embed_queries(params, records). near differs from
+    queries is embed_queries(params, records). near differs from
     score_matrix's diagonal entry by rounding only.
     """
-    sT = queries[0]
     near = np.empty(len(records))
-    by_length = {}
-    for i, rec in enumerate(records):
-        by_length.setdefault(rec.frames_raw.shape[0], []).append(i)
-    for group in by_length.values():
-        for k in range(0, len(group), BLOCK_CLIPS):
-            chunk = group[k:k + BLOCK_CLIPS]
-            s = sT[:, chunk].T
-            h = embed(params, "vision", np.stack([records[i].frames_raw for i in chunk]))[0]
-            near[chunk] = np.einsum("be,be->b", s, attend(params, s, h)[0])
+    for chunk, s, v, _ in _own_pairs(params, records, queries[0]):
+        near[chunk] = np.einsum("be,be->b", s, v)
     return near
 
 
@@ -318,15 +302,18 @@ def report_summary(report):
 def export_attention(params, records):
     """Per-frame attention of each record under its own sentence.
 
-    Returns a list of dict rows: clip id, frame index, grounded flag,
-    weight, and weight relative to the clip's strongest frame.
+    The weights are those own_pair_scores pools with. Returns a list of
+    dict rows in record and frame order: clip id, frame index, grounded
+    flag, weight, and weight relative to the clip's strongest frame.
     """
     if not records:
         raise EvalError("no records to dump")
+    alphas = [None] * len(records)
+    for chunk, _, _, alpha in _own_pairs(params, records, embed_queries(params, records)[0]):
+        for i, a in zip(chunk, alpha):
+            alphas[i] = a
     rows = []
-    for rec in records:
-        s = embed(params, "language", rec.sentence_raw)[0]
-        _, alpha, _ = attend(params, s, embed(params, "vision", rec.frames_raw)[0])
+    for rec, alpha in zip(records, alphas):
         if not np.isfinite(alpha).all():
             raise EvalError(f"clip {rec.id}: attention weights must be finite")
         top = alpha.max()

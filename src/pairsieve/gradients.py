@@ -187,21 +187,17 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
             dw_coef[member_idx] -= hinges / m
         df_adv = b_coef * sigmoid(f_adv) + dw_coef * w * (1.0 - w) / cfg.tau
 
+        grads["disc.b_adv"][0] += float(df_adv.sum())
+        dp_adv = df_adv * t["disc.a_adv"][0]
         if params.input_mode == "residual":
             grads["disc.a_adv"][0] += float(df_adv @ (p_adv - p_lvc))
-            grads["disc.b_adv"][0] += float(df_adv.sum())
-            dp_adv = df_adv * t["disc.a_adv"][0]
-            dp_lvc -= df_adv * t["disc.a_adv"][0]
+            dp_lvc -= dp_adv
         elif params.input_mode == "concat":
             grads["disc.a_adv"][0] += float(df_adv @ p_adv)
             grads["disc.a_adv"][1] += float(df_adv @ p_lvc)
-            grads["disc.b_adv"][0] += float(df_adv.sum())
-            dp_adv = df_adv * t["disc.a_adv"][0]
             dp_lvc += df_adv * t["disc.a_adv"][1]
         else:
             grads["disc.a_adv"][0] += float(df_adv @ p_adv)
-            grads["disc.b_adv"][0] += float(df_adv.sum())
-            dp_adv = df_adv * t["disc.a_adv"][0]
 
         np.add.at(grads["disc.bvf"], jstar, dp_adv[:, None] * s)
 

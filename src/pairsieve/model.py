@@ -13,12 +13,14 @@ takes the ModelParams and reads them by layout name ("attention.w1",
 "disc.a_adv"), the names the gradient, the SGD step and checkpoints use
 too. Shape contract: embed maps (..., d_in) to (..., E) through the
 "language" or "vision" channel; attention_scores and attend take
-sentences s (..., E) and frames h (..., F, E): one pair (E,) with (F, E)
-or a batch (B, E) with (B, F, E); clip_scores takes one clip (F, E) and
-every query on the last axis, s.T (E, n); adv_logit and sample_gate work
-elementwise on arrays. For additive attention clip_scores is also eval's
-filter: a query whose upper bound on the score, from the clip's frame
-scores, lies below a given floor gets that bound, not its exact score.
+sentences s (..., E) and frames h (..., F, E) and broadcast the leading
+axes, so training's batch (B, E) with (B, F, E) and whole records,
+chunked by frame count, take the same einsum path; clip_scores takes one
+clip (F, E) and every query on the last axis, s.T (E, n), with
+query_projection's q; adv_logit and sample_gate work elementwise on
+arrays. For additive attention clip_scores is also eval's filter: a
+query whose upper bound on the score, from the clip's frame scores, lies
+below a given floor gets that bound, not its exact score.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import BLOCK_CLIPS, length_chunks
 from .files import read_text, write_atomically
 from .losses import sigmoid
 
@@ -179,18 +182,6 @@ def embed(params, side, x):
     return act / np.where(norm > 0, norm, np.inf), pre, norm
 
 
-def _per_frame(a, h):
-    """Contract a (..., E) with every frame of h (..., F, E) -> (..., F).
-
-    A 2-D h (attention-dump's one sentence against its own clip) goes
-    through a plain matmul; einsum rounds differently and would change
-    the dumped weights in the last bits.
-    """
-    if h.ndim == 2:
-        return a @ h.T
-    return np.einsum("...e,...fe->...f", a, h)
-
-
 def attention_scores(params, s, h):
     """Raw frame scores e (..., F) and the cache backward needs.
 
@@ -200,10 +191,10 @@ def attention_scores(params, s, h):
     if kind == "uniform":
         return np.zeros(np.broadcast_shapes(s.shape[:-1] + (1,), h.shape[:-1])), {}
     if kind == "dot":
-        return _per_frame(s, h), {}
+        return np.einsum("...e,...fe->...f", s, h), {}
     if kind == "multiplicative":
         u = s @ t["attention.w_mult"]
-        return _per_frame(u, h), {"u": u}
+        return np.einsum("...e,...fe->...f", u, h), {"u": u}
     if kind == "additive":
         th = np.tanh((s @ t["attention.w1"])[..., None, :] + h @ t["attention.w2"])  # (..., F, A)
         return th @ t["attention.w_score"], {"t": th}
@@ -223,17 +214,22 @@ def attend(params, s, h):
     """
     e, cache = attention_scores(params, s, h)
     alpha = softmax(e)
-    v = alpha @ h if h.ndim == 2 else np.einsum("...f,...fe->...e", alpha, h)
-    return v, alpha, cache
+    return np.einsum("...f,...fe->...e", alpha, h), alpha, cache
+
+
+def query_projection(params, sT):
+    """clip_scores' q for the queries sT (E, n): (s @ w_mult).T, (s @ w1).T or None."""
+    name = {"multiplicative": "attention.w_mult",
+            "additive": "attention.w1"}.get(params.attention_kind)
+    return None if name is None else params.tensors[name].T @ sT
 
 
 def clip_scores(params, h, sT, q, buf, floor):
     """s_i . v_i for every query i against one clip h (F, E); sT is (E, n).
 
-    q is the query-side projection, (s @ w_mult).T or (s @ w1).T, and buf
-    an (A, n) scratch array where additive scores one frame at a time; both
-    are None where unused. As s . v = sum_f alpha_f s . h_f with the frame
-    scores p_f = s . h_f, v is not built.
+    q is query_projection(params, sT) and buf a scratch array of its shape,
+    where additive scores one frame at a time. As s . v = sum_f alpha_f
+    s . h_f with the frame scores p_f = s . h_f, v is not built.
 
     Additive attention scores exactly only the queries whose upper bound
     ub reaches floor (n,); every other query gets ub, which is no lower
@@ -329,15 +325,18 @@ def sample_gate(f_adv, tau, sampler, rng=None):
 def init_bvf(params, clips, rng):
     """Seed the background bank from the current vision channel.
 
-    Every training clip is embedded with uniform frame pooling, the pool
-    is randomly split into n_bvf groups, and each bank row becomes the
-    normalized group mean. Groups that die under ReLU fall back to a
-    random unit vector.
+    Every training clip is embedded with uniform frame pooling, in
+    length_chunks of BLOCK_CLIPS clips; the pool is randomly split into
+    n_bvf groups, and each bank row becomes the normalized group mean.
+    Groups that die under ReLU fall back to a random unit vector.
     """
     bank = params.tensors["disc.bvf"]  # written row by row in place: a view into params.flat
     if not clips:
         raise ModelError("cannot seed background bank from an empty corpus")
-    pooled = np.stack([embed(params, "vision", c.frames_raw)[0].mean(axis=0) for c in clips])
+    pooled = np.empty((len(clips), bank.shape[1]))
+    for chunk in length_chunks(clips, BLOCK_CLIPS):
+        frames = np.stack([clips[i].frames_raw for i in chunk])
+        pooled[chunk] = embed(params, "vision", frames)[0].mean(axis=1)
     groups = np.array_split(rng.permutation(len(clips)), bank.shape[0])
     for i, g in enumerate(groups):
         mean = pooled[g].mean(axis=0) if g.size else np.zeros(bank.shape[1])

@@ -2,9 +2,11 @@
 finite differences over it, a generator whose one uniform draw is
 pinned, the triplet loss by enumeration, the per-tensor SGD rule, the
 per-query retrieval rank, the whole score matrix from eval's blocks,
-exact record equality, a corpus-file reader and writer that edit
-records field by field in either file version, and the corpus
-generator drawn and normalised one vector at a time.
+frame scores by formula, the attention dump and the background bank
+computed one record at a time, exact record equality, a corpus-file
+reader and writer that edit records field by field in either file
+version, and the corpus generator drawn and normalised one vector at a
+time.
 
 The analytic gradients are exact for the objective in which the gate's
 random draw is pinned: the hard call z and the gumbel pair keep their
@@ -227,6 +229,53 @@ def full_score_matrix(params, records, near=None):
     return np.hstack([evaluation.score_matrix(params, records, queries, near, lo,
                                               min(lo + width, n))
                       for lo in range(0, n, width)])
+
+
+def frame_scores_by_formula(params, s, h):
+    """Frame-by-frame score of one sentence s (E,) against frames h (F, E)."""
+    t = params.tensors
+    out = []
+    for frame in h:
+        if params.attention_kind == "uniform":
+            out.append(0.0)
+        elif params.attention_kind == "dot":
+            out.append(s @ frame)
+        elif params.attention_kind == "multiplicative":
+            out.append(s @ t["attention.w_mult"] @ frame)
+        else:
+            out.append(np.tanh(s @ t["attention.w1"] + frame @ t["attention.w2"])
+                       @ t["attention.w_score"])
+    return np.array(out)
+
+
+def reference_attention_dump(params, records):
+    """export_attention's rows, one record at a time: the record's sentence and
+    frames embedded alone, each frame scored by its formula, then the softmax."""
+    rows = []
+    for rec in records:
+        s = embed(params, "language", rec.sentence_raw)[0]
+        e = frame_scores_by_formula(params, s, embed(params, "vision", rec.frames_raw)[0])
+        w = np.exp(e - e.max())
+        alpha = w / w.sum()
+        rows += [{"clip_id": rec.id, "frame": f, "grounded": int(rec.grounded[f]),
+                  "alpha": float(a), "alpha_rel": float(a / alpha.max())}
+                 for f, a in enumerate(alpha)]
+    return rows
+
+
+def reference_bank(params, clips, rng):
+    """The bank init_bvf seeds, from one clip at a time: each clip's frames
+    embedded alone and averaged, then grouped and normalised as init_bvf does."""
+    bank = params.tensors["disc.bvf"].copy()
+    pooled = np.stack([embed(params, "vision", c.frames_raw)[0].mean(axis=0) for c in clips])
+    for i, g in enumerate(np.array_split(rng.permutation(len(clips)), bank.shape[0])):
+        mean = pooled[g].mean(axis=0) if g.size else np.zeros(bank.shape[1])
+        norm = np.linalg.norm(mean)
+        if norm < 1e-12:
+            mean = rng.normal(size=bank.shape[1])
+            norm = np.linalg.norm(mean)
+        bank[i] = mean / norm
+    return bank
 
 
 def records_equal(a, b):

@@ -13,11 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pairsieve import evaluation
 from pairsieve.cli import main
+from pairsieve.config import CONFIG_SCHEMA, train_config_from
 from pairsieve.corpus import load_corpus
 from pairsieve.model import ATTENTION_KINDS, init_model, load_checkpoint, save_checkpoint
+from pairsieve.training import train
 
-from oracles import corpus_fields, corpus_line
+from oracles import corpus_fields, corpus_line, reference_attention_dump
 
 CORPUS_KEYS = ["--set", "n_train=30", "--set", "n_test=8",
                "--set", "d=8", "--set", "k=12"]
@@ -146,6 +149,68 @@ def test_ablate_command(workspace, capsys):
     assert (out_dir / "bvf_count=3" / "checkpoint_final.json").exists()
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["artifacts"]["values"] == ["2", "3"]
+
+
+def test_ablate_manifest_records_the_resolved_config_and_seed(workspace, tmp_path):
+    # every training key but the swept one, the --seed value included: training
+    # from the manifest's config reproduces the run's checkpoint
+    corpus_dir = workspace / "corpus"
+    out_dir = tmp_path / "ablate"
+    assert main(["ablate", "--corpus", str(corpus_dir / "train.corpus"),
+                 "--test-corpus", str(corpus_dir / "test.corpus"), "--axis", "bvf_count",
+                 "--values", "2", "--out", str(out_dir), "--seed", "7"] + TRAIN_KEYS) == 0
+    config = json.loads((out_dir / "manifest.json").read_text())["config"]
+    train_keys = {key for key, (_, (owner, _)) in CONFIG_SCHEMA.items() if owner == "train"}
+    assert set(config) == train_keys - {"bvf_count"}
+    assert config["seed"] == 7
+    params, _ = train(train_config_from({**config, "bvf_count": 2}),
+                      load_corpus(corpus_dir / "train.corpus"))
+    ran = load_checkpoint(out_dir / "bvf_count=2" / "checkpoint_final.json")
+    assert params.flat.tobytes() == ran.flat.tobytes()
+
+
+def test_negative_seeds_end_in_one_error_line(workspace, tmp_path, capsys):
+    corpus_dir = workspace / "corpus"
+    train_args = ["train", "--corpus", str(corpus_dir / "train.corpus"), "--quiet"] + TRAIN_KEYS
+    ablate_args = ["ablate", "--corpus", str(corpus_dir / "train.corpus"),
+                   "--test-corpus", str(corpus_dir / "test.corpus"), "--axis", "bvf_count",
+                   "--values", "2", "--out", str(tmp_path / "ablate")] + TRAIN_KEYS
+    cases = [
+        (["gen-corpus", "--out", str(tmp_path / "a"), "--seed", "-1"], "corpus_seed"),
+        (["gen-corpus", "--out", str(tmp_path / "b"), "--set", "corpus_seed=-2"], "corpus_seed"),
+        (train_args + ["--seed", "-1"], "seed"),
+        (train_args + ["--set", "seed=-5"], "seed"),
+        (ablate_args + ["--seed", "-1"], "seed"),
+    ]
+    for argv, key in cases:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"pairsieve: error: {key} must be >= 0\n", argv
+    assert not any((tmp_path / name).exists() for name in ("a", "b", "ablate"))
+
+
+def test_attention_dump_rows_come_in_corpus_and_frame_order(workspace, tmp_path, monkeypatch):
+    # a corpus of 2 to 4 frames per clip, dumped in chunks of two: the length groups
+    # interleave and split over chunks, and the rows keep the corpus's order
+    corpus_dir = tmp_path / "mixed"
+    assert main(["gen-corpus", "--out", str(corpus_dir), "--seed", "3", "--set", "n_test=20",
+                 "--set", "frame_len_min=2", "--set", "frame_len_max=4"] + CORPUS_KEYS) == 0
+    records = load_corpus(corpus_dir / "test.corpus")
+    lengths = [r.frames_raw.shape[0] for r in records]
+    assert lengths != sorted(lengths) and max(map(lengths.count, lengths)) > 2
+    monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 2)
+    checkpoint = workspace / "run" / "checkpoint_final.json"
+    out = tmp_path / "attention.csv"
+    assert main(["attention-dump", "--checkpoint", str(checkpoint),
+                 "--corpus", str(corpus_dir / "test.corpus"), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "clip_id,frame,grounded,alpha,alpha_rel"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        (rec.id, f) for rec in records for f in range(rec.frames_raw.shape[0])]
+    want = reference_attention_dump(load_checkpoint(checkpoint), records)
+    assert [int(r[2]) for r in rows] == [w["grounded"] for w in want]
+    assert np.allclose([float(r[3]) for r in rows], [w["alpha"] for w in want],
+                       rtol=0, atol=1e-15)
 
 
 def test_attention_dump_command(workspace, capsys):

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from pairsieve.evaluation import (
     report_summary,
     retrieval_ranks,
 )
-from pairsieve.model import attend, embed, init_model, save_checkpoint
+from pairsieve.model import ATTENTION_KINDS, attend, embed, init_model, save_checkpoint
 
-from oracles import full_score_matrix, rank_of
+from oracles import full_score_matrix, rank_of, reference_attention_dump
 
 
 def test_rank_of_basic_and_ties():
@@ -513,5 +514,34 @@ def test_export_attention_rows():
 
     with pytest.raises(EvalError):
         export_attention(params, [])
+
+
+@pytest.mark.parametrize("kind", ATTENTION_KINDS)
+def test_export_attention_matches_per_record_oracle_across_chunks(kind, monkeypatch):
+    # clips of 1 to 10 frames in chunks of two: length groups interleave in record
+    # order and split over chunks, and the rows still come in record and frame order
+    monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 2)
+    records = _records(n=25, seed=16, frames=(1, 10))
+    lengths = [r.frames_raw.shape[0] for r in records]
+    assert lengths != sorted(lengths) and max(map(lengths.count, lengths)) > 2
+    params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(5), d_att=3)
+    rows, want = export_attention(params, records), reference_attention_dump(params, records)
+    assert [(r["clip_id"], r["frame"], r["grounded"]) for r in rows] == [
+        (r["clip_id"], r["frame"], r["grounded"]) for r in want]
+    for key in ("alpha", "alpha_rel"):
+        assert np.allclose([r[key] for r in rows], [r[key] for r in want], rtol=0, atol=1e-15)
+
+
+def test_export_attention_names_the_first_nonfinite_clip_in_record_order():
+    # clip b has 5 frames and comes between two 3-frame clips; the 3-frame chunk is
+    # pooled first, but b is the first non-finite clip in record order
+    three = _records(n=2, seed=1, frames=(3, 3))
+    five = _records(n=1, seed=2, frames=(5, 5))
+    records = [replace(three[0], id="a"),
+               replace(five[0], id="b", frames_raw=five[0].frames_raw * np.nan),
+               replace(three[1], id="c", frames_raw=three[1].frames_raw * np.nan)]
+    params = init_model(8, 6, "dot", "residual", 2, np.random.default_rng(4))
+    with np.errstate(all="ignore"), pytest.raises(EvalError, match="^clip b: attention"):
+        export_attention(params, records)
     with pytest.raises(EvalError, match="no records to evaluate"):
         bidirectional_retrieval(params, [])

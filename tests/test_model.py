@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pairsieve.corpus import CorpusSpec, generate_corpus
+from pairsieve.corpus import BLOCK_CLIPS, CorpusSpec, generate_corpus
 from pairsieve.model import (
     ATTENTION_KINDS,
     INPUT_MODES,
@@ -24,7 +24,7 @@ from pairsieve.model import (
     softmax,
 )
 
-from oracles import PinnedUniform
+from oracles import PinnedUniform, frame_scores_by_formula, reference_bank
 
 
 def _model(kind="dot", mode="residual", seed=0, d_in=6, d_emb=5, n_bvf=3, d_att=0):
@@ -87,23 +87,6 @@ def test_attention_weights_sum_to_one():
         assert np.all(np.abs((s * v).sum(axis=1)) <= 1.0 + 1e-12)
 
 
-def _manual_scores(params, s, h):
-    """Frame-by-frame score of one sentence s (E,) against frames h (F, E)."""
-    t = params.tensors
-    out = []
-    for frame in h:
-        if params.attention_kind == "uniform":
-            out.append(0.0)
-        elif params.attention_kind == "dot":
-            out.append(s @ frame)
-        elif params.attention_kind == "multiplicative":
-            out.append(s @ t["attention.w_mult"] @ frame)
-        else:
-            out.append(np.tanh(s @ t["attention.w1"] + frame @ t["attention.w2"])
-                       @ t["attention.w_score"])
-    return np.array(out)
-
-
 def test_attention_scores_match_manual_forms():
     rng = np.random.default_rng(3)
     s = rng.normal(size=(3, 5))
@@ -114,11 +97,11 @@ def test_attention_scores_match_manual_forms():
         batch, _ = attention_scores(params, s, h)     # sentence i with clip i
         grid, _ = attention_scores(params, s, h[0])   # every sentence with clip 0
         assert pair.shape == (4,) and batch.shape == grid.shape == (3, 4), kind
-        assert np.allclose(pair, _manual_scores(params, s[0], h[0])), kind
+        assert np.allclose(pair, frame_scores_by_formula(params, s[0], h[0])), kind
         v, alpha, _ = attend(params, s, h[0])
         for i in range(3):
-            assert np.allclose(batch[i], _manual_scores(params, s[i], h[i])), kind
-            assert np.allclose(grid[i], _manual_scores(params, s[i], h[0])), kind
+            assert np.allclose(batch[i], frame_scores_by_formula(params, s[i], h[i])), kind
+            assert np.allclose(grid[i], frame_scores_by_formula(params, s[i], h[0])), kind
             assert np.allclose(v[i], alpha[i] @ h[0]), kind
 
 
@@ -286,6 +269,19 @@ def test_init_bvf_rows_unit_norm_and_deterministic():
     with pytest.raises(ModelError):
         init_bvf(_model(), [], np.random.default_rng(0))
 
+
+
+def test_init_bvf_matches_per_clip_oracle():
+    # clips of 4 and 5 frames: each length group is longer than one chunk, so the
+    # batched pooling crosses chunk edges; every bank value keeps its bits
+    train, _ = generate_corpus(CorpusSpec(n_train=300, n_test=1, d=6, k=12, seed=4,
+                                          frame_len_min=4, frame_len_max=5))
+    lengths = [c.frames_raw.shape[0] for c in train]
+    assert min(lengths.count(4), lengths.count(5)) > BLOCK_CLIPS
+    params = _model(n_bvf=5, seed=6)
+    want = reference_bank(params, train, np.random.default_rng(9))
+    init_bvf(params, train, np.random.default_rng(9))
+    assert params.tensors["disc.bvf"].tobytes() == want.tobytes()
 
 
 def _assert_views_of_flat(params):
