@@ -5,10 +5,8 @@ embedding and attention formulas (model.embed, and model.clip_scores,
 their form for one clip against all queries), so a clip's pooled
 vector depends on which sentence is querying it. The query side is
 embedded once; the clips are then scored in column blocks of
-BLOCK_CLIPS clips, and each block is ranked as it arrives, so no n x n
-array ever exists. From MIN_CLIPS_FOR_THREADS test clips on, each
-block's clips are split into contiguous shares, one per usable core,
-and scored on threads; a smaller test set is scored serially.
+BLOCK_CLIPS clips on the calling thread, and each block is ranked as
+it arrives, so no n x n array ever exists.
 
 Video search ranks clips for each sentence (rows), sentence search
 ranks sentences for each clip (columns). Before any block is scored,
@@ -25,22 +23,27 @@ diagonal lies inside the band. Beyond its corpus, a test set of n clips
 then needs one block and its masks, plus the band: a few near-ties, up
 to n^2/4 floats only where every score ties with its row's own. Each
 query has exactly one relevant item, so average precision reduces to
-1/rank. A score that model.clip_scores bounds below min(near[i],
-near[j]) - 2 TIE_BAND ranks as its exact score would, behind both
-diagonals and outside both bands.
+1/rank.
+
+Additive attention is filtered before it is refined. Pair (i, j)
+needs only its score's side of two bands, near[i] +- 2 TIE_BAND and
+near[j] +- 2 TIE_BAND, and a pair whose bounds [lb, ub] lie wholly
+below or wholly above each of them keeps ub: it ranks as its exact
+score would, in both directions. model.clip_bounds bounds each clip's pairs as it
+is scored; the pairs it leaves open wait, grouped by frame count, for
+model.vertex_bounds' tighter bounds, and those still open are scored
+exactly by model.additive_pair_scores.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import BLOCK_CLIPS, length_chunks
-from .model import attend, clip_scores, embed, query_projection
+from .model import (additive_pair_scores, attend, clip_bounds, clip_scores, embed,
+                    query_projection, vertex_bounds)
 
 DEFAULT_RECALL_KS = (1, 5, 10)
 
@@ -53,17 +56,6 @@ MAX_EVAL_CLIPS = 2**15
 # diagonal; scores are bounded by 1 in absolute value, and near differs from
 # the diagonal by rounding only
 TIE_BAND = 1e-6
-
-# A test set of fewer clips than this is scored on the calling thread alone;
-# from it on, the threads split each block's clips. On a 2-core box (OpenBLAS
-# with 2 threads), the median ms of a whole eval of trained checkpoints,
-# serially vs split over 2 threads, was for additive attention 86 vs 159 at
-# 300 clips, 159 vs 274 at 500, 557 vs 615 at 1000, 668 vs 765 at 1250, 1151
-# vs 1078 at 1500, 1289 vs 1309 at 1750 and 1712 vs 1423 at 2000; for dot
-# attention 16 vs 31 at 300, 32 vs 54 at 500, 129 vs 145 at 1000, 251 vs 283
-# at 1500, 347 vs 350 at 1750 and 451 vs 414 at 2000.
-MIN_CLIPS_FOR_THREADS = 1500
-
 
 class EvalError(ValueError):
     """Bad inputs to a metric or an empty evaluation set."""
@@ -89,51 +81,67 @@ def embed_queries(params, records):
 def score_matrix(params, records, queries, near, lo, hi):
     """Score every sentence against clips lo..hi: out[i, j - lo] = s_i . v_ij.
 
-    v_ij pools all of clip j's frames under sentence i's attention;
-    model.clip_scores scores each clip against all queries at once, and
-    queries is embed_queries(params, records). near is own_pair_scores':
-    clip j's floor for sentence i is min(near[i], near[j]) - 2 TIE_BAND,
-    and an entry that clip_scores bounds below it holds that bound in
-    place of s_i . v_ij; no rank moves, and each diagonal entry is scored
-    exactly. From MIN_CLIPS_FOR_THREADS records on, the block's clips are
-    split into min(usable cores, hi - lo) contiguous shares; the calling
-    thread scores the first and one new thread each of the others. A
-    smaller test set forms one share, scored on the calling thread. Each
-    share writes only its own columns of out and holds its own scratch
-    buffer, so every score is the same bits for any number of shares and
-    any block. Each thread runs in a copy of the caller's context, so the
-    caller's numpy error state holds there too. An error in a share is
-    raised, the first in share order, once every thread has ended.
+    v_ij pools all of clip j's frames under sentence i's attention, and
+    queries is embed_queries(params, records). Uniform, dot and
+    multiplicative attention score each clip against all queries at once
+    (model.clip_scores). For additive attention, a pair whose bounds
+    _placed finds outside both bands, near[i] +- 2 TIE_BAND and near[j]
+    +- 2 TIE_BAND with own_pair_scores' near, holds its upper bound
+    in place of s_i . v_ij: it ranks as s_i . v_ij would, and each
+    diagonal entry is exact. The pairs model.clip_bounds leaves open wait
+    in one group per frame count, which _score_open_pairs bounds again
+    and scores before it would pass n pairs and at the end of the block.
+    An exact score is the same bits for any block and any near.
     """
     sT, q = queries
-    n, width = len(records), hi - lo
-    low = near - 2 * TIE_BAND
-    out = np.empty((n, width))
-    affinity = getattr(os, "sched_getaffinity", None)
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    shares = min(cores, width) if n >= MIN_CLIPS_FOR_THREADS else 1
-    errors = [None] * shares
-
-    def score_share(k):
-        try:
-            buf = None if q is None else np.empty_like(q)
-            for j in range(k * width // shares, (k + 1) * width // shares):
-                h = embed(params, "vision", records[lo + j].frames_raw)[0]
-                out[:, j] = clip_scores(params, h, sT, q, buf, np.minimum(low, low[lo + j]))
-        except BaseException as exc:  # re-raised in the caller after every join
-            errors[k] = exc
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(score_share, k))
-               for k in range(1, shares)]
-    for thread in threads:
-        thread.start()
-    score_share(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    n = len(records)
+    out = np.empty((n, hi - lo))
+    if params.attention_kind != "additive":
+        for j in range(lo, hi):
+            out[:, j - lo] = clip_scores(params, embed(params, "vision", records[j].frames_raw)[0],
+                                         sT, q)
+        return out
+    low, high = near - 2 * TIE_BAND, near + 2 * TIE_BAND
+    waiting = {}  # frame count -> (p, rows, column, c, r) of each clip with open pairs
+    for j in range(lo, hi):
+        h = embed(params, "vision", records[j].frames_raw)[0]
+        p = h @ sT
+        c, r, ub, lb = clip_bounds(params, h, p)
+        out[:, j - lo] = ub
+        rows = np.flatnonzero(~_placed(ub, lb, low, high, low[j], high[j]))
+        if rows.size:
+            group = waiting.setdefault(len(p), [])
+            if rows.size + sum(clip[1].size for clip in group) > n:
+                _score_open_pairs(params, q, out, low, high, lo, group)
+                group.clear()
+            group.append((np.take(p, rows, axis=1), rows, j - lo, c, r))
+    for group in waiting.values():
+        _score_open_pairs(params, q, out, low, high, lo, group)
     return out
+
+
+def _placed(ub, lb, low_i, high_i, low_j, high_j):
+    """Where [lb, ub] lies wholly below or wholly above [low_i, high_i], and
+    also [low_j, high_j]; a NaN bound or band is never placed."""
+    return ((ub < low_i) | (lb > high_i)) & ((ub < low_j) | (lb > high_j))
+
+
+def _score_open_pairs(params, q, out, low, high, lo, group):
+    """Write the open pairs of a group of clips of one frame count into out,
+    the block of clips lo..: the pairs that model.vertex_bounds places get
+    its ub, the others their exact score. group holds (p, rows, column, c,
+    r) per clip: the pairs' frame scores (F, k) and rows, the clip's column
+    in out, and its clip_bounds c and r."""
+    p, rows, cols, c, r = zip(*group)
+    clips = np.repeat(np.arange(len(rows)), [x.size for x in rows])
+    p, rows, cols = np.concatenate(p, axis=1), np.concatenate(rows), np.asarray(cols)[clips]
+    ub, lb = vertex_bounds(p, np.asarray(r)[clips])
+    out[rows, cols] = ub
+    diag = lo + cols
+    keep = np.flatnonzero(~_placed(ub, lb, low[rows], high[rows], low[diag], high[diag]))
+    if keep.size:
+        out[rows[keep], cols[keep]] = additive_pair_scores(
+            params, q, np.stack(c, axis=-1), np.take(p, keep, axis=1), rows[keep], clips[keep])
 
 
 def _own_pairs(params, records, sT):

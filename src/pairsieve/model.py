@@ -18,9 +18,10 @@ axes, so training's batch (B, E) with (B, F, E) and whole records,
 chunked by frame count, take the same einsum path; clip_scores takes one
 clip (F, E) and every query on the last axis, s.T (E, n), with
 query_projection's q; adv_logit and sample_gate work elementwise on
-arrays. For additive attention clip_scores is also eval's filter: a
-query whose upper bound on the score, from the clip's frame scores, lies
-below a given floor gets that bound, not its exact score.
+arrays. Additive attention, whose exact score costs a tanh per query,
+frame and attention unit, has eval's filter formulas instead of
+clip_scores: clip_bounds and vertex_bounds bound a pair's score from its
+frame scores, and additive_pair_scores scores gathered pairs exactly.
 """
 
 from __future__ import annotations
@@ -224,27 +225,15 @@ def query_projection(params, sT):
     return None if name is None else params.tensors[name].T @ sT
 
 
-def clip_scores(params, h, sT, q, buf, floor):
+def clip_scores(params, h, sT, q):
     """s_i . v_i for every query i against one clip h (F, E); sT is (E, n).
 
-    q is query_projection(params, sT) and buf a scratch array of its shape,
-    where additive scores one frame at a time. As s . v = sum_f alpha_f
-    s . h_f with the frame scores p_f = s . h_f, v is not built.
-
-    Additive attention scores exactly only the queries whose upper bound
-    ub reaches floor (n,); every other query gets ub, which is no lower
-    than its exact score up to rounding. Two logits of one clip differ by
-    at most delta = max_fg sum_a |w_score_a| min(2, |c_fa - c_ga|) with
-    c = h @ w2, as tanh is 1-Lipschitz and bounded by 1, so every weight
-    is at least a = 1 / (1 + (F - 1) e^delta) and
-    ub = a sum_f p_f + (1 - F a) max_f p_f. The open queries are gathered
-    into one half of buf and scored in the other; past half of n, all are
-    scored in place. A lone open query (of n > 1) is scored beside a
-    second one, as numpy sums a single column in another order than
-    several, so an exact score is the same bits whatever the floor. The
-    other kinds ignore floor.
+    q is query_projection(params, sT). As s . v = sum_f alpha_f s . h_f
+    with the frame scores p_f = s . h_f, v is not built. Uniform, dot and
+    multiplicative attention only: eval scores additive attention through
+    clip_bounds, vertex_bounds and additive_pair_scores.
     """
-    kind, t = params.attention_kind, params.tensors
+    kind = params.attention_kind
     p = h @ sT  # (F, n)
     if kind == "uniform":
         e = np.zeros_like(p)
@@ -252,34 +241,82 @@ def clip_scores(params, h, sT, q, buf, floor):
         e = p
     elif kind == "multiplicative":
         e = h @ q
-    elif kind == "additive":
-        c, w = h @ t["attention.w2"], t["attention.w_score"]
-        delta = (np.minimum(np.abs(c[:, None] - c), 2.0) @ np.abs(w)).max()
-        frames = len(c)
-        # e^delta capped short of overflow, where a_min is already below any score's rounding
-        a_min = 1.0 / (1.0 + (frames - 1) * math.exp(min(delta, 700.0)))
-        ub = a_min * p.sum(axis=0) + (1.0 - frames * a_min) * p.max(axis=0)
-        cols = np.flatnonzero(~(ub < floor))  # a NaN bound is scored exactly
-        if cols.size == 1 < ub.size:
-            cols = np.append(cols, (cols[0] + 1) % ub.size)
-        if 2 * cols.size <= ub.size:
-            half = buf.reshape(-1)[:2 * q.shape[0] * cols.size].reshape(2, q.shape[0], -1)
-            q, work = np.take(q, cols, axis=1, out=half[0], mode="clip"), half[1]
-            p = np.take(p, cols, axis=1)
-        else:
-            cols, work = slice(None), buf
-        e = np.empty_like(p)
-        for f, cf in enumerate(c):
-            np.add(q, cf[:, None], out=work)
-            np.tanh(work, out=work)
-            np.einsum("a,an->n", w, work, out=e[f])  # matmul's gemv rounds by column position
     else:
-        raise ModelError(f"unknown attention kind {kind!r}")
-    scores = np.einsum("fn,fn->n", softmax(e, axis=0), p)
-    if kind != "additive":
-        return scores
-    ub[cols] = scores
-    return ub
+        raise ModelError(f"clip_scores does not score {kind!r} attention")
+    return np.einsum("fn,fn->n", softmax(e, axis=0), p)
+
+
+def clip_bounds(params, h, p):
+    """Additive attention's bounds on one clip's scores: (c, r, ub, lb).
+
+    h (F, E) is the clip and p = h @ sT (F, n) its frame scores under
+    every query. c = h @ w2 (F, A) are its frame projections. Two of its
+    logits differ by at most delta = max_fg sum_a |w_score_a|
+    min(2, |c_fa - c_ga|), as tanh is 1-Lipschitz and bounded by 1, so no
+    softmax weight is below r = e^-delta times another (math.exp, which
+    goes to 0 without an underflow error). Each weight is then at least
+    a = r / (r + F - 1), and ub = a sum_f p_f + (1 - F a) max_f p_f and
+    lb, the same with min_f p_f, bound every query's score s . v from
+    above and below. A NaN bound means nothing is known.
+    """
+    t = params.tensors
+    c, w = h @ t["attention.w2"], t["attention.w_score"]
+    r = math.exp(-(np.minimum(np.abs(c[:, None] - c), 2.0) @ np.abs(w)).max())
+    frames = len(p)
+    a = r / (r + frames - 1)
+    mix, rest = a * p.sum(axis=0), 1.0 - frames * a
+    return c, r, mix + rest * p.max(axis=0), mix + rest * p.min(axis=0)
+
+
+def vertex_bounds(p, r):
+    """The tightest bounds (ub, lb) on pairs' scores that their r allows.
+
+    p (F, m) holds the frame scores of m pairs with F frames each, r (m,)
+    their clip_bounds r. A score is sum_f u_f p_f / sum_f u_f with
+    weights u_f in [r, 1] (scaled to a top of 1). That ratio is highest
+    with u = 1 on the k highest frame scores and r on the rest, for some
+    k, and lowest with the k lowest; with L_k the sum of the k lowest
+    and T = L_F, ub = max_k (T - (1 - r) L_(F-k)) / (k + r (F - k)) and
+    lb = min_k (r T + (1 - r) L_k) / (k + r (F - k)). A NaN frame score
+    gives NaN bounds.
+    """
+    frames = len(p)
+    low = np.zeros((frames + 1, p.shape[1]))  # low[k] = L_k
+    low[1:] = np.sort(p, axis=0)
+    for k in range(2, frames + 1):
+        low[k] += low[k - 1]
+    total, q = low[-1], 1.0 - r
+    weight = np.arange(1.0, frames + 1)[:, None] * q + r * frames  # row k - 1: k + r (F - k)
+    return (((total - q * low[-2::-1]) / weight).max(axis=0),
+            ((r * total + q * low[1:]) / weight).min(axis=0))
+
+
+def additive_pair_scores(params, q, ct, p, rows, clips):
+    """Exact additive scores s_i . v_ij of m gathered pairs of F-frame clips.
+
+    Pair k is query rows[k], column rows[k] of query_projection's q
+    (A, n), against clip clips[k], whose frame projections c (F, A)
+    (clip_bounds) are ct[:, :, clips[k]]; ct is (F, A, clips) and p
+    (F, m) holds the pairs' frame scores. Each frame is one pass over all
+    pairs: the gathered q plus c_f, tanh, and the w_score contraction.
+    The gathers are C-ordered, and the contraction is einsum, not
+    matmul, whose gemv rounds a column by its position; numpy sums a lone
+    column in another order than several, so a lone pair is scored
+    twice. So a score is the same bits for any m and any pairs beside it.
+    """
+    if rows.size == 1:
+        return additive_pair_scores(params, q, ct, np.repeat(p, 2, axis=1), np.repeat(rows, 2),
+                                    np.repeat(clips, 2))[:1]
+    w = params.tensors["attention.w_score"]
+    qg = np.take(q, rows, axis=1)  # q[:, rows] would come out Fortran-ordered
+    work = np.empty_like(qg)
+    e = np.empty_like(p)
+    for f, cf in enumerate(ct):
+        np.take(cf, clips, axis=1, out=work, mode="clip")
+        work += qg
+        np.tanh(work, out=work)
+        np.einsum("a,an->n", w, work, out=e[f])
+    return np.einsum("fn,fn->n", softmax(e, axis=0), p)
 
 
 def adv_logit(params, p_lvc, p_adv):

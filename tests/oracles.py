@@ -2,7 +2,8 @@
 finite differences over it, a generator whose one uniform draw is
 pinned, the triplet loss by enumeration, the per-tensor SGD rule, the
 per-query retrieval rank, the whole score matrix from eval's blocks,
-frame scores by formula, the attention dump and the background bank
+additive attention's exact scores of one clip against every query at
+once, frame scores by formula, the attention dump and the background bank
 computed one record at a time, exact record equality, a corpus-file
 reader and writer that edit records field by field in either file
 version, and the corpus generator drawn and normalised one vector at a
@@ -30,7 +31,8 @@ from pairsieve import evaluation
 from pairsieve.corpus import TAGS, ClipRecord, CorpusError, build_concept_bank
 from pairsieve.gradients import compute_gradients
 from pairsieve.losses import bce_loss, softplus, triplet_hinges
-from pairsieve.model import adv_logit, attend, embed, init_model, sample_gate, tensor_views
+from pairsieve.model import (adv_logit, attend, embed, init_model, sample_gate, softmax,
+                             tensor_views)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -219,8 +221,8 @@ def full_score_matrix(params, records, near=None):
 
     The blocks are the ones bidirectional_retrieval scores, BLOCK_CLIPS
     clips wide, against the query side embedded once, with its own-pair
-    scores as near unless near is given: a near of -inf scores every
-    additive entry exactly, one of +inf gives every entry's bound.
+    scores as near unless near is given: a near of NaN places no pair, so
+    every additive entry is scored exactly.
     """
     n, width = len(records), evaluation.BLOCK_CLIPS
     queries = evaluation.embed_queries(params, records)
@@ -229,6 +231,24 @@ def full_score_matrix(params, records, near=None):
     return np.hstack([evaluation.score_matrix(params, records, queries, near, lo,
                                               min(lo + width, n))
                       for lo in range(0, n, width)])
+
+
+def additive_clip_scores(params, h, sT, q):
+    """Every query's exact additive score against one clip h (F, E).
+
+    sT (E, n) and q (A, n) are evaluation.embed_queries' query side. All
+    n queries are scored side by side in (A, n) arrays, one clip at a
+    time, with the operations model.additive_pair_scores applies to
+    gathered pairs, so for n > 1 its scores must be the same bits.
+    """
+    t = params.tensors
+    p, c, w = h @ sT, h @ t["attention.w2"], t["attention.w_score"]
+    e, work = np.empty_like(p), np.empty_like(q)
+    for f, cf in enumerate(c):
+        np.add(q, cf[:, None], out=work)
+        np.tanh(work, out=work)
+        np.einsum("a,an->n", w, work, out=e[f])
+    return np.einsum("fn,fn->n", softmax(e, axis=0), p)
 
 
 def frame_scores_by_formula(params, s, h):

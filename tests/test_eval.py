@@ -1,9 +1,6 @@
 """Ranking metrics, the query-conditioned score matrix in blocks, and reports."""
 
-import sys
-import threading
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +23,7 @@ from pairsieve.evaluation import (
 )
 from pairsieve.model import ATTENTION_KINDS, attend, embed, init_model, save_checkpoint
 
-from oracles import full_score_matrix, rank_of, reference_attention_dump
+from oracles import additive_clip_scores, full_score_matrix, rank_of, reference_attention_dump
 
 
 def test_rank_of_basic_and_ties():
@@ -152,30 +149,55 @@ def _tied(params):
     return params
 
 
+def _bounds(params, records):
+    """(ub, lb, tight_ub, tight_lb), each (n, n): every pair's model.clip_bounds and
+    model.vertex_bounds, entry (i, j) for sentence i and clip j, one clip at a time."""
+    n = len(records)
+    sT = evaluation.embed_queries(params, records)[0]
+    out = np.empty((4, n, n))
+    for j, record in enumerate(records):
+        h = embed(params, "vision", record.frames_raw)[0]
+        p = h @ sT
+        _, r, ub, lb = model.clip_bounds(params, h, p)
+        out[:, :, j] = ub, lb, *model.vertex_bounds(p, np.full(n, r))
+    return out
+
+
 def _check_pruned(params, records, kind, near):
-    """score_matrix's entries under near: exact where the bound reaches the floor,
-    the bound, which lies below it, elsewhere; returns (pruned matrix, exact mask)."""
+    """score_matrix's entries under near: an additive entry whose clip_bounds, or
+    else its vertex_bounds, lie wholly below or above both bands near[i] +- 2
+    TIE_BAND and near[j] +- 2 TIE_BAND holds that ub, which lies on the exact
+    score's side of both retrieval bands near +- TIE_BAND; every other entry is
+    the same bits as with every entry exact (near NaN). Returns (matrix, mask of
+    the entries scored exactly)."""
     n = len(records)
     got = full_score_matrix(params, records, near)
-    exact = full_score_matrix(params, records, np.full(n, -np.inf))
-    bound = full_score_matrix(params, records, np.full(n, np.inf))
-    floor = np.minimum.outer(near, near) - 2 * TIE_BAND
-    scored = ~(bound < floor) if kind == "additive" else np.ones((n, n), dtype=bool)
-    assert np.array_equal(got[scored], exact[scored])  # the same bits as with none pruned
-    # the other entries hold their bound, apart from one exact partner of a lone
-    # exact entry in its column
-    assert ((got == bound) | (got == exact))[~scored].all()
-    assert (bound[~scored] < floor[~scored]).all()
-    assert (bound >= exact - 1e-12).all()
+    exact = full_score_matrix(params, records, np.full(n, np.nan))
+    scored = np.ones((n, n), dtype=bool)
+    if kind == "additive":
+        low, high = near - 2 * TIE_BAND, near + 2 * TIE_BAND
+        ub, lb, tight_ub, tight_lb = _bounds(params, records)
+        first = (((ub < low[:, None]) | (lb > high[:, None]))
+                 & ((ub < low[None]) | (lb > high[None])))
+        second = (((tight_ub < low[:, None]) | (tight_lb > high[:, None]))
+                  & ((tight_ub < low[None]) | (tight_lb > high[None]))) & ~first
+        assert np.array_equal(got[first], ub[first])
+        assert np.array_equal(got[second], tight_ub[second])
+        scored = ~first & ~second
+        for diag in (near[:, None], near[None]):  # row i's and column j's own-pair score
+            below = (got < diag - TIE_BAND) & (exact < diag - TIE_BAND)
+            above = (got > diag + TIE_BAND) & (exact > diag + TIE_BAND)
+            assert (below | above)[~scored].all()
+    assert np.array_equal(got[scored], exact[scored])
     return got, scored
 
 
 @pytest.mark.parametrize("kind", ["uniform", "dot", "multiplicative", "additive"])
-def test_score_matrix_matches_per_pair_loop(kind):
+def test_score_matrix_matches_per_pair_loop(kind, monkeypatch):
     # clips of 1 to 10 frames, a single query, and an attention width unlike d_emb:
     # every entry scored exactly matches the per-pair loop to 1e-12, and an
-    # additive entry is scored exactly unless its bound lies below the floor
-    # min(near_i, near_j) - 2 TIE_BAND
+    # additive entry is scored exactly unless its bounds place it outside both
+    # bands of its diagonals; the matrix is the same bits for any block width
     mixed = (_records(2, seed=0, frames=(1, 1)) + _records(2, seed=1, frames=(10, 10))
              + _records(2, seed=2))
     for d_att in (0, 3) if kind == "additive" else (0,):
@@ -183,7 +205,7 @@ def test_score_matrix_matches_per_pair_loop(kind):
         for records in (mixed, _records(n=1)):
             n = len(records)
             want = _per_pair_scores(params, records)
-            got = full_score_matrix(params, records, np.full(n, -np.inf))
+            got = full_score_matrix(params, records, np.full(n, np.nan))
             assert np.allclose(got, want, rtol=0, atol=1e-12), (d_att, n)
             near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
             assert np.allclose(near, np.diag(want), rtol=0, atol=1e-12), (d_att, n)
@@ -196,6 +218,9 @@ def test_score_matrix_matches_per_pair_loop(kind):
         want = _per_pair_scores(params, records)
         assert ranks[0].tolist() == [rank_of(want[i, :], i) for i in range(40)], d_att
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
+        with monkeypatch.context() as patch:  # blocks of 7: five of 7 clips, one of 5
+            patch.setattr(evaluation, "BLOCK_CLIPS", 7)
+            assert np.array_equal(full_score_matrix(params, records, near), scores), d_att
 
 
 def test_pruned_ranks_match_per_pair_oracle():
@@ -216,25 +241,76 @@ def test_pruned_ranks_match_per_pair_oracle():
 
 
 def test_score_matrix_scores_every_entry_whose_bound_reaches_the_floor():
-    # near may lie up to TIE_BAND off the exact diagonal, so the floor keeps a margin
-    # of 2 TIE_BAND below it: with each near_i placed TIE_BAND above the bound of
-    # one entry of row i, that entry must still be scored exactly
+    # near may lie up to TIE_BAND off the exact diagonal, and a bound off its exact
+    # value by rounding, so the bands keep a margin of 2 TIE_BAND around near: with
+    # each near_i placed 1.5 TIE_BAND above the tightest upper bound of one entry of
+    # row i, that entry must still be scored exactly
     records = _records(n=12, seed=14, frames=(3, 10))
     params = _tied(init_model(8, 6, "additive", "residual", 2, np.random.default_rng(4)))
-    bound = full_score_matrix(params, records, np.full(12, np.inf))
-    exact = full_score_matrix(params, records, np.full(12, -np.inf))
+    tight_ub = _bounds(params, records)[2]
+    exact = full_score_matrix(params, records, np.full(12, np.nan))
     for shift in range(1, 12):
         cols = (np.arange(12) + shift) % 12
-        near = bound[np.arange(12), cols] + TIE_BAND
+        near = tight_ub[np.arange(12), cols] + 1.5 * TIE_BAND
         got = _check_pruned(params, records, "additive", near)[0]
         assert np.array_equal(got[np.arange(12), cols], exact[np.arange(12), cols]), shift
 
 
+def test_score_matrix_places_entries_above_both_diagonals_or_between_them():
+    # planted diagonals: entry (i, j) whose lower bound clears both diagonals' bands
+    # ranks above both, one whose bounds lie below row i's band and above column
+    # j's ranks between them; each keeps clip_bounds' ub. One that only
+    # vertex_bounds places keeps its tighter ub.
+    records = _records(n=12, seed=17, frames=(3, 10))
+    params = _tied(init_model(8, 6, "additive", "residual", 2, np.random.default_rng(4)))
+    ub, lb, tight_ub, _ = _bounds(params, records)
+    exact = full_score_matrix(params, records, np.full(12, np.nan))
+    i, j = 2, 7
+    near = np.full(12, np.nan)
+    near[[i, j]] = lb[i, j] - 3 * TIE_BAND
+    got = _check_pruned(params, records, "additive", near)[0]
+    assert got[i, j] == ub[i, j] != exact[i, j]
+    assert min(got[i, j], exact[i, j]) > near[i] + TIE_BAND
+    near[i], near[j] = ub[i, j] + 3 * TIE_BAND, lb[i, j] - 3 * TIE_BAND
+    got = _check_pruned(params, records, "additive", near)[0]
+    assert got[i, j] == ub[i, j] != exact[i, j]
+    assert near[j] + TIE_BAND < exact[i, j] <= got[i, j] < near[i] - TIE_BAND
+    gap = ub - tight_ub
+    gap[np.eye(12, dtype=bool)] = 0
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    assert gap[i, j] > 10 * TIE_BAND
+    near = np.full(12, np.nan)
+    near[[i, j]] = tight_ub[i, j] + 3 * TIE_BAND
+    got = _check_pruned(params, records, "additive", near)[0]
+    assert got[i, j] == tight_ub[i, j] != exact[i, j]
+
+
+def test_grouped_pairs_of_several_clips_keep_their_exact_bits():
+    # near is NaN for sentence 0 and +inf for the others, so only row 0 and column 0
+    # stay open: each frame count's group holds one pair from each of several clips,
+    # and the one 9-frame clip is a group of one lone pair. Every open entry is the
+    # same bits as its clip scored against all queries at once, and so is every entry
+    # with none placed. Gathering the queries as q[:, rows], which comes out
+    # Fortran-ordered, rounds them differently.
+    records = _records(n=16, seed=18, frames=(4, 6)) + _records(n=1, seed=19, frames=(9, 9))
+    n = len(records)
+    params = init_model(8, 32, "additive", "residual", 2, np.random.default_rng(6))
+    sT, q = evaluation.embed_queries(params, records)
+    want = np.stack([additive_clip_scores(params, embed(params, "vision", r.frames_raw)[0], sT, q)
+                     for r in records], axis=1)
+    near = np.full(n, np.inf)
+    near[0] = np.nan
+    got = full_score_matrix(params, records, near)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[:, 0], want[:, 0])
+    assert (got[1:, 1:] != want[1:, 1:]).all()
+    assert np.array_equal(full_score_matrix(params, records, np.full(n, np.nan)), want)
+
+
 def test_eval_scores_fewer_additive_entries_than_n_squared(monkeypatch):
-    # under a trained-like model most entries' bounds lie below their floor, so
-    # clip_scores pools fewer than n^2 / 2 columns exactly; every column is pooled
-    # by one softmax over its frames (axis 0). Some clips leave only their own
-    # sentence open, which is pooled beside a second one and keeps its bits.
+    # under a trained-like model most pairs' bounds place them outside both bands:
+    # of 3600 pairs, clip_bounds leaves 375 open (a one-sided test on its ub, 448),
+    # and vertex_bounds 195. Each group of open pairs is pooled by one softmax over
+    # its frames (axis 0), a lone pair beside a copy of itself.
     widths = []
     softmax = model.softmax
 
@@ -246,144 +322,22 @@ def test_eval_scores_fewer_additive_entries_than_n_squared(monkeypatch):
     monkeypatch.setattr(model, "softmax", counting_softmax)
     records = _records(n=60, seed=15)
     params = _tied(init_model(8, 32, "additive", "residual", 2, np.random.default_rng(1)))
-    params.tensors["attention.w_score"][...] *= 0.1  # flatter attention: a tighter bound
     bidirectional_retrieval(params, records)
-    assert len(widths) == 60
-    assert 60 <= sum(widths) < 60 * 60 / 2, sum(widths)
+    pooled, twos = sum(widths), widths.count(2)  # a lone pair's copy widens it to 2
     near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
     scored = _check_pruned(params, records, "additive", near)[1]
-    assert (scored.sum(axis=0) == 1).any()
-
-
-def _use_cores(monkeypatch, cores, min_clips_for_threads=1):
-    """Make score_matrix see `cores` usable cores, whatever the host has.
-
-    By default it also splits any number of clips over them, so that a few
-    clips exercise the threaded path.
-    """
-    monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
-    monkeypatch.setattr(evaluation, "MIN_CLIPS_FOR_THREADS", min_clips_for_threads)
-
-
-@pytest.mark.parametrize("kind", ["uniform", "dot", "multiplicative", "additive"])
-def test_score_matrix_same_for_any_core_count(kind, monkeypatch):
-    # one thread per share beyond the caller's, each filling its own columns: the
-    # matrix is the same bits for 1, 2, 3 and 5 cores, also with fewer clips than
-    # cores, and for any block width
-    params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(1))
-    threads = set()
-
-    def recording_clip_scores(*args):
-        threads.add(threading.current_thread())
-        return clip_scores(*args)
-
-    clip_scores = evaluation.clip_scores
-    block_clips = evaluation.BLOCK_CLIPS
-    monkeypatch.setattr(evaluation, "clip_scores", recording_clip_scores)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so that shares interleave
-    try:
-        for records in (_records(n=7, seed=8, frames=(1, 10)), _records(n=1), _records(n=2)):
-            _use_cores(monkeypatch, 1)
-            want = full_score_matrix(params, records)
-            for cores in (1, 2, 3, 5):
-                _use_cores(monkeypatch, cores)
-                threads.clear()
-                got = full_score_matrix(params, records)
-                assert np.array_equal(got, want), (cores, len(records))
-                assert len(threads) == min(cores, len(records)), (cores, len(records))
-            # and for any block width: blocks of 3 cut 7 clips into 3, 3 and 1
-            monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 3)
-            assert np.array_equal(full_score_matrix(params, records), want), len(records)
-            monkeypatch.setattr(evaluation, "BLOCK_CLIPS", block_clips)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_score_matrix_scores_fewer_clips_than_the_crossover_on_the_calling_thread(monkeypatch):
-    # below MIN_CLIPS_FOR_THREADS test clips no thread starts, and the matrix is the
-    # same bits as the threaded one; from it on, each block starts one thread
-    crossover = evaluation.MIN_CLIPS_FOR_THREADS
-    records = _records(n=crossover, seed=12)
-    params = init_model(8, 6, "additive", "residual", 2, np.random.default_rng(2))
-    _use_cores(monkeypatch, 2)
-    want = full_score_matrix(params, records[:-1])
-    started = []
-    thread = threading.Thread
-
-    def recording_thread(*args, **kwargs):
-        started.append(args or kwargs)
-        return thread(*args, **kwargs)
-
-    monkeypatch.setattr(evaluation.threading, "Thread", recording_thread)
-    _use_cores(monkeypatch, 2, min_clips_for_threads=crossover)
-    assert np.array_equal(full_score_matrix(params, records[:-1]), want)
-    assert started == []
-    full_score_matrix(params, records)
-    assert len(started) == -(-crossover // evaluation.BLOCK_CLIPS)
-
-
-def test_score_matrix_threads_keep_callers_error_state(monkeypatch):
-    # +-1e308 weights overflow in every share; under the caller's errstate(all="ignore")
-    # no share may warn, though numpy's error state does not pass to new threads
-    _use_cores(monkeypatch, 2)
-    params = init_model(8, 8, "additive", "residual", 2, np.random.default_rng(0))
-    weight = params.tensors["vision.weight"]
-    weight[...] = np.resize([1e308, -1e308], weight.shape)
-    records = _records(n=6, seed=3)
-    near = np.zeros(6)  # given, so that only the shares embed clips
-    with pytest.warns(RuntimeWarning):
-        full_score_matrix(params, records[3:], near[3:])  # the second share's clips overflow
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(all="ignore"):
-            scores = full_score_matrix(params, records, near)
-    assert not np.isfinite(scores).all()
-
-
-def test_score_matrix_worker_error_is_raised_after_every_join(tmp_path, monkeypatch, capsys):
-    # a MemoryError in the last share's thread reaches the caller, and `eval` ends in
-    # one error line; no thread outlives score_matrix
-    _use_cores(monkeypatch, 2)
-    records = _records(n=6, seed=10)
-    params = init_model(8, 6, "additive", "residual", 2, np.random.default_rng(6))
-    failing = {"Unable to allocate 1.00 GiB for an array":
-               embed(params, "vision", records[-1].frames_raw)[0]}
-    clip_scores = evaluation.clip_scores
-
-    def failing_clip_scores(model, h, *rest):
-        for message, frames in failing.items():
-            if np.array_equal(h, frames):
-                raise MemoryError(message)
-        return clip_scores(model, h, *rest)
-
-    monkeypatch.setattr(evaluation, "clip_scores", failing_clip_scores)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="Unable to allocate"):
-        full_score_matrix(params, records)
-    assert threading.active_count() == before
-    # with both shares failing, the first share's error is the one raised
-    failing["first share"] = embed(params, "vision", records[0].frames_raw)[0]
-    with pytest.raises(MemoryError, match="first share"):
-        full_score_matrix(params, records)
-    del failing["first share"]
-    checkpoint, corpus = tmp_path / "checkpoint.json", tmp_path / "test.corpus"
-    save_checkpoint(params, checkpoint)
-    save_corpus(records, corpus)
-    assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus)]) == 1
-    err = capsys.readouterr().err
-    assert err == "pairsieve: error: Unable to allocate 1.00 GiB for an array\n", err
-    assert threading.active_count() == before
+    assert scored.sum() <= pooled <= scored.sum() + twos, (pooled, scored.sum())
+    assert 60 <= scored.sum() < 300, scored.sum()
 
 
 def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
-    # the additive scorer must not hold an (n, F, A) grid: the traced peak of scoring
-    # one block stays below the size of one such grid. Each share holds its own
-    # buffers, so the core count is pinned to make the peak host-independent. Nor
-    # does eval hold an n x n array: with blocks of 64 clips, its traced peak on one
-    # core, queries, block, band and all, stays below n x n floats.
-    _use_cores(monkeypatch, 2)
+    # the additive scorer must not hold an (n, F, A) grid: with every pair open (near
+    # NaN), the traced peak of scoring one block of 64 clips stays below the size of
+    # one such grid. Each frame count's group of open pairs is scored before it
+    # passes n pairs, so that peak also stays within a few of the block's own output,
+    # where holding the block's open pairs until its end would take their frame
+    # scores, about 7 times the block. Nor does eval hold an n x n array: its traced
+    # peak, queries, block, band and all, stays below n x n floats.
     monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 64)
     records = _records(n=400, seed=6)
     params = init_model(8, 32, "additive", "residual", 2, np.random.default_rng(5))
@@ -392,15 +346,15 @@ def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
     queries = evaluation.embed_queries(params, records)
     tracemalloc.start()
     try:
-        evaluation.score_matrix(params, records, queries, np.full(n, -np.inf), 0, 64)
+        evaluation.score_matrix(params, records, queries, np.full(n, np.nan), 0, 64)
         block_peak = tracemalloc.get_traced_memory()[1]
-        _use_cores(monkeypatch, 1)
         tracemalloc.reset_peak()
         bidirectional_retrieval(params, records)
         eval_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert block_peak < n * f_max * d_att * 8, (block_peak, f_max)
+    assert block_peak < 6 * n * 64 * 8, block_peak
     assert eval_peak < n * n * 8, eval_peak
 
 
@@ -408,7 +362,6 @@ def test_eval_memory_grows_linearly_in_n(monkeypatch):
     # beyond one block and its masks eval holds only the band of near-ties, so its
     # traced peak on one core, with blocks of 32 clips, about doubles from 800 to
     # 1600 clips; deferring whole row pieces until each diagonal is known triples it
-    _use_cores(monkeypatch, 1)
     monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 32)
     params = init_model(8, 32, "dot", "residual", 2, np.random.default_rng(5))
     peaks = []

@@ -1,5 +1,6 @@
 """Embedding channels, attention scorers, gating, and checkpoints."""
 
+import itertools
 import json
 
 import numpy as np
@@ -11,9 +12,10 @@ from pairsieve.model import (
     INPUT_MODES,
     ModelError,
     adv_logit,
+    additive_pair_scores,
     attend,
     attention_scores,
-    clip_scores,
+    clip_bounds,
     embed,
     init_bvf,
     init_model,
@@ -22,6 +24,7 @@ from pairsieve.model import (
     sample_gumbel,
     save_checkpoint,
     softmax,
+    vertex_bounds,
 )
 
 from oracles import PinnedUniform, frame_scores_by_formula, reference_bank
@@ -105,25 +108,34 @@ def test_attention_scores_match_manual_forms():
             assert np.allclose(v[i], alpha[i] @ h[0]), kind
 
 
-def _frame_bound(params, s, h):
-    """The additive bound on s . v for one sentence s (E,) and frames h (F, E), by its
-    formula, unit by unit."""
+def _frame_bounds(params, s, h):
+    """clip_bounds' (ub, lb) on s . v for one sentence s (E,) and frames h (F, E), and
+    its delta, by their formulas, unit by unit."""
     t = params.tensors
     c, w, p = h @ t["attention.w2"], t["attention.w_score"], h @ s
     delta = max(sum(abs(w[a]) * min(2.0, abs(c[f, a] - c[g, a])) for a in range(len(w)))
                 for f in range(len(h)) for g in range(len(h)))
     with np.errstate(over="ignore"):
         a_min = 1.0 / (1.0 + (len(h) - 1) * np.exp(delta))
-    return a_min * p.sum() + (1.0 - len(h) * a_min) * p.max()
+    mix, rest = a_min * p.sum(), 1.0 - len(h) * a_min
+    return mix + rest * p.max(), mix + rest * p.min(), delta
 
 
-def test_clip_scores_bound_lies_above_the_exact_score():
-    # a floor of +inf returns every query's bound, one of -inf its exact score. For
-    # d_att 0 and 3, clips of 1 and 10 frames, a w2 scaled so that frame projections
-    # differ by more than 2 (where the tanh clip tightens the bound) and a w_score big
-    # enough that e^delta overflows, the bound is its formula's value and no lower
-    # than the exact score; with the overflow it is the frame maximum, reached
-    # without a floating-point warning
+def _vertex_extremes(p, delta):
+    """max and min of sum_f u_f p_f / sum_f u_f over all 2^F weight vertices u in
+    {1, e^-delta}^F, for one pair's frame scores p (F,); all e^-delta is all 1 scaled."""
+    vertices = itertools.product((1.0, np.exp(-delta)), repeat=len(p))
+    ratios = [np.dot(u, p) / sum(u) for u in vertices if max(u) == 1.0]
+    return max(ratios), min(ratios)
+
+
+def test_additive_bounds_bracket_the_exact_score():
+    # For d_att 0 and 3, clips of 1, 2, 3 and 10 frames, a w2 scaled so that frame
+    # projections differ by more than 2 (where the tanh clip tightens the bound) and a
+    # w_score big enough that e^delta overflows: clip_bounds is its formula's value,
+    # vertex_bounds is the max and min over every weight vertex, each computed under
+    # np.errstate(all="raise"), and the grouped bounds lie within clip_bounds' and
+    # bracket attend's score, which additive_pair_scores matches, to 1e-12
     rng = np.random.default_rng(8)
     for d_att in (0, 3):
         for w2_scale, w_scale in ((1.0, 1.0), (10.0, 1.0), (1.0, 1e4)):
@@ -134,19 +146,30 @@ def test_clip_scores_bound_lies_above_the_exact_score():
             s = embed(params, "language", rng.normal(size=(9, 6)))[0]
             sT = np.ascontiguousarray(s.T)
             q = t["attention.w1"].T @ sT
-            for frames in (1, 10):
+            for frames in (1, 2, 3, 10):
                 h = embed(params, "vision", rng.normal(size=(frames, 6)))[0]
+                p = h @ sT
                 with np.errstate(all="raise"):
-                    bound = clip_scores(params, h, sT, q, np.empty_like(q), np.full(9, np.inf))
-                exact = clip_scores(params, h, sT, q, np.empty_like(q), np.full(9, -np.inf))
+                    c, r, ub, lb = clip_bounds(params, h, p)
+                    tight_ub, tight_lb = vertex_bounds(p, np.full(9, r))
+                exact = additive_pair_scores(params, q, c[:, :, None], p, np.arange(9),
+                                             np.zeros(9, dtype=int))
                 case = (d_att, w2_scale, w_scale, frames)
+                assert np.array_equal(c, h @ t["attention.w2"]), case
                 want = [s_i @ attend(params, s_i, h)[0] for s_i in s]
                 assert np.allclose(exact, want, rtol=0, atol=1e-12), case
-                want = [_frame_bound(params, s_i, h) for s_i in s]
-                assert np.allclose(bound, want, rtol=0, atol=1e-12), case
-                assert (bound >= exact - 1e-12).all(), case
-                if w_scale > 1 and frames > 1:
-                    assert np.array_equal(bound, (h @ sT).max(axis=0)), case
+                by_formula = np.array([_frame_bounds(params, s_i, h) for s_i in s]).T
+                assert np.allclose([ub, lb], by_formula[:2], rtol=0, atol=1e-12), case
+                assert np.isclose(r, np.exp(-by_formula[2][0]), rtol=1e-12, atol=0), case
+                vertices = np.array([_vertex_extremes(p[:, i], by_formula[2][0])
+                                     for i in range(9)]).T
+                assert np.allclose([tight_ub, tight_lb], vertices, rtol=0, atol=1e-12), case
+                assert (lb - 1e-12 <= tight_lb).all() and (tight_ub <= ub + 1e-12).all(), case
+                assert (tight_lb - 1e-12 <= exact).all(), case
+                assert (exact <= tight_ub + 1e-12).all(), case
+                if w_scale > 1 and frames > 1:  # e^delta overflows: the frame extremes
+                    assert np.array_equal(ub, p.max(axis=0)), case
+                    assert np.array_equal(tight_lb, p.min(axis=0)), case
 
 
 def test_adv_logit_modes():
