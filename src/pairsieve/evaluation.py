@@ -10,20 +10,14 @@ it arrives, so no n x n array ever exists.
 
 Video search ranks clips for each sentence (rows), sentence search
 ranks sentences for each clip (columns). Before any block is scored,
-own_pair_scores computes near[i], clip i's score under sentence i, in
-training's batched embed and attend over clips of one length, the pass
-export_attention takes its weights from; near differs from the block's
-exact diagonal entry by rounding only. A block holds its columns' own
-diagonal entries, so sentence search ranks them at once, and so does
-video search for the rows whose diagonal is already known. A row below
-the block counts at once the entries above near + TIE_BAND and drops
-those below near - TIE_BAND; only the entries inside the band wait for
-the block that holds the row's diagonal, which first checks that the
-diagonal lies inside the band. Beyond its corpus, a test set of n clips
-then needs one block and its masks, plus the band: a few near-ties, up
-to n^2/4 floats only where every score ties with its row's own. Each
-query has exactly one relevant item, so average precision reduces to
-1/rank.
+own_pair_scores computes near[i], pair i's score, in training's batched
+embed and attend over clips of one length, the pass export_attention
+takes its weights from, and every candidate in both directions is
+ranked against near. near differs from the block's diagonal entry by
+rounding only, which each block checks, so a block's rank counts depend
+on that block and near alone. Beyond its corpus, a test set of n clips
+then needs one block and its masks. Each query has exactly one relevant
+item, so average precision reduces to 1/rank.
 
 Additive attention is filtered before it is refined. Pair (i, j)
 needs only its score's side of two bands, near[i] +- 2 TIE_BAND and
@@ -47,14 +41,13 @@ from .model import (additive_pair_scores, attend, clip_bounds, clip_scores, embe
 
 DEFAULT_RECALL_KS = (1, 5, 10)
 
-# eval refuses more test clips than this before scoring: where every score
-# ties with its row's own, the band retrieval_ranks defers reaches 2n^2
-# bytes, 2 GiB here
+# eval refuses more test clips than this before scoring: it holds one
+# n x BLOCK_CLIPS block of scores (32 MiB here) and scores n^2 pairs
 MAX_EVAL_CLIPS = 2**15
 
-# half-width of the band around near[i] whose entries wait for row i's exact
-# diagonal; scores are bounded by 1 in absolute value, and near differs from
-# the diagonal by rounding only
+# how far a diagonal entry may lie from near before retrieval_ranks refuses
+# it, and half the margin of the additive filter's bands; scores are bounded
+# by 1 in absolute value, and near differs from the diagonal by rounding only
 TIE_BAND = 1e-6
 
 class EvalError(ValueError):
@@ -183,67 +176,44 @@ class RetrievalReport:
 
 
 def retrieval_ranks(blocks, near):
-    """1-based ranks of the matched pairs on the diagonal of a blocked score matrix.
+    """1-based ranks of the matched pairs of a blocked score matrix.
 
     blocks are the (n, w) column blocks of the n x n matrix in clip
-    order, all as wide as the first but the last, which may be narrower.
-    near[i] is row i's diagonal entry up to rounding (own_pair_scores);
-    each diagonal entry is checked to lie within TIE_BAND of it, and one
-    that does not is an EvalError naming the clip. Returns (video,
-    sentence): video[i] ranks clip i in row i, sentence[j] ranks
-    sentence j in column j. Ties break by candidate index: an equal
-    score at a lower index ranks ahead of the matched pair.
+    order. near[i] is pair i's score (own_pair_scores), and every
+    candidate is ranked against it: video[i] ranks clip i for sentence i
+    over row i, sentence[j] ranks sentence j for clip j over column j. A
+    candidate ranks ahead if it scores higher, or the same at a lower
+    index. Each diagonal entry is checked to lie within TIE_BAND of
+    near, and one that does not is an EvalError naming the clip.
     """
     near = np.asarray(near, dtype=float)
     if not np.isfinite(near).all():
         raise EvalError("scores must be finite")
     n = near.shape[0]
-    low, high = near - TIE_BAND, near + TIE_BAND
     video, sentence = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-    diag = np.empty(n)
-    deferred = {}  # row lo -> (band values in row order, count per row) of earlier blocks
     lo = 0
     for block in blocks:
         if not np.isfinite(block).all():
             raise EvalError("scores must be finite")
-        w = block.shape[1]
-        if lo == 0:
-            step = w
-        hi = lo + w
+        hi = lo + block.shape[1]
         own = np.arange(lo, hi)
-        d = diag[lo:hi] = block[own, own - lo]
-        outside = ~((low[lo:hi] <= d) & (d <= high[lo:hi]))
-        if outside.any():
-            i = lo + int(np.argmax(outside))
+        off = np.abs(block[own, own - lo] - near[lo:hi]) > TIE_BAND
+        if off.any():
+            i = lo + int(np.argmax(off))
             raise EvalError(f"clip {i}: own-pair score differs from its pre-pass value "
-                            f"by {abs(diag[i] - near[i]):.3g}, beyond {TIE_BAND:g}")
-        # a candidate ranks ahead if it scores higher, or the same at a lower index
-        ahead = block == d
-        ahead &= ~np.tri(n, w, k=-lo, dtype=bool)  # row i < column lo + j
-        ahead |= block > d
+                            f"by {abs(block[i, i - lo] - near[i]):.3g}, beyond {TIE_BAND:g}")
+        ahead = block == near[:, None]
+        ahead &= np.tri(n, hi - lo, k=-lo - 1, dtype=bool)  # column lo + j < row i
+        ahead |= block > near[:, None]
+        ahead[own, own - lo] = False
+        video += np.count_nonzero(ahead, axis=1)
+        ahead = block == near[lo:hi]
+        ahead &= ~np.tri(n, hi - lo, k=-lo, dtype=bool)  # row i < column lo + j
+        ahead |= block > near[lo:hi]
+        ahead[own, own - lo] = False
         sentence[lo:hi] += np.count_nonzero(ahead, axis=0)
-        top = block[:hi]  # the rows whose diagonal is known by now
-        ahead = top == diag[:hi, None]
-        ahead &= np.tri(hi, w, k=-lo - 1, dtype=bool)  # column lo + j < row i
-        ahead |= top > diag[:hi, None]
-        video[:hi] += np.count_nonzero(ahead, axis=1)
-        # every deferred entry is at a lower column than its row's diagonal
-        for values, counts in deferred.pop(lo, ()):
-            rows = np.repeat(np.arange(w), counts)
-            video[lo:hi] += np.bincount(rows[values >= d[rows]], minlength=w)
-        # rows below: entries above the band rank ahead, those below it do not
-        below = block[hi:]
-        ahead = below > high[hi:, None]
-        video[hi:] += np.count_nonzero(ahead, axis=1)
-        band = below >= low[hi:, None]
-        band ^= ahead  # every entry above the band is also at or above its low edge
-        for start in range(hi, n, step):
-            mask = band[start - hi:start - hi + step]
-            if mask.any():
-                deferred.setdefault(start, []).append(
-                    (block[start:start + step][mask], np.count_nonzero(mask, axis=1)))
         lo = hi
-        del block, top, ahead, below, band  # free this block before the next one is scored
+        del block, ahead  # free this block before the next one is scored
     return video, sentence
 
 

@@ -37,15 +37,15 @@ def default_corpus():
 
 
 def run_variant(seed, **overrides):
-    """Train one configuration on the default corpus; memoized."""
-    key = (seed,) + tuple(sorted(overrides.items()))
-    if key not in _cache:
+    """Train one configuration on the default corpus; memoized on the resolved
+    config, so overrides that restate a default share the default's run."""
+    cfg = dataclasses.replace(TrainConfig(), seed=seed, **overrides)
+    if cfg not in _cache:
         train_recs, test_recs = default_corpus()
-        cfg = dataclasses.replace(TrainConfig(), seed=seed, **overrides)
         params, metrics = train(cfg, train_recs)
         report = bidirectional_retrieval(params, test_recs)
-        _cache[key] = (metrics, report)
-    return _cache[key]
+        _cache[cfg] = (metrics, report)
+    return _cache[cfg]
 
 
 def mean_map(report):

@@ -57,13 +57,25 @@ def _blocks(scores, width):
     return [scores[:, lo:lo + width] for lo in range(0, scores.shape[1], width)]
 
 
+def _ranks_against(scores, near):
+    """rank_of over each row and each column with its own entry replaced by near."""
+    video, sentence = [], []
+    for i in range(scores.shape[0]):
+        row, column = scores[i, :].copy(), scores[:, i].copy()
+        row[i] = column[i] = near[i]
+        video.append(rank_of(row, i))
+        sentence.append(rank_of(column, i))
+    return video, sentence
+
+
 def test_blocked_ranks_match_per_query_oracle_for_every_width():
     # ties that cross block edges: a constant matrix ties every pair, so each
     # candidate at a lower index ranks ahead; a banded one ties each row with the
     # columns next to its diagonal, on either side of any edge; integer scores from
     # {0, 1, 2} tie everywhere, and nudged by +-TIE_BAND/4 they also hold near-ties
-    # on either side of the diagonal. Every cut must rank as rank_of and as one
-    # block, with near the exact diagonal or off it by up to TIE_BAND/2.
+    # on either side of the diagonal. Every candidate ranks against near, the exact
+    # diagonal or off it by up to TIE_BAND/2, as rank_of does with the own entry
+    # replaced by near, for every cut and as one block.
     rng = np.random.default_rng(21)
     n = 11
     band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
@@ -73,18 +85,28 @@ def test_blocked_ranks_match_per_query_oracle_for_every_width():
                  for m in matrices[-3:]]
     for scores in matrices:
         m = scores.shape[0]
-        want = ([rank_of(scores[i, :], i) for i in range(m)],
-                [rank_of(scores[:, j], j) for j in range(m)])
         for shift in (0.0, TIE_BAND / 2, -TIE_BAND / 2):
             near = np.diag(scores) + shift
+            want = _ranks_against(scores, near)
             video, sentence = retrieval_ranks([scores], near)
             assert (video.tolist(), sentence.tolist()) == want, (m, shift)
             for width in range(1, m + 1):
                 video, sentence = retrieval_ranks(_blocks(scores, width), near)
                 assert (video.tolist(), sentence.tolist()) == want, (m, width, shift)
-    # every entry of a constant matrix lies in the band, and the ranks stay exact
+    # every entry of a constant matrix ties with near, and ranks by index
     video, sentence = retrieval_ranks(_blocks(np.zeros((n, n)), 4), np.zeros(n))
     assert video.tolist() == sentence.tolist() == list(range(1, n + 1))
+    # an entry strictly between the diagonal and near ranks by near: entry (0, 2)
+    # lies above the diagonal 0 but below near[0] = near[2], and entry (3, 1) below
+    # the diagonal but above near[3] = near[1]
+    scores = np.full((4, 4), -1.0)
+    np.fill_diagonal(scores, 0.0)
+    scores[0, 2], scores[3, 1] = TIE_BAND / 4, -TIE_BAND / 4
+    near = np.array([1, -1, 1, -1]) * TIE_BAND / 2
+    for width in range(1, 5):
+        video, sentence = retrieval_ranks(_blocks(scores, width), near)
+        assert (video.tolist(), sentence.tolist()) == ([1, 1, 1, 2], [1, 2, 1, 1]), width
+    assert _ranks_against(scores, near) == ([1, 1, 1, 2], [1, 2, 1, 1])
 
 
 def test_ranks_refuse_a_near_score_off_the_diagonal():
@@ -359,21 +381,23 @@ def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
 
 
 def test_eval_memory_grows_linearly_in_n(monkeypatch):
-    # beyond one block and its masks eval holds only the band of near-ties, so its
-    # traced peak on one core, with blocks of 32 clips, about doubles from 800 to
-    # 1600 clips; deferring whole row pieces until each diagonal is known triples it
+    # beyond its inputs eval holds one block and its masks, so its traced peak on one
+    # core, with blocks of 32 clips, about doubles from 800 to 1600 clips, also where
+    # every score ties with every own-pair score (dead language units score 0)
     monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 32)
-    params = init_model(8, 32, "dot", "residual", 2, np.random.default_rng(5))
-    peaks = []
-    for n in (800, 1600):
-        records = _records(n=n, seed=6)
-        tracemalloc.start()
-        try:
-            bidirectional_retrieval(params, records)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 2.3 * peaks[0], peaks
+    records = {n: _records(n=n, seed=6) for n in (800, 1600)}
+    live = init_model(8, 32, "dot", "residual", 2, np.random.default_rng(5))
+    dead = _dead(init_model(8, 32, "dot", "residual", 2, np.random.default_rng(5)), "language")
+    for params in (live, dead):
+        peaks = []
+        for n in (800, 1600):
+            tracemalloc.start()
+            try:
+                bidirectional_retrieval(params, records[n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.3 * peaks[0], (params is dead, peaks)
 
 
 def test_eval_refuses_too_many_clips_before_scoring(tmp_path, monkeypatch, capsys):
