@@ -5,8 +5,12 @@ embedding and attention formulas (model.embed, and model.clip_scores,
 their form for one clip against all queries), so a clip's pooled
 vector depends on which sentence is querying it. The query side is
 embedded once; the clips are then scored in column blocks of
-BLOCK_CLIPS clips on the calling thread, and each block is ranked as
-it arrives, so no n x n array ever exists.
+BLOCK_CLIPS clips, and each block is ranked as it arrives, so no n x n
+array ever exists. The blocks are dealt into one interleaved share per
+usable core: the calling process scores and ranks the first, and a
+child made with os.fork each other, which sends back its rank counts
+(_sum_over_shares). The counts are integer sums, so the ranks are the
+same for any number of cores.
 
 Video search ranks clips for each sentence (rows), sentence search
 ranks sentences for each clip (columns). Before any block is scored,
@@ -31,6 +35,8 @@ exactly by model.additive_pair_scores.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,23 +182,24 @@ class RetrievalReport:
 
 
 def retrieval_ranks(blocks, near):
-    """1-based ranks of the matched pairs of a blocked score matrix.
+    """1-based ranks of the matched pairs over column blocks of the score matrix.
 
-    blocks are the (n, w) column blocks of the n x n matrix in clip
-    order. near[i] is pair i's score (own_pair_scores), and every
-    candidate is ranked against it: video[i] ranks clip i for sentence i
-    over row i, sentence[j] ranks sentence j for clip j over column j. A
-    candidate ranks ahead if it scores higher, or the same at a lower
-    index. Each diagonal entry is checked to lie within TIE_BAND of
-    near, and one that does not is an EvalError naming the clip.
+    blocks are (lo, block) pairs in clip order: block holds the (n, w)
+    columns lo..lo + w of the n x n matrix. near[i] is pair i's score
+    (own_pair_scores), and every candidate is ranked against it:
+    video[i] ranks clip i for sentence i over row i, sentence[j] ranks
+    sentence j for clip j over column j. A candidate ranks ahead if it
+    scores higher, or the same at a lower index. Each diagonal entry is
+    checked to lie within TIE_BAND of near, and one that does not is an
+    EvalError naming the clip. Over only some of the blocks, a rank is 1
+    plus the candidates ahead in them.
     """
     near = np.asarray(near, dtype=float)
     if not np.isfinite(near).all():
         raise EvalError("scores must be finite")
     n = near.shape[0]
     video, sentence = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-    lo = 0
-    for block in blocks:
+    for lo, block in blocks:
         if not np.isfinite(block).all():
             raise EvalError("scores must be finite")
         hi = lo + block.shape[1]
@@ -212,9 +219,67 @@ def retrieval_ranks(blocks, near):
         ahead |= block > near[lo:hi]
         ahead[own, own - lo] = False
         sentence[lo:hi] += np.count_nonzero(ahead, axis=0)
-        lo = hi
-        del block, ahead  # free this block before the next one is scored
     return video, sentence
+
+
+def _share_sum(count, share):
+    """(None, the sum of count(lo) over share), or (lo, exception) for the
+    first lo whose count raised."""
+    total = 0
+    for lo in share:
+        try:
+            total = total + count(lo)
+        except Exception as exc:
+            return lo, exc
+    return None, total
+
+
+def _sum_over_shares(count, starts):
+    """The sum of count(lo) over starts, in k = min(usable cores, len(starts))
+    interleaved shares starts[i::k].
+
+    The calling process sums share 0. Each other share is summed in a
+    child made with os.fork, which pickles its outcome back through a
+    pipe and calls os._exit. Every read end is closed before any child is
+    reaped, so a child blocked on a full pipe ends too. The exception
+    raised is the one from the lowest failing start, as a serial loop
+    would raise it, and a child that ends without an outcome is an
+    EvalError giving its exit status. Without os.fork or
+    os.sched_getaffinity, k is 1.
+    """
+    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    k = min(len(os.sched_getaffinity(0)) if usable else 1, len(starts))
+    children = []  # (pid, read end) of each child
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as pipe:
+                        pickle.dump(_share_sum(count, starts[i::k]), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        outcomes = [_share_sum(count, starts[0::k])]
+        sent = [pipe.read() for _, pipe in children]
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for data, status in zip(sent, statuses):
+        if status:
+            raise EvalError(f"a forked share of eval's blocks exited with status {status} "
+                            "before sending its ranks")
+        outcomes.append(pickle.loads(data))
+    failed = [outcome for outcome in outcomes if outcome[0] is not None]
+    if failed:
+        raise min(failed, key=lambda outcome: outcome[0])[1]
+    return sum(total for _, total in outcomes)
 
 
 def _direction_report(ranks):
@@ -228,15 +293,19 @@ def bidirectional_retrieval(params, records):
 
     The test set is size-checked first (check_eval_size); each clip's
     own-pair score is computed next (own_pair_scores), and the clips are
-    then scored and ranked BLOCK_CLIPS at a time.
+    then scored and ranked BLOCK_CLIPS at a time, in one share of the
+    blocks per usable core (_sum_over_shares).
     """
     check_eval_size(records)
     queries = embed_queries(params, records)
     near = own_pair_scores(params, records, queries)
     n = len(records)
-    blocks = (score_matrix(params, records, queries, near, lo, min(lo + BLOCK_CLIPS, n))
-              for lo in range(0, n, BLOCK_CLIPS))
-    video_ranks, sentence_ranks = retrieval_ranks(blocks, near)
+
+    def ahead(lo):  # the candidates ahead in the block of clips lo.., per row and per column
+        block = score_matrix(params, records, queries, near, lo, min(lo + BLOCK_CLIPS, n))
+        return np.array(retrieval_ranks([(lo, block)], near)) - 1
+
+    video_ranks, sentence_ranks = 1 + _sum_over_shares(ahead, range(0, n, BLOCK_CLIPS))
     return RetrievalReport(
         n_queries=n,
         video_search=_direction_report(video_ranks),

@@ -1,5 +1,8 @@
-"""Ranking metrics, the query-conditioned score matrix in blocks, and reports."""
+"""Ranking metrics, the query-conditioned score matrix in blocks, its forked shares,
+and reports."""
 
+import os
+import signal
 import tracemalloc
 from dataclasses import replace
 
@@ -32,13 +35,13 @@ def test_rank_of_basic_and_ties():
     scores = np.array([[0.5, 0.3, 0.5],
                        [0.9, 0.1, 0.5],
                        [0.5, 0.3, 0.5]])
-    video, sentence = retrieval_ranks([scores], np.diag(scores))
+    video, sentence = retrieval_ranks([(0, scores)], np.diag(scores))
     # ties break by candidate index: an equal score before the matched item
     # outranks it (row 2, column 2), an equal score after it does not (row 0,
     # column 0)
     assert video.tolist() == [1, 3, 2]
     assert sentence.tolist() == [2, 3, 3]
-    video, sentence = retrieval_ranks([np.array([[0.7]])], [0.7])
+    video, sentence = retrieval_ranks([(0, np.array([[0.7]]))], [0.7])
     assert video.tolist() == sentence.tolist() == [1]
 
 
@@ -48,13 +51,13 @@ def test_ranks_match_per_query_oracle():
     for trial in range(200):
         n = int(rng.integers(1, 31))
         scores = rng.integers(0, 3, size=(n, n)).astype(float)
-        video, sentence = retrieval_ranks([scores], np.diag(scores))
+        video, sentence = retrieval_ranks([(0, scores)], np.diag(scores))
         assert video.tolist() == [rank_of(scores[i, :], i) for i in range(n)], trial
         assert sentence.tolist() == [rank_of(scores[:, j], j) for j in range(n)], trial
 
 
 def _blocks(scores, width):
-    return [scores[:, lo:lo + width] for lo in range(0, scores.shape[1], width)]
+    return [(lo, scores[:, lo:lo + width]) for lo in range(0, scores.shape[1], width)]
 
 
 def _ranks_against(scores, near):
@@ -88,7 +91,7 @@ def test_blocked_ranks_match_per_query_oracle_for_every_width():
         for shift in (0.0, TIE_BAND / 2, -TIE_BAND / 2):
             near = np.diag(scores) + shift
             want = _ranks_against(scores, near)
-            video, sentence = retrieval_ranks([scores], near)
+            video, sentence = retrieval_ranks([(0, scores)], near)
             assert (video.tolist(), sentence.tolist()) == want, (m, shift)
             for width in range(1, m + 1):
                 video, sentence = retrieval_ranks(_blocks(scores, width), near)
@@ -126,7 +129,7 @@ def test_ranks_reject_non_finite_scores():
         scores = np.eye(3)
         scores[1, 2] = bad
         with pytest.raises(EvalError, match="scores must be finite"):
-            retrieval_ranks([scores], np.diag(scores))
+            retrieval_ranks([(0, scores)], np.diag(scores))
         # also when only the last of several blocks holds it
         scores = np.eye(7)
         scores[0, 6] = bad
@@ -236,7 +239,7 @@ def test_score_matrix_matches_per_pair_loop(kind, monkeypatch):
         near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
         scores, scored = _check_pruned(params, records, kind, near)
         assert np.diag(scored).all()
-        ranks = retrieval_ranks([scores], near)
+        ranks = retrieval_ranks([(0, scores)], near)
         want = _per_pair_scores(params, records)
         assert ranks[0].tolist() == [rank_of(want[i, :], i) for i in range(40)], d_att
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
@@ -352,6 +355,16 @@ def test_eval_scores_fewer_additive_entries_than_n_squared(monkeypatch):
     assert 60 <= scored.sum() < 300, scored.sum()
 
 
+def _cores(monkeypatch, count):
+    """Make eval see count usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
     # the additive scorer must not hold an (n, F, A) grid: with every pair open (near
     # NaN), the traced peak of scoring one block of 64 clips stays below the size of
@@ -359,7 +372,9 @@ def test_score_matrix_builds_no_query_frame_grid(monkeypatch):
     # passes n pairs, so that peak also stays within a few of the block's own output,
     # where holding the block's open pairs until its end would take their frame
     # scores, about 7 times the block. Nor does eval hold an n x n array: its traced
-    # peak, queries, block, band and all, stays below n x n floats.
+    # peak, queries, block and masks included, stays below n x n floats. On one core,
+    # so that every block is scored where tracemalloc sees it.
+    _cores(monkeypatch, 1)
     monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 64)
     records = _records(n=400, seed=6)
     params = init_model(8, 32, "additive", "residual", 2, np.random.default_rng(5))
@@ -384,6 +399,7 @@ def test_eval_memory_grows_linearly_in_n(monkeypatch):
     # beyond its inputs eval holds one block and its masks, so its traced peak on one
     # core, with blocks of 32 clips, about doubles from 800 to 1600 clips, also where
     # every score ties with every own-pair score (dead language units score 0)
+    _cores(monkeypatch, 1)
     monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 32)
     records = {n: _records(n=n, seed=6) for n in (800, 1600)}
     live = init_model(8, 32, "dot", "residual", 2, np.random.default_rng(5))
@@ -442,6 +458,144 @@ def test_retrieval_report_consistent_with_matrix(monkeypatch):
         assert np.isclose(direction.mean_ap, (1.0 / ranks).mean() * 100)
         for k, rec in direction.recall.items():
             assert np.isclose(rec, (ranks <= k).mean() * 100)
+
+
+@pytest.mark.parametrize("kind", ATTENTION_KINDS)
+def test_ranks_and_report_are_the_same_for_any_core_count(kind, monkeypatch):
+    # 30 clips in blocks of 7 (four of 7 and one of 2) or of 20 (two blocks, fewer
+    # than 3 cores): on 1, 2 or 3 cores eval's ranks, report and report.csv are
+    # the serial run's, which are retrieval_ranks over the whole matrix
+    records = _records(n=30, seed=23, frames=(1, 10))
+    params = _tied(init_model(8, 6, kind, "residual", 2, np.random.default_rng(8), d_att=3))
+    ranks = []
+    direction_report = evaluation._direction_report
+    monkeypatch.setattr(evaluation, "_direction_report",
+                        lambda r: ranks.append(r.tolist()) or direction_report(r))
+    for width in (7, 20):
+        monkeypatch.setattr(evaluation, "BLOCK_CLIPS", width)
+        near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
+        want = [r.tolist() for r in retrieval_ranks(_blocks(full_score_matrix(params, records),
+                                                            width), near)]
+        _cores(monkeypatch, 1)
+        serial = bidirectional_retrieval(params, records)
+        assert ranks == want, width
+        for cores in (2, 3):
+            ranks.clear()
+            _cores(monkeypatch, cores)
+            report = bidirectional_retrieval(params, records)
+            _no_children_left()
+            assert ranks == want, (width, cores)
+            assert report == serial and report_csv(report) == report_csv(serial)
+        ranks.clear()
+
+
+def test_counts_larger_than_a_pipe_buffer_come_back_whole(monkeypatch):
+    # each share sends 512 KB, eight 64 KB pipe buffers, and the sums come back
+    # exact and in any share's order
+    _cores(monkeypatch, 3)
+    total = evaluation._sum_over_shares(lambda lo: np.full((2, 1 << 15), lo), range(0, 50, 5))
+    assert np.array_equal(total, np.full((2, 1 << 15), 225))
+    _no_children_left()
+
+
+def _planted(monkeypatch, plants):
+    """Patch evaluation.score_matrix to write, into the block of clips lo.. for each
+    lo -> kind in plants, a NaN ("nan") or a diagonal entry 1e-3 off its near
+    ("off") at its second clip."""
+    score_matrix = evaluation.score_matrix
+
+    def planted(*args):
+        out, lo = score_matrix(*args), args[4]
+        if lo in plants:
+            out[lo + 1, 1] = np.nan if plants[lo] == "nan" else out[lo + 1, 1] + 1e-3
+        return out
+
+    monkeypatch.setattr(evaluation, "score_matrix", planted)
+
+
+@pytest.mark.parametrize("plants, message", [
+    ({4: "off", 8: "nan"}, "clip 5: own-pair score differs from its pre-pass value by 0.001, "
+                           "beyond 1e-06"),
+    ({4: "nan", 8: "off"}, "scores must be finite"),
+    ({8: "off", 12: "nan"}, "clip 9: own-pair score differs from its pre-pass value by 0.001, "
+                            "beyond 1e-06"),
+    ({12: "off", 16: "off"}, "clip 13: own-pair score differs from its pre-pass value by "
+                             "0.001, beyond 1e-06"),
+])
+def test_forked_shares_raise_the_error_of_the_lowest_failing_block(plants, message, tmp_path,
+                                                                    monkeypatch, capsys):
+    # blocks of 4 of 20 clips: on 2 cores the calling process ranks the blocks at
+    # 0, 8 and 16 and a child those at 4 and 12, so the planted blocks lie in either
+    # process or both. On 1, 2 or 3 cores the error is the serial run's, that of the
+    # lowest planted block, and `eval` ends in that one line with exit code 1.
+    records = _records(n=20, seed=24)
+    params = _tied(init_model(8, 6, "dot", "residual", 2, np.random.default_rng(9)))
+    checkpoint, corpus = tmp_path / "checkpoint.json", tmp_path / "test.corpus"
+    save_checkpoint(params, checkpoint)
+    save_corpus(records, corpus)
+    monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 4)
+    _planted(monkeypatch, plants)
+    for cores in (1, 2, 3):
+        _cores(monkeypatch, cores)
+        with pytest.raises(EvalError) as raised:
+            bidirectional_retrieval(params, records)
+        assert str(raised.value) == message, cores
+        _no_children_left()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr().err == f"pairsieve: error: {message}\n", cores
+        _no_children_left()
+
+
+def test_a_share_that_ends_without_its_ranks_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a child that exits before it sends its ranks ends eval in one line giving its
+    # exit status, without a hang or a process left behind
+    records = _records(n=12, seed=25)
+    params = init_model(8, 6, "dot", "residual", 2, np.random.default_rng(10))
+    checkpoint, corpus = tmp_path / "checkpoint.json", tmp_path / "test.corpus"
+    save_checkpoint(params, checkpoint)
+    save_corpus(records, corpus)
+    monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 4)
+    parent, score_matrix = os.getpid(), evaluation.score_matrix
+    monkeypatch.setattr(evaluation, "score_matrix",
+                        lambda *args: score_matrix(*args) if os.getpid() == parent else os._exit(3))
+    _cores(monkeypatch, 2)
+    message = "a forked share of eval's blocks exited with status 3 before sending its ranks"
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        bidirectional_retrieval(params, records)
+    _no_children_left()
+    assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err == f"pairsieve: error: {message}\n"
+    _no_children_left()
+
+
+class _Interrupt(BaseException):
+    """A failure of the calling process that no share catches, as a Ctrl-C would be."""
+
+
+def test_a_failing_parent_does_not_wait_on_a_child_blocked_on_a_full_pipe(monkeypatch):
+    # the child's 2 MB of counts fill its pipe while the calling process fails in its
+    # own share; it closes the pipe's read end before it reaps the child, so the
+    # child's write fails and it exits. An alarm turns a hang into a failure.
+    parent = os.getpid()
+
+    def count(lo):
+        if os.getpid() == parent:
+            raise _Interrupt
+        return np.ones((2, 1 << 17))
+
+    def hang(signum, frame):
+        raise AssertionError("the calling process hung on its child")
+
+    _cores(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        with pytest.raises(_Interrupt):
+            evaluation._sum_over_shares(count, range(2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _no_children_left()
 
 
 def test_random_baselines():
