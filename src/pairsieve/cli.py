@@ -17,13 +17,13 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    CONFIG_SCHEMA,
     LOSS_KINDS,
     ConfigError,
-    _coerce,
     apply_overrides,
     corpus_spec_from,
     load_config,
+    parse_value,
+    resolved_values,
     train_config_from,
     write_manifest,
 )
@@ -38,7 +38,6 @@ from .evaluation import (
 )
 from .files import write_atomically
 from .gradients import NumericError
-from .losses import LossError
 from .model import (
     ATTENTION_KINDS,
     INPUT_MODES,
@@ -72,15 +71,6 @@ def _load_values(args):
     return apply_overrides(values, args.set or [])
 
 
-def _resolved_dict(obj, owner):
-    """Flatten a CorpusSpec or TrainConfig back into config-file keys."""
-    out = {}
-    for key, (_, (own, field_name)) in CONFIG_SCHEMA.items():
-        if own == owner:
-            out[key] = getattr(obj, field_name)
-    return out
-
-
 def cmd_gen_corpus(args):
     spec = corpus_spec_from(_load_values(args), seed_override=args.seed)
     train_recs, test_recs = generate_corpus(spec)
@@ -92,7 +82,7 @@ def cmd_gen_corpus(args):
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         "gen-corpus",
-        _resolved_dict(spec, "corpus"),
+        resolved_values(spec, "corpus"),
         {"train_corpus": "train.corpus", "test_corpus": "test.corpus"},
         __version__,
     )
@@ -112,7 +102,7 @@ def cmd_train(args):
         write_manifest(
             os.path.join(args.out, "manifest.json"),
             "train",
-            _resolved_dict(cfg, "train"),
+            resolved_values(cfg, "train"),
             {
                 "corpus": os.path.abspath(args.corpus),
                 "metrics": "metrics.csv",
@@ -152,10 +142,6 @@ def cmd_eval(args):
     return 0
 
 
-def _parse_axis_values(axis, text):
-    return [_coerce(axis, item, CONFIG_SCHEMA[axis][0]) for item in text.split(",")]
-
-
 def cmd_ablate(args):
     values = _load_values(args)
     corpus = load_corpus(args.corpus)
@@ -166,7 +152,7 @@ def cmd_ablate(args):
     check_eval_size(test_records)
     axis_values = ABLATION_AXES[args.axis]
     if args.values:
-        axis_values = _parse_axis_values(args.axis, args.values)
+        axis_values = [parse_value(args.axis, item) for item in args.values.split(",")]
     # build and size-check every config first, so a bad value fails before any run
     cfgs = [train_config_from({**values, args.axis: val}, seed_override=args.seed)
             for val in axis_values]
@@ -193,7 +179,7 @@ def cmd_ablate(args):
     with write_atomically(os.path.join(args.out, "ablation.csv")) as fh:
         fh.write("\n".join(rows) + "\n")
     # the resolved training config every run shares, seed included; the axis is swept
-    base = {k: v for k, v in _resolved_dict(cfgs[0], "train").items() if k != args.axis}
+    base = {k: v for k, v in resolved_values(cfgs[0], "train").items() if k != args.axis}
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         "ablate",
@@ -283,7 +269,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"pairsieve: numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError, ModelError, EvalError, LossError) as exc:
+    except (ConfigError, CorpusError, ModelError, EvalError) as exc:
         print(f"pairsieve: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

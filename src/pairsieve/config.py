@@ -118,7 +118,12 @@ def _schema():
 CONFIG_SCHEMA = _schema()
 
 
-def _coerce(key, text, typ):
+def parse_value(key, text):
+    """Parse text as a value of config key key, of the type CONFIG_SCHEMA gives it.
+
+    An unknown key is a KeyError: callers check the key first.
+    """
+    typ = CONFIG_SCHEMA[key][0]
     text = text.strip()
     if typ is bool:
         low = text.lower()
@@ -158,7 +163,7 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, val, CONFIG_SCHEMA[key][0])
+        values[key] = parse_value(key, val)
     return values
 
 
@@ -176,7 +181,7 @@ def apply_overrides(values, assignments):
         key = key.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
-        out[key] = _coerce(key, val, CONFIG_SCHEMA[key][0])
+        out[key] = parse_value(key, val)
     return out
 
 
@@ -195,6 +200,12 @@ def _build(values, which, cls, seed_override=None):
     except CorpusError as exc:
         raise ConfigError(str(exc)) from exc
     return obj
+
+
+def resolved_values(obj, owner):
+    """Flatten a CorpusSpec ("corpus") or TrainConfig ("train") back into config keys."""
+    return {key: getattr(obj, field_name)
+            for key, (_, (own, field_name)) in CONFIG_SCHEMA.items() if own == owner}
 
 
 def corpus_spec_from(values, seed_override=None):

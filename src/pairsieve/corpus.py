@@ -184,11 +184,9 @@ def _make_record(rec_id, tag, concepts, spec, rng):
                 draw(i + 1, subset)
             else:
                 draw(i + 1, rng.choice(rest, size=m, replace=False))
-    elif tag == "noise":
+    else:  # noise
         for i in range(n_frames):
             draw(i + 1, rng.choice(rest, size=m, replace=False))
-    else:
-        raise CorpusError(f"unknown tag {tag!r}")
 
     # unit-norm composition of each subset, jittered, then re-normalized
     vec = _units(concepts[subsets].sum(axis=1))
@@ -420,13 +418,11 @@ def sample_frames(records, clip_idx, n_f, rng):
     the frames with the n_f smallest of its first L keys: a uniform
     subset, without replacement. A shorter clip keeps every frame and
     fills the remaining slots with frame floor(key * L), uniform reuse.
+    n_f >= 1 and every clip has a frame (TrainConfig.validate,
+    training.check_sizes).
     """
-    if n_f < 1:
-        raise CorpusError("n_f must be >= 1")
     clips = [records[i].frames_raw for i in clip_idx]
     lengths = np.array([c.shape[0] for c in clips])
-    if lengths.min() < 1:
-        raise CorpusError(f"clip {records[clip_idx[lengths.argmin()]].id} has no frames")
     keys = rng.random((len(clips), max(n_f, lengths.max())))
     frame = np.arange(keys.shape[1])
     inside = frame < lengths[:, None]

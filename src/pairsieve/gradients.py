@@ -28,7 +28,10 @@ batch of plain arrays, and returns only what training reads: each
 pair's keep weight, the loss sums and the gradient vector. The forward
 formulas are not written here: embedding, attention, pooling, the gate
 logit and the gate sampler come from model and the triplet hinges from
-losses, the code eval and attention-dump run too.
+losses, the code eval and attention-dump run too. Neither the step nor
+those formulas check their input: train checks its config
+(TrainConfig.validate) and corpus (training.check_sizes) once, before
+the first step, and builds every batch from them.
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import bce_loss, sigmoid, softplus, triplet_hinges
-from .model import ModelError, adv_logit, attend, embed, sample_gate, tensor_views
-
-PHASES = ("freeze", "joint")
+from .model import adv_logit, attend, embed, sample_gate, tensor_views
 
 
 class NumericError(RuntimeError):
@@ -95,28 +96,18 @@ def _attention_backward(params, de, s, H, cache, ds, dH, grads):
         grads["attention.w2"] += H.reshape(-1, H.shape[-1]).T @ dt.reshape(-1, dt.shape[-1])
 
 
-def compute_gradients(params, xs, xf, labels, cfg, phase, rng=None):
+def compute_gradients(params, xs, xf, labels, cfg, phase, rng):
     """Forward plus exact gradients of the surrogate objective for one batch.
 
     xs (B, d_in) holds the sentences, xf (B, F, d_in) the sampled frames and
-    labels (B,) a 1 per matched pair. The gumbel_hard gate draws its noise,
-    one (B, 2) sample_gumbel call, from rng; nothing else draws from it.
-    Returns (fwd, grad): fwd is the BatchForward summary and grad one
-    vector laid out like params.flat. In the freeze phase the
-    discriminator tensors get exactly zero gradient and the gate
-    contributes no pathway.
+    labels (B,) a 1 per matched pair and a 0 per other pair; phase is
+    "freeze" or "joint". The gumbel_hard gate draws its noise, one (B, 2)
+    sample_gumbel call, from rng; nothing else draws from it. Returns
+    (fwd, grad): fwd is the BatchForward summary and grad one vector laid
+    out like params.flat. In the freeze phase the discriminator tensors
+    get exactly zero gradient and the gate contributes no pathway.
     """
-    if phase not in PHASES:
-        raise ModelError(f"unknown phase {phase!r}")
-    if xs.ndim != 2 or xf.ndim != 3 or labels.ndim != 1:
-        raise ModelError("batch arrays have wrong ranks")
     b = xs.shape[0]
-    if xf.shape[0] != b or labels.shape[0] != b:
-        raise ModelError("batch arrays disagree on batch size")
-    if xf.shape[2] != xs.shape[1]:
-        raise ModelError("sentence and frame feature dimensions differ")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ModelError("labels must be 0 or 1")
     t = params.tensors
     disc_on = cfg.discriminator_enabled
     hard = cfg.sampler_kind == "gumbel_hard"

@@ -1,21 +1,22 @@
 """Loss functions: stable binary cross-entropy on logits and a hardest-
-negative triplet loss over a batch similarity matrix."""
+negative triplet loss over a batch similarity matrix.
+
+Neither checks its input. The training step (gradients.compute_gradients)
+passes 0/1 labels and a square similarity matrix of at least 2 members,
+built from a config and a corpus that train checked once, before its
+first step.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-class LossError(ValueError):
-    """Invalid labels or shapes handed to a loss."""
-
-
 def sigmoid(x):
     """Numerically stable logistic, elementwise."""
     x = np.asarray(x, dtype=float)
     ex = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) below
-    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    return out if out.ndim else float(out)
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def softplus(x):
@@ -29,30 +30,21 @@ def bce_loss(y, f):
     Computed as softplus(f) - y*f, which equals
     -[y*log(sigma(f)) + (1-y)*log(1-sigma(f))] but never overflows.
     """
-    y_arr = np.asarray(y, dtype=float)
-    if not np.all((y_arr == 0.0) | (y_arr == 1.0)):
-        raise LossError(f"labels must be 0 or 1, got {y!r}")
-    out = softplus(f) - y_arr * np.asarray(f, dtype=float)
-    return out if out.ndim else float(out)
+    return softplus(f) - y * f
 
 
 def triplet_hinges(sim, margin):
     """Hardest-negative triplet hinges over a square similarity matrix.
 
-    sim[i, j] scores sentence i against clip j; diagonal entries are the
-    matched pairs. Each anchor i is hinged against the single hardest
-    negative in its row (best wrong clip, index jr[i]) and in its column
-    (best wrong sentence, index jc[i]). Returns (row_hinge, col_hinge,
-    jr, jc); the batch loss is (row_hinge + col_hinge).mean().
+    sim (n, n), n >= 2, scores sentence i against clip j in sim[i, j];
+    diagonal entries are the matched pairs, and margin is >= 0. Each
+    anchor i is hinged against the single hardest negative in its row
+    (best wrong clip, index jr[i]) and in its column (best wrong
+    sentence, index jc[i]). Returns (row_hinge, col_hinge, jr, jc); the
+    batch loss is (row_hinge + col_hinge).mean().
     """
     sim = np.asarray(sim, dtype=float)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise LossError(f"similarity matrix must be square, got shape {sim.shape}")
     n = sim.shape[0]
-    if n < 2:
-        raise LossError("triplet loss needs at least 2 items")
-    if margin < 0:
-        raise LossError("margin must be >= 0")
     idx = np.arange(n)
     pos = np.diag(sim).copy()
     off = sim.copy()

@@ -22,6 +22,9 @@ arrays. Additive attention, whose exact score costs a tanh per query,
 frame and attention unit, has eval's filter formulas instead of
 clip_scores: clip_bounds and vertex_bounds bound a pair's score from its
 frame scores, and additive_pair_scores scores gathered pairs exactly.
+A model's attention kind and input mode are checked once, by
+model_layout when it is made or loaded, so the formulas branch on them
+with no fallback error.
 """
 
 from __future__ import annotations
@@ -196,10 +199,8 @@ def attention_scores(params, s, h):
     if kind == "multiplicative":
         u = s @ t["attention.w_mult"]
         return np.einsum("...e,...fe->...f", u, h), {"u": u}
-    if kind == "additive":
-        th = np.tanh((s @ t["attention.w1"])[..., None, :] + h @ t["attention.w2"])  # (..., F, A)
-        return th @ t["attention.w_score"], {"t": th}
-    raise ModelError(f"unknown attention kind {kind!r}")
+    th = np.tanh((s @ t["attention.w1"])[..., None, :] + h @ t["attention.w2"])  # (..., F, A)
+    return th @ t["attention.w_score"], {"t": th}
 
 
 def softmax(e, axis=-1):
@@ -239,10 +240,8 @@ def clip_scores(params, h, sT, q):
         e = np.zeros_like(p)
     elif kind == "dot":
         e = p
-    elif kind == "multiplicative":
-        e = h @ q
     else:
-        raise ModelError(f"clip_scores does not score {kind!r} attention")
+        e = h @ q
     return np.einsum("fn,fn->n", softmax(e, axis=0), p)
 
 
@@ -326,9 +325,7 @@ def adv_logit(params, p_lvc, p_adv):
         return a[0] * (p_adv - p_lvc) + b[0]
     if mode == "concat":
         return a[0] * p_adv + a[1] * p_lvc + b[0]
-    if mode == "adv_only":
-        return a[0] * p_adv + b[0]
-    raise ModelError(f"unknown discriminator input mode {mode!r}")
+    return a[0] * p_adv + b[0]
 
 
 def sample_gumbel(rng, size=None):
@@ -336,7 +333,7 @@ def sample_gumbel(rng, size=None):
     return -np.log(-np.log(u))
 
 
-def sample_gate(f_adv, tau, sampler, rng=None):
+def sample_gate(f_adv, tau, sampler, rng):
     """Draw keep/discard decisions for logits (0, f_adv); returns (z, w).
 
     gumbel_hard perturbs both logits with Gumbel(0,1) noise, one (..., 2)
@@ -344,16 +341,11 @@ def sample_gate(f_adv, tau, sampler, rng=None):
     P(z=1) is sigma(f_adv) for any tau. w is the softmax weight of the
     discard side at temperature tau. softmax_soft draws no noise:
     w = sigma(f_adv / tau) and z is just the induced hard call (w > 1/2).
+    sampler is one of SAMPLER_KINDS and tau > 0 (TrainConfig.validate).
     """
-    if sampler not in SAMPLER_KINDS:
-        raise ModelError(f"unknown sampler {sampler!r}")
-    if tau <= 0:
-        raise ModelError("tau must be > 0")
     if sampler == "softmax_soft":
         w = sigmoid(f_adv / tau)
         return np.greater(w, 0.5).astype(int), w
-    if rng is None:
-        raise ModelError("gumbel_hard needs an rng")
     gumbels = sample_gumbel(rng, size=np.shape(f_adv) + (2,))
     margin = f_adv + gumbels[..., 1] - gumbels[..., 0]
     return (margin > 0).astype(int), sigmoid(margin / tau)
@@ -362,14 +354,13 @@ def sample_gate(f_adv, tau, sampler, rng=None):
 def init_bvf(params, clips, rng):
     """Seed the background bank from the current vision channel.
 
-    Every training clip is embedded with uniform frame pooling, in
-    length_chunks of BLOCK_CLIPS clips; the pool is randomly split into
-    n_bvf groups, and each bank row becomes the normalized group mean.
-    Groups that die under ReLU fall back to a random unit vector.
+    Every training clip (there is at least one) is embedded with uniform
+    frame pooling, in length_chunks of BLOCK_CLIPS clips; the pool is
+    randomly split into n_bvf groups, and each bank row becomes the
+    normalized group mean. Groups that die under ReLU fall back to a
+    random unit vector.
     """
     bank = params.tensors["disc.bvf"]  # written row by row in place: a view into params.flat
-    if not clips:
-        raise ModelError("cannot seed background bank from an empty corpus")
     pooled = np.empty((len(clips), bank.shape[1]))
     for chunk in length_chunks(clips, BLOCK_CLIPS):
         frames = np.stack([clips[i].frames_raw for i in chunk])
@@ -423,7 +414,7 @@ def load_checkpoint(path):
     text = read_text(path, ModelError)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ModelError(f"invalid checkpoint: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT:
         raise ModelError(f"not a {PARAMS_FORMAT} file")

@@ -11,8 +11,9 @@ corpus.epoch_batches, positives first, so one label vector serves every
 step; sentences are rows of one (n, d) matrix, and frames come from one
 batched sample_frames call per step. Epoch loss means divide the loss
 sums each forward reports; the adversarial mean divides by the
-discarded mass, the sum of 1 - keep. check_sizes holds the size limits
-that train and ablate both check before allocating.
+discarded mass, the sum of 1 - keep. check_sizes holds the record-shape
+and size checks that train and ablate both run before allocating; the
+step checks nothing again.
 """
 
 from __future__ import annotations
@@ -110,15 +111,21 @@ class _EpochStats:
 def check_sizes(cfg, corpus):
     """train's checks of a config against its corpus; returns the corpus's d_in.
 
-    The corpus needs at least 2 clips, all of one feature dimension, and
-    batch_size // 2 clips. A step tensor of more than MAX_STEP_FLOATS or
-    a model of more than model.MAX_MODEL_VALUES values is refused. Nothing
-    is allocated.
+    The corpus needs at least 2 clips and batch_size // 2 clips. Each
+    clip needs a 1-d sentence and a 2-d stack of at least one frame, all
+    of one feature dimension; this is the only check of a hand-built
+    ClipRecord before the step uses it. A step tensor of more than
+    MAX_STEP_FLOATS or a model of more than model.MAX_MODEL_VALUES values
+    is refused. Nothing is allocated.
     """
     if len(corpus) < 2:
         raise CorpusError("training needs at least 2 clips")
-    d_in = corpus[0].sentence_raw.shape[0]
+    d_in = corpus[0].sentence_raw.size  # not shape[0]: the loop checks clip 0's rank first
     for c in corpus:
+        if c.sentence_raw.ndim != 1 or c.frames_raw.ndim != 2 or c.frames_raw.shape[0] < 1:
+            raise CorpusError(f"clip {c.id} needs a 1-d sentence and at least one frame in a "
+                              f"2-d stack, has shapes {c.sentence_raw.shape} and "
+                              f"{c.frames_raw.shape}")
         if c.sentence_raw.shape[0] != d_in or c.frames_raw.shape[1] != d_in:
             raise CorpusError(f"clip {c.id} has feature dimension != {d_in}")
     # a larger positive half repeats clips, which then hinge against their own copies

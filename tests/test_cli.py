@@ -367,6 +367,19 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_deeply_nested_checkpoint_is_one_error_line(workspace, tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, on nesting this deep
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    test_corpus = workspace / "corpus" / "test.corpus"
+    for command in (["eval"], ["attention-dump", "--out", str(tmp_path / "att.csv")]):
+        assert main(command + ["--checkpoint", str(nested), "--corpus", str(test_corpus)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pairsieve: error: invalid checkpoint:"), err
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "att.csv").exists()
+
+
 def test_gen_corpus_refuses_an_oversized_spec_before_allocating(tmp_path, capsys):
     # d=1e8 asks for 2.1e12 frame floats (16 TiB): one error line naming the keys,
     # the value and the limit, before any array is drawn

@@ -202,6 +202,28 @@ def test_corpus_validation(tiny_corpus):
         train(SMALL, mixed)
 
 
+@pytest.mark.parametrize("at", [0, 4])
+def test_train_refuses_a_misshapen_record_before_any_step(tiny_corpus, monkeypatch, at):
+    # check_sizes is the one check of a hand-built record: a 2-d sentence, 3-d
+    # frames or no frames at all is a CorpusError before anything is sampled
+    corpus, _ = tiny_corpus
+    rec = corpus[at]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "init_model", no_step)
+    monkeypatch.setattr(training, "sample_frames", no_step)
+    monkeypatch.setattr(training, "compute_gradients", no_step)
+    for bad in (dict(sentence_raw=rec.sentence_raw[:, None]),
+                dict(frames_raw=rec.frames_raw[:, :, None]),
+                dict(frames_raw=rec.frames_raw[:0], grounded=rec.grounded[:0])):
+        misshapen = corpus[:at] + [dataclasses.replace(rec, **bad)] + corpus[at + 1:]
+        with pytest.raises(CorpusError, match=f"^clip {rec.id} needs a 1-d sentence and at "
+                                              "least one frame in a 2-d stack"):
+            train(SMALL, misshapen)
+
+
 def test_size_limits_admit_exactly_the_limit(tiny_corpus, monkeypatch):
     # d_emb=4 on the d=8 corpus, so d_in is the widest: 8 * 3 * 8 = 192 floats
     # per step tensor, and a model of 2 * (8 * 4 + 4) + 2 * 4 + 4 = 84 values
