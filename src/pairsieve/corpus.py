@@ -9,13 +9,17 @@ checked against truth. The generator makes a record's random draws first,
 one concept subset and one noise vector per sentence or frame in a fixed
 order, then composes, jitters and normalises all of the record's vectors
 in one array pass. Training batches are plain (sentence_idx, clip_idx)
-index arrays from epoch_batches, and sample_frames draws the frames of a
-whole batch in one call.
+index arrays from epoch_batches. frame_store lays every record's frames
+out as rows of one array, and sample_frames draws a whole epoch's frame
+choices as row indices into it, in one call.
 
 A corpus file is one JSON object per line: a header, then one record per
 line. From version 2 on, a record's sentence and frame features are
 base64 strings of little-endian float64 values, frames row after row;
 version 1 wrote them as JSON number lists and is still read.
+load_corpus decodes the frames of every record into one array, sized
+from the file's length, and each record's frames_raw is a view of its
+rows there: frame_store then hands that array to training as it is.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,6 +349,15 @@ def _text_lines(path, fh):
                               f"(byte {exc.start} of the line: {exc.reason})") from None
 
 
+def _frame_capacity(version, size):
+    """An upper bound on the frame floats a corpus file of size bytes holds.
+
+    Version 1 spends at least a digit and a separator on a float, version 2
+    32/3 base64 characters on its 8 bytes.
+    """
+    return size // 2 if version == 1 else size * 3 // 32
+
+
 def load_corpus(path):
     """Load a corpus file; an empty file is an empty corpus.
 
@@ -353,8 +367,14 @@ def load_corpus(path):
     dimension differs from the header's d, is a CorpusError naming its
     line. A header with "d": null takes d from the first record; any
     other d that is not an integer is a line-1 CorpusError.
+
+    The records' frames are decoded into one array of as many rows as the
+    file's length allows (_frame_capacity); pages that no frame reaches
+    are never touched and cost no memory. Each record's frames_raw is a
+    view of its rows, so frame_store returns that array without a copy.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         lines = _text_lines(path, fh)
         first = next(lines, None)
         if first is None:
@@ -374,6 +394,7 @@ def load_corpus(path):
             raise CorpusError(f"line 1: header d must be an integer or null, got {d!r}")
         records = []
         first_line = {}
+        store, used = None, 0
         for lineno, line in lines:
             if not line.strip():
                 continue
@@ -388,8 +409,40 @@ def load_corpus(path):
                 raise CorpusError(f"line {lineno}: record id {record.id!r} already used "
                                   f"on line {first_line[record.id]}")
             first_line[record.id] = lineno
+            if store is None:
+                store = np.empty((_frame_capacity(version, size) // d, d))
+            n = record.frames_raw.shape[0]
+            # a pipe reports size 0 and a file may grow while it is read: frames
+            # past the capacity keep arrays of their own, and frame_store copies
+            if used + n <= store.shape[0]:
+                store[used:used + n] = record.frames_raw
+                record.frames_raw = store[used:used + n]
+                used += n
             records.append(record)
     return records
+
+
+def frame_store(records):
+    """Every record's frames as rows of one array: (rows, starts, lengths).
+
+    Record i's frames are rows[starts[i]:starts[i] + lengths[i]]. When all
+    of them are row ranges of one C-contiguous 2-d array, as load_corpus
+    makes them, rows is that array, up to the last row a record uses, and
+    nothing is copied. Otherwise, as for records from generate_corpus or
+    built by hand, rows is a concatenated copy.
+    """
+    frames = [r.frames_raw for r in records]
+    lengths = np.array([f.shape[0] for f in frames])
+    base = frames[0].base
+    if (isinstance(base, np.ndarray) and base.ndim == 2 and base.flags.c_contiguous
+            and all(f.base is base and f.strides == base.strides
+                    and f.shape[1] == base.shape[1] for f in frames)):
+        offsets = (np.array([f.__array_interface__["data"][0] for f in frames])
+                   - base.__array_interface__["data"][0])
+        starts, slack = np.divmod(offsets, base.strides[0])
+        if not slack.any():
+            return base[:(starts + lengths).max()], starts, lengths
+    return np.concatenate(frames), np.cumsum(lengths) - lengths, lengths
 
 
 def epoch_batches(n, batch_size, rng):
@@ -410,28 +463,39 @@ def epoch_batches(n, batch_size, rng):
         yield np.concatenate([pos, neg_sents]), np.concatenate([pos, neg_clips])
 
 
-def sample_frames(records, clip_idx, n_f, rng):
-    """Sample n_f frames from each clip records[i], i in clip_idx; (B, n_f, d).
+def sample_frames(store, clip_idx, n_f, rng):
+    """Draw n_f frames per clip for an epoch's batches; (S, B, n_f) row indices.
 
-    Frames keep temporal order. One rng.random((B, W)) call draws the
-    batch, W = max(n_f, longest clip). A clip of L >= n_f frames keeps
-    the frames with the n_f smallest of its first L keys: a uniform
-    subset, without replacement. A shorter clip keeps every frame and
-    fills the remaining slots with frame floor(key * L), uniform reuse.
-    n_f >= 1 and every clip has a frame (TrainConfig.validate,
-    training.check_sizes).
+    store is frame_store's (rows, starts, lengths) and clip_idx (S, B) holds
+    the clips of the epoch's S batches; pair j of batch s gets the frames
+    rows[idx[s, j]], in temporal order. Batch s keys its clips with a (B, W)
+    block of uniforms, W = max(n_f, longest clip in the batch), and one
+    rng.random call draws the blocks of all batches in order: the values S
+    calls of one batch each would draw. A clip of L >= n_f frames keeps the
+    frames with the n_f smallest of its first L keys: a uniform subset,
+    without replacement. A shorter clip keeps every frame and fills the
+    remaining slots with frame floor(key * L), uniform reuse. n_f >= 1 and
+    every clip has a frame (TrainConfig.validate, training.check_sizes).
     """
-    clips = [records[i].frames_raw for i in clip_idx]
-    lengths = np.array([c.shape[0] for c in clips])
-    keys = rng.random((len(clips), max(n_f, lengths.max())))
-    frame = np.arange(keys.shape[1])
-    inside = frame < lengths[:, None]
-    subset = np.argpartition(np.where(inside, keys, 2.0), n_f - 1, axis=1)[:, :n_f]
-    reuse = np.where(inside[:, :n_f], frame[:n_f], (keys[:, :n_f] * lengths[:, None]).astype(int))
-    idx = np.where((lengths >= n_f)[:, None], subset, reuse)
+    _, starts, lengths = store
+    n_batches, batch = clip_idx.shape
+    length = lengths[clip_idx]
+    widths = np.maximum(n_f, length.max(axis=1))
+    # row-major order of the (S, B, W_max) keys, padding past each batch's W
+    # skipped, is the order of the draws
+    frame = np.arange(widths.max())
+    keys = np.full((n_batches, batch, frame.size), 2.0)
+    keys[np.broadcast_to(frame < widths[:, None, None], keys.shape)] = rng.random(
+        batch * int(widths.sum()))
+    keys = keys.reshape(n_batches * batch, -1)
+    length = length.reshape(-1)
+    inside = frame < length[:, None]
+    reuse = np.where(inside[:, :n_f], frame[:n_f], (keys[:, :n_f] * length[:, None]).astype(int))
+    keys[~inside] = 2.0
+    subset = np.argpartition(keys, n_f - 1, axis=1)[:, :n_f]
+    idx = np.where((length >= n_f)[:, None], subset, reuse)
     idx.sort(axis=1)
-    starts = np.cumsum(lengths) - lengths
-    return np.concatenate(clips)[starts[:, None] + idx]
+    return (starts[clip_idx.reshape(-1)][:, None] + idx).reshape(n_batches, batch, n_f)
 
 
 def length_chunks(records, size):

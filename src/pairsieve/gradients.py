@@ -24,8 +24,10 @@ the discriminator is frozen: the gate still filters pairs but
 contributes no gradient, and the adversarial term is not optimized.
 
 compute_gradients runs the forward and then the backward over one
-batch of plain arrays, and returns only what training reads: each
-pair's keep weight, the loss sums and the gradient vector. The forward
+batch of plain arrays, the gate's noise among them, and returns only
+what training reads: each pair's keep weight, the loss sums and the
+gradient vector. It draws no random numbers: training draws an epoch's
+frames and gate noise before the epoch's first step. The forward
 formulas are not written here: embedding, attention, pooling, the gate
 logit and the gate sampler come from model and the triplet hinges from
 losses, the code eval and attention-dump run too. Neither the step nor
@@ -96,13 +98,14 @@ def _attention_backward(params, de, s, H, cache, ds, dH, grads):
         grads["attention.w2"] += H.reshape(-1, H.shape[-1]).T @ dt.reshape(-1, dt.shape[-1])
 
 
-def compute_gradients(params, xs, xf, labels, cfg, phase, rng):
+def compute_gradients(params, xs, xf, labels, cfg, phase, gumbels):
     """Forward plus exact gradients of the surrogate objective for one batch.
 
     xs (B, d_in) holds the sentences, xf (B, F, d_in) the sampled frames and
     labels (B,) a 1 per matched pair and a 0 per other pair; phase is
-    "freeze" or "joint". The gumbel_hard gate draws its noise, one (B, 2)
-    sample_gumbel call, from rng; nothing else draws from it. Returns
+    "freeze" or "joint". gumbels (B, 2) is the gumbel_hard gate's noise,
+    and None when the gate draws none (softmax_soft, or the discriminator
+    off); the step itself draws nothing. Returns
     (fwd, grad): fwd is the BatchForward summary and grad one vector laid
     out like params.flat. In the freeze phase the discriminator tensors
     get exactly zero gradient and the gate contributes no pathway.
@@ -125,7 +128,7 @@ def compute_gradients(params, xs, xf, labels, cfg, phase, rng):
         jstar = q.argmax(axis=1)
         p_adv = q[np.arange(b), jstar]
         f_adv = adv_logit(params, p_lvc, p_adv)
-        z, w = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng)
+        z, w = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, gumbels)
         pair_adv = softplus(f_adv)
         keep = 1.0 - z if hard else 1.0 - w
     else:

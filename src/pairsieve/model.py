@@ -18,7 +18,8 @@ axes, so training's batch (B, E) with (B, F, E) and whole records,
 chunked by frame count, take the same einsum path; clip_scores takes one
 clip (F, E) and every query on the last axis, s.T (E, n), with
 query_projection's q; adv_logit and sample_gate work elementwise on
-arrays. Additive attention, whose exact score costs a tanh per query,
+arrays, and sample_gate takes its noise as an array rather than drawing
+it. Additive attention, whose exact score costs a tanh per query,
 frame and attention unit, has eval's filter formulas instead of
 clip_scores: clip_bounds and vertex_bounds bound a pair's score from its
 frame scores, and additive_pair_scores scores gathered pairs exactly.
@@ -333,20 +334,20 @@ def sample_gumbel(rng, size=None):
     return -np.log(-np.log(u))
 
 
-def sample_gate(f_adv, tau, sampler, rng):
+def sample_gate(f_adv, tau, sampler, gumbels):
     """Draw keep/discard decisions for logits (0, f_adv); returns (z, w).
 
-    gumbel_hard perturbs both logits with Gumbel(0,1) noise, one (..., 2)
-    sample_gumbel draw from rng, and takes the argmax; its marginal
-    P(z=1) is sigma(f_adv) for any tau. w is the softmax weight of the
-    discard side at temperature tau. softmax_soft draws no noise:
-    w = sigma(f_adv / tau) and z is just the induced hard call (w > 1/2).
-    sampler is one of SAMPLER_KINDS and tau > 0 (TrainConfig.validate).
+    gumbel_hard perturbs both logits with the Gumbel(0,1) noise gumbels,
+    shaped (..., 2) like f_adv plus a last axis (sample_gumbel draws it),
+    and takes the argmax; its marginal P(z=1) is sigma(f_adv) for any tau.
+    w is the softmax weight of the discard side at temperature tau.
+    softmax_soft takes no noise (gumbels is None): w = sigma(f_adv / tau)
+    and z is just the induced hard call (w > 1/2). sampler is one of
+    SAMPLER_KINDS and tau > 0 (TrainConfig.validate).
     """
     if sampler == "softmax_soft":
         w = sigmoid(f_adv / tau)
         return np.greater(w, 0.5).astype(int), w
-    gumbels = sample_gumbel(rng, size=np.shape(f_adv) + (2,))
     margin = f_adv + gumbels[..., 1] - gumbels[..., 0]
     return (margin > 0).astype(int), sigmoid(margin / tau)
 

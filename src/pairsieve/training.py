@@ -6,14 +6,20 @@ Phase two (joint) unfreezes the discriminator, adds the adversarial term
 to the objective, and drops the learning rate once. Per-epoch metrics
 stream to CSV as they are produced, so a crashed run keeps its history.
 
-Each step takes (sentence_idx, clip_idx) index arrays from
-corpus.epoch_batches, positives first, so one label vector serves every
-step; sentences are rows of one (n, d) matrix, and frames come from one
-batched sample_frames call per step. Epoch loss means divide the loss
-sums each forward reports; the adversarial mean divides by the
-discarded mass, the sum of 1 - keep. check_sizes holds the record-shape
-and size checks that train and ablate both run before allocating; the
-step checks nothing again.
+Before an epoch's first step, everything the epoch needs that does not
+depend on the parameters is drawn, each RNG stream in step order: the
+(sentence_idx, clip_idx) batches from corpus.epoch_batches, positives
+first, so one label vector serves every step; the frames of all batches,
+as row indices from one sample_frames call; and for the gumbel_hard gate
+one (S, B, 2) sample_gumbel draw. A step then only gathers its
+sentences (rows of one (n, d) matrix) and frames (rows of the corpus's
+frame_store), computes and takes the SGD step. The step's keep weights
+and loss sums go into (S, B) and (S, 3) arrays that _EpochStats turns
+into the metrics row at the epoch's end: loss means divide the loss
+sums, and the adversarial mean divides by the discarded mass, the sum
+of 1 - keep. check_sizes holds the record checks (tag, shapes,
+finiteness) and size checks that train and ablate both run before
+allocating; the step checks nothing again.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .config import ConfigError
-from .corpus import TAGS, CorpusError, epoch_batches, sample_frames
+from .corpus import TAGS, CorpusError, epoch_batches, frame_store, sample_frames
 from .gradients import NumericError, compute_gradients, first_nonfinite
-from .model import init_bvf, init_model, model_layout, save_checkpoint, tensor_views
+from .model import (init_bvf, init_model, model_layout, sample_gumbel, save_checkpoint,
+                    tensor_views)
 from .optim import sgd_step, update_runs
 
 DISC_TENSORS = frozenset({"disc.bvf", "disc.a_adv", "disc.b_adv"})
@@ -66,42 +73,44 @@ def metrics_csv_header():
 
 
 class _EpochStats:
-    """Running sums for one epoch's metrics row."""
+    """One epoch's per-step forward sums, turned into its metrics row at its end.
 
-    def __init__(self):
-        self.keep_sum = 0.0
-        self.pair_count = 0
-        self.lvc_num = 0.0
-        self.lvc_den = 0.0
-        self.adv_num = 0.0
-        self.adv_den = 0.0
-        self.tag_gate = np.zeros(len(TAGS))
-        self.tag_count = np.zeros(len(TAGS))
+    Every epoch total adds the steps' own sums in step order: a step's sum
+    over a row of keep has the bits of that step's keep.sum(), and the
+    running sums have the bits of a total kept step by step.
+    """
 
-    def add(self, fwd, pos_tags):
-        """Add one batch; pos_tags are the tag indices of its positive half."""
-        gate = 1.0 - fwd.keep
-        self.keep_sum += float(fwd.keep.sum())
-        self.pair_count += gate.shape[0]
-        self.lvc_num += fwd.lvc_sum
-        self.lvc_den += fwd.lvc_weight
-        self.adv_num += fwd.adv_sum
-        self.adv_den += float(gate.sum())
-        g = gate[:pos_tags.shape[0]]
+    def __init__(self, n_steps, batch_size):
+        self.keep = np.empty((n_steps, batch_size))
+        self.sums = np.empty((n_steps, 3))  # lvc_sum, lvc_weight, adv_sum per step
+
+    def add(self, step, fwd):
+        self.keep[step] = fwd.keep
+        self.sums[step] = fwd.lvc_sum, fwd.lvc_weight, fwd.adv_sum
+
+    def row(self, epoch, phase, lr, pos_tags):
+        """The metrics row; pos_tags (S, B // 2) are the tag indices of each
+        step's positive half, the first half of its pairs."""
+        def in_order(per_step):
+            return np.cumsum(per_step, axis=0)[-1]
+
+        def ratio(num, den):
+            return float(num / den) if den > 0 else 0.0
+        gate = 1.0 - self.keep
+        lvc_num, lvc_den, adv_num = in_order(self.sums)
+        pos_gate = gate[:, :pos_tags.shape[1]]
+        rates = []
         for k in range(len(TAGS)):
             sel = pos_tags == k
-            self.tag_gate[k] += float(g[sel].sum())
-            self.tag_count[k] += int(sel.sum())
-
-    def row(self, epoch, phase, lr):
-        def ratio(num, den):
-            return num / den if den > 0 else 0.0
-        rates = [ratio(self.tag_gate[k], self.tag_count[k]) for k in range(len(TAGS))]
+            # a boolean-index sum per step: summing a zero-masked row instead
+            # groups the pairwise sum differently and rounds differently
+            gated = in_order([g[m].sum() for g, m in zip(pos_gate, sel)])
+            rates.append(ratio(gated, int(sel.sum())))
         return EpochMetrics(
             epoch=epoch, phase=phase, lr=lr,
-            loss_lvc=ratio(self.lvc_num, self.lvc_den),
-            loss_adv=ratio(self.adv_num, self.adv_den),
-            z0_fraction=ratio(self.keep_sum, self.pair_count),
+            loss_lvc=ratio(lvc_num, lvc_den),
+            loss_adv=ratio(adv_num, in_order(gate.sum(axis=1))),
+            z0_fraction=ratio(in_order(self.keep.sum(axis=1)), self.keep.size),
             z1_rate_clean=rates[TAGS.index("clean")],
             z1_rate_loose=rates[TAGS.index("loose")],
             z1_rate_noise=rates[TAGS.index("noise")],
@@ -109,19 +118,24 @@ class _EpochStats:
 
 
 def check_sizes(cfg, corpus):
-    """train's checks of a config against its corpus; returns the corpus's d_in.
+    """train's checks of a config against its corpus; returns (store, sentences).
 
     The corpus needs at least 2 clips and batch_size // 2 clips. Each
-    clip needs a 1-d sentence and a 2-d stack of at least one frame, all
-    of one feature dimension; this is the only check of a hand-built
-    ClipRecord before the step uses it. A step tensor of more than
-    MAX_STEP_FLOATS or a model of more than model.MAX_MODEL_VALUES values
-    is refused. Nothing is allocated.
+    clip needs a known tag, a 1-d sentence and a 2-d stack of at least one
+    frame, all of one feature dimension, and finite features; this is the
+    only check of a hand-built ClipRecord before the step uses it. A step
+    tensor of more than MAX_STEP_FLOATS or a model of more than
+    model.MAX_MODEL_VALUES values is refused before anything is allocated.
+    The finiteness check reads the corpus's frame_store and its (n, d_in)
+    sentence matrix, one pass each, and looks for the clip only when one
+    fails; those two are returned for the steps to gather from.
     """
     if len(corpus) < 2:
         raise CorpusError("training needs at least 2 clips")
     d_in = corpus[0].sentence_raw.size  # not shape[0]: the loop checks clip 0's rank first
     for c in corpus:
+        if c.tag not in TAGS:
+            raise CorpusError(f"clip {c.id} has unknown tag {c.tag!r}")
         if c.sentence_raw.ndim != 1 or c.frames_raw.ndim != 2 or c.frames_raw.shape[0] < 1:
             raise CorpusError(f"clip {c.id} needs a 1-d sentence and at least one frame in a "
                               f"2-d stack, has shapes {c.sentence_raw.shape} and "
@@ -138,7 +152,15 @@ def check_sizes(cfg, corpus):
                           f"exceeds the limit of {MAX_STEP_FLOATS} floats per step tensor")
     model_layout(d_in, cfg.d_emb, cfg.attention_kind, cfg.input_mode, cfg.bvf_count,
                  cfg.d_att)
-    return d_in
+    store = frame_store(corpus)
+    sentences = np.stack([c.sentence_raw for c in corpus])
+    # a sum is finite only if every term is, and it allocates nothing; an
+    # overflowing sum of finite values finds no clip below and passes
+    if not (np.isfinite(store[0].sum()) and np.isfinite(sentences.sum())):
+        for c in corpus:
+            if not (np.isfinite(c.sentence_raw).all() and np.isfinite(c.frames_raw).all()):
+                raise CorpusError(f"clip {c.id} has non-finite feature values")
+    return store, sentences
 
 
 # non-finite values are caught by the checks in the step loop and reported
@@ -154,7 +176,7 @@ def train(cfg, corpus, run_dir=None, log=None):
     check_sizes runs first.
     """
     cfg.validate()
-    d_in = check_sizes(cfg, corpus)
+    store, sentences = check_sizes(cfg, corpus)
     root = np.random.SeedSequence(cfg.seed)
     ss_init, ss_bvf, ss_batch, ss_frame, ss_gate = root.spawn(5)
     rng_init = np.random.default_rng(ss_init)
@@ -163,7 +185,7 @@ def train(cfg, corpus, run_dir=None, log=None):
     rng_gate = np.random.default_rng(ss_gate)
 
     params = init_model(
-        d_in, cfg.d_emb, cfg.attention_kind, cfg.input_mode,
+        sentences.shape[1], cfg.d_emb, cfg.attention_kind, cfg.input_mode,
         cfg.bvf_count, rng_init, d_att=cfg.d_att,
     )
     if cfg.discriminator_enabled:
@@ -171,9 +193,10 @@ def train(cfg, corpus, run_dir=None, log=None):
 
     velocity = np.zeros_like(params.flat)
     tag_idx = np.array([TAGS.index(c.tag) for c in corpus])
-    sentences = np.stack([c.sentence_raw for c in corpus])
+    rows = store[0]
     half = cfg.batch_size // 2
     labels = np.concatenate([np.ones(half, dtype=int), np.zeros(half, dtype=int)])
+    gate_noise = cfg.discriminator_enabled and cfg.sampler_kind == "gumbel_hard"
 
     total_epochs = cfg.freeze_epochs + cfg.joint_epochs
     metrics = []
@@ -190,13 +213,16 @@ def train(cfg, corpus, run_dir=None, log=None):
             lr = cfg.lr if phase == "freeze" else cfg.lr / cfg.lr_drop_factor
             frozen = DISC_TENSORS if (phase == "freeze" or not cfg.discriminator_enabled) else ()
             runs = update_runs(params.layout, frozen, NO_DECAY)
-            stats = _EpochStats()
-            batches = epoch_batches(len(corpus), cfg.batch_size, rng_batch)
-            for step, (sentence_idx, clip_idx) in enumerate(batches):
-                xf = sample_frames(corpus, clip_idx, cfg.n_f, rng_frame)
+            sentence_idx, clip_idx = map(np.stack, zip(*epoch_batches(
+                len(corpus), cfg.batch_size, rng_batch)))
+            frame_idx = sample_frames(store, clip_idx, cfg.n_f, rng_frame)
+            gumbels = sample_gumbel(rng_gate, clip_idx.shape + (2,)) if gate_noise else None
+            stats = _EpochStats(*clip_idx.shape)
+            for step in range(clip_idx.shape[0]):
                 try:
-                    fwd, grad = compute_gradients(params, sentences[sentence_idx], xf,
-                                                  labels, cfg, phase, rng=rng_gate)
+                    fwd, grad = compute_gradients(
+                        params, sentences[sentence_idx[step]], rows[frame_idx[step]], labels,
+                        cfg, phase, None if gumbels is None else gumbels[step])
                     sgd_step(params.flat, grad, velocity, lr, cfg.momentum,
                              cfg.weight_decay, runs)
                     if not np.isfinite(params.flat).all():
@@ -208,9 +234,9 @@ def train(cfg, corpus, run_dir=None, log=None):
                                        tensors=tensor_views(last_good, params.layout))
                         save_checkpoint(good, os.path.join(run_dir, "checkpoint_last_good.json"))
                     raise NumericError(f"epoch {epoch}, step {step} ({phase}): {exc}") from None
-                stats.add(fwd, tag_idx[clip_idx[:half]])
+                stats.add(step, fwd)
             last_good = params.flat.copy()
-            row = stats.row(epoch, phase, lr)
+            row = stats.row(epoch, phase, lr, tag_idx[clip_idx[:, :half]])
             metrics.append(row)
             if csv_fh is not None:
                 csv_fh.write(row.csv_row() + "\n")

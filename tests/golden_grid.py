@@ -7,7 +7,9 @@ input modes x 2 losses x 2 samplers with the discriminator on, then
 4 attention kinds x 2 losses x 2 samplers with it off.
 
 - The run digest covers the saved train corpus, then each run's
-  metrics.csv, checkpoint_freeze.json and checkpoint_final.json.
+  metrics.csv, checkpoint_freeze.json and checkpoint_final.json. The
+  runs train on the corpus as load_corpus reads it back, whose frames
+  share one array, the way the train command gets them.
 - The scoring digest covers, per run, report_csv of the final
   parameters on the test records and repr() of export_attention on
   all 70 records.
@@ -27,7 +29,7 @@ import tempfile
 from dataclasses import replace
 
 from pairsieve.config import LOSS_KINDS, TrainConfig
-from pairsieve.corpus import CorpusSpec, generate_corpus, save_corpus
+from pairsieve.corpus import CorpusSpec, generate_corpus, load_corpus, save_corpus
 from pairsieve.evaluation import bidirectional_retrieval, export_attention, report_csv
 from pairsieve.model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS
 from pairsieve.training import train
@@ -54,6 +56,7 @@ def grid_digests(work_dir):
     train_recs, test_recs = generate_corpus(CORPUS)
     corpus_path = os.path.join(work_dir, "train.corpus")
     save_corpus(train_recs, corpus_path)
+    train_recs = load_corpus(corpus_path)
     runs = hashlib.sha256()
     with open(corpus_path, "rb") as fh:
         runs.update(fh.read())

@@ -1,6 +1,6 @@
 """Shared test oracles: a frozen-noise surrogate objective, central
-finite differences over it, a generator whose one uniform draw is
-pinned, the triplet loss by enumeration, the per-tensor SGD rule, the
+finite differences over it, the triplet loss by enumeration, the
+frame sampler one batch at a time, the per-tensor SGD rule, the
 per-query retrieval rank, the whole score matrix from eval's blocks,
 additive attention's exact scores of one clip against every query at
 once, frame scores by formula, the attention dump and the background bank
@@ -31,8 +31,8 @@ from pairsieve import evaluation
 from pairsieve.corpus import TAGS, ClipRecord, CorpusError, build_concept_bank
 from pairsieve.gradients import compute_gradients
 from pairsieve.losses import bce_loss, softplus, triplet_hinges
-from pairsieve.model import (adv_logit, attend, embed, init_model, sample_gate, softmax,
-                             tensor_views)
+from pairsieve.model import (adv_logit, attend, embed, init_model, sample_gate,
+                             sample_gumbel, softmax, tensor_views)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -41,12 +41,11 @@ ABS_TOL = 1e-7
 SUM_TOL = 1e-12
 
 
-def surrogate(params, batch, cfg, phase, seed, pinned=None):
+def surrogate(params, batch, cfg, phase, gumbels, pinned=None):
     """The step's objective with the gate noise pinned, and what it reports.
 
-    batch = (xs, xf, labels) as compute_gradients takes them, seed that of
-    a fresh generator for the gate's one (B, 2) noise draw, the draw the
-    step makes (softmax_soft draws none), and pinned = (z0, w0) the
+    batch = (xs, xf, labels) and gumbels, the gate's (B, 2) noise or None,
+    as compute_gradients takes them, and pinned = (z0, w0) the
     hard calls and gate weights at the base point; None makes this call
     the base point. The gate weight is z0 + w - w0 for the hard sampler
     and w for the soft one, held at its base value in the freeze phase;
@@ -67,7 +66,7 @@ def surrogate(params, batch, cfg, phase, seed, pinned=None):
     p_lvc = (s * v).sum(axis=1)
     if cfg.discriminator_enabled:
         f_adv = adv_logit(params, p_lvc, (s @ t["disc.bvf"].T).max(axis=1))
-        z, w = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, rng=np.random.default_rng(seed))
+        z, w = sample_gate(f_adv, cfg.tau, cfg.sampler_kind, gumbels)
         z0, w0 = pinned = (z, w) if pinned is None else pinned
         if not joint:
             gate = z0 if hard else w0
@@ -96,15 +95,26 @@ def surrogate(params, batch, cfg, phase, seed, pinned=None):
     return lvc + adv, keep, lvc_sum, lvc_weight, adv_sum, pinned
 
 
-class PinnedUniform:
-    """Stands in for the gate's generator: its one uniform draw returns u."""
+def reference_sample_frames(records, clip_idx, n_f, rng):
+    """One batch's sampled frames (B, n_f, d), drawn with one rng.random((B, W)) call.
 
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self, low, high, size):
-        assert size == self.u.shape
-        return self.u
+    W = max(n_f, longest clip in the batch). A clip of L >= n_f frames keeps
+    the frames with the n_f smallest of its first L keys; a shorter clip
+    keeps every frame and fills the remaining slots with frame
+    floor(key * L). corpus.sample_frames draws a whole epoch of these
+    batches in one call and must pick the same frames.
+    """
+    clips = [records[i].frames_raw for i in clip_idx]
+    lengths = np.array([c.shape[0] for c in clips])
+    keys = rng.random((len(clips), max(n_f, lengths.max())))
+    frame = np.arange(keys.shape[1])
+    inside = frame < lengths[:, None]
+    subset = np.argpartition(np.where(inside, keys, 2.0), n_f - 1, axis=1)[:, :n_f]
+    reuse = np.where(inside[:, :n_f], frame[:n_f], (keys[:, :n_f] * lengths[:, None]).astype(int))
+    idx = np.where((lengths >= n_f)[:, None], subset, reuse)
+    idx.sort(axis=1)
+    starts = np.cumsum(lengths) - lengths
+    return np.concatenate(clips)[starts[:, None] + idx]
 
 
 def finite_difference(fn, arr, h=FD_STEP):
@@ -126,16 +136,19 @@ def finite_difference(fn, arr, h=FD_STEP):
 def gradient_mismatches(params, batch, cfg, phase, rng):
     """Compare analytic gradients against finite differences.
 
-    The gate's noise is the only draw compute_gradients makes from its
-    rng, so one seed taken from rng gives the step and every surrogate
-    call a fresh generator of the same noise. The step's keep and loss
-    sums must match the surrogate's at the base point to SUM_TOL. Returns
-    a list of (tensor name, index, analytic, numeric) tuples for every
-    coordinate outside tolerance; an empty list means agreement.
+    The gumbel_hard gate's (B, 2) noise comes from a fresh generator seeded
+    from rng, and the step and every surrogate call take the same noise.
+    The step's keep and loss sums must match the surrogate's at the base
+    point to SUM_TOL. Returns a list of (tensor name, index, analytic,
+    numeric) tuples for every coordinate outside tolerance; an empty list
+    means agreement.
     """
     seed = int(rng.integers(2**63))
-    fwd, grad = compute_gradients(params, *batch, cfg, phase, rng=np.random.default_rng(seed))
-    _, keep, lvc_sum, lvc_weight, adv_sum, pinned = surrogate(params, batch, cfg, phase, seed)
+    gumbels = None
+    if cfg.discriminator_enabled and cfg.sampler_kind == "gumbel_hard":
+        gumbels = sample_gumbel(np.random.default_rng(seed), (batch[0].shape[0], 2))
+    fwd, grad = compute_gradients(params, *batch, cfg, phase, gumbels)
+    _, keep, lvc_sum, lvc_weight, adv_sum, pinned = surrogate(params, batch, cfg, phase, gumbels)
     for name, ours, step in (("keep", keep, fwd.keep), ("lvc_sum", lvc_sum, fwd.lvc_sum),
                              ("lvc_weight", lvc_weight, fwd.lvc_weight),
                              ("adv_sum", adv_sum, fwd.adv_sum)):
@@ -145,7 +158,7 @@ def gradient_mismatches(params, batch, cfg, phase, rng):
     bad = []
     for name, arr in params.tensors.items():
         num = finite_difference(
-            lambda: surrogate(params, batch, cfg, phase, seed, pinned)[0], arr)
+            lambda: surrogate(params, batch, cfg, phase, gumbels, pinned)[0], arr)
         ana = grads[name]
         err = np.abs(ana - num)
         tol = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(ana), np.abs(num)))

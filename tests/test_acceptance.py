@@ -22,6 +22,7 @@ from pairsieve.model import (
     init_model,
     load_checkpoint,
     sample_gate,
+    sample_gumbel,
 )
 from pairsieve.training import train
 
@@ -137,7 +138,8 @@ def test_criterion_3_gate_distribution():
     worst = 0.0
     for i, (tau, f) in enumerate(itertools.product((0.5, 1.0), (-2.0, 0.0, 1.0))):
         rng = np.random.default_rng(300 + i)
-        hits = int(sample_gate(np.full(n, f), tau, "gumbel_hard", rng=rng)[0].sum())
+        hits = int(sample_gate(np.full(n, f), tau, "gumbel_hard",
+                               sample_gumbel(rng, (n, 2)))[0].sum())
         p = float(sigmoid(np.array(f)))
         se = np.sqrt(p * (1.0 - p) / n)
         worst = max(worst, abs(hits / n - p) / se)

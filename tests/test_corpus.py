@@ -2,7 +2,9 @@
 
 import base64
 import json
+import os
 import re
+import threading
 import zlib
 
 import numpy as np
@@ -16,6 +18,7 @@ from pairsieve.corpus import (
     CorpusSpec,
     build_concept_bank,
     epoch_batches,
+    frame_store,
     generate_corpus,
     load_corpus,
     sample_frames,
@@ -23,7 +26,8 @@ from pairsieve.corpus import (
 )
 from pairsieve.model import init_model, save_checkpoint
 
-from oracles import corpus_fields, corpus_line, records_equal, reference_corpus
+from oracles import (corpus_fields, corpus_line, records_equal, reference_corpus,
+                     reference_sample_frames)
 
 SMALL = CorpusSpec(n_train=60, n_test=10, d=8, k=12, seed=5)
 
@@ -500,6 +504,12 @@ def _numbered_clips(lengths, d=3):
     ]
 
 
+def _sample(records, clip_idx, n_f, rng):
+    """The frames (B, n_f, d) sample_frames picks for one batch of clips."""
+    store = frame_store(records)
+    return store[0][sample_frames(store, np.asarray(clip_idx)[None], n_f, rng)[0]]
+
+
 def _frame_ids(frames, clip_idx):
     """Frame indices of a sampled (B, n_f, d) batch; checks each row's clip."""
     assert np.all(frames == frames[:, :, :1])
@@ -513,7 +523,7 @@ def test_sample_frames_without_replacement_when_possible():
     i = next(i for i, r in enumerate(train) if r.frames_raw.shape[0] >= 5)
     clip = train[i]
     rng = np.random.default_rng(4)
-    batch = sample_frames(train, np.full(50, i), 5, rng)
+    batch = _sample(train, np.full(50, i), 5, rng)
     assert batch.shape == (50, 5, 8)
     for frames in batch:
         # all distinct rows of the original clip
@@ -528,7 +538,7 @@ def test_sample_frames_reuses_when_short():
     clip = train[i]
     n = clip.frames_raw.shape[0]
     rng = np.random.default_rng(5)
-    frames = sample_frames(train, [i], n + 3, rng)[0]
+    frames = _sample(train, [i], n + 3, rng)[0]
     assert frames.shape[0] == n + 3
     for orig in clip.frames_raw:
         assert any((orig == f).all() for f in frames)
@@ -541,14 +551,14 @@ def test_sample_frames_single_frame_clip():
         id="x", sentence_raw=rec.sentence_raw, frames_raw=rec.frames_raw[:1],
         tag="noise", grounded=np.zeros(1, dtype=bool),
     )
-    frames = sample_frames([one], [0], 1, np.random.default_rng(6))[0]
+    frames = _sample([one], [0], 1, np.random.default_rng(6))[0]
     assert np.array_equal(frames, one.frames_raw)
 
 
 def test_sample_frames_mixed_length_batch():
     records = _numbered_clips(range(1, 11))
     clip_idx = np.random.default_rng(7).permutation(np.repeat(np.arange(10), 20))
-    ids = _frame_ids(sample_frames(records, clip_idx, 5, np.random.default_rng(8)), clip_idx)
+    ids = _frame_ids(_sample(records, clip_idx, 5, np.random.default_rng(8)), clip_idx)
     assert ids.shape == (200, 5)
     for row, c in zip(ids, clip_idx):
         n = c + 1
@@ -562,7 +572,7 @@ def test_sample_frames_mixed_length_batch():
 def test_sample_frames_n_f_beyond_longest_clip():
     records = _numbered_clips([1, 2, 3, 4])
     clip_idx = np.array([3, 0, 2, 1, 3])
-    frames = sample_frames(records, clip_idx, 7, np.random.default_rng(9))
+    frames = _sample(records, clip_idx, 7, np.random.default_rng(9))
     assert frames.shape == (5, 7, 3)
     for row, c in zip(_frame_ids(frames, clip_idx), clip_idx):
         assert np.all(np.diff(row) >= 0)
@@ -571,7 +581,7 @@ def test_sample_frames_n_f_beyond_longest_clip():
 
 def test_sample_frames_subsets_are_uniform():
     n_draws = 20_000
-    ids = _frame_ids(sample_frames(_numbered_clips([5]), np.zeros(n_draws, dtype=int), 2,
+    ids = _frame_ids(_sample(_numbered_clips([5]), np.zeros(n_draws, dtype=int), 2,
                                    np.random.default_rng(10)), np.zeros(n_draws))
     assert np.all(ids[:, 0] < ids[:, 1])
     counts = np.bincount(ids[:, 0] * 5 + ids[:, 1], minlength=25)
@@ -585,7 +595,67 @@ def test_sample_frames_subsets_are_uniform():
 def test_sample_frames_same_seed_same_batch():
     train, _ = generate_corpus(SMALL)
     clip_idx = np.arange(0, 60, 3)
-    a = sample_frames(train, clip_idx, 5, np.random.default_rng(11))
-    b = sample_frames(train, clip_idx, 5, np.random.default_rng(11))
+    a = _sample(train, clip_idx, 5, np.random.default_rng(11))
+    b = _sample(train, clip_idx, 5, np.random.default_rng(11))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_frames(train, clip_idx, 5, np.random.default_rng(12)))
+    assert not np.array_equal(a, _sample(train, clip_idx, 5, np.random.default_rng(12)))
+
+
+@pytest.mark.parametrize("lengths,n_f,batch,widths_differ", [
+    ([3, 9, 1, 6, 10, 4, 7, 2], 4, 6, True),
+    ([1, 2, 3], 7, 4, False),
+    ([1, 1, 1, 1], 1, 2, False),
+    ([1, 1, 1, 12, 1, 1, 1, 1], 2, 4, True),
+], ids=["mixed-lengths", "n_f-beyond-longest", "single-frame", "one-wide-batch"])
+def test_sample_frames_draws_an_epoch_as_its_batches_would(lengths, n_f, batch, widths_differ):
+    # one draw for the whole epoch picks, bit for bit, the frames the per-batch
+    # reference picks from the same generator, batch after batch
+    records = _numbered_clips(lengths)
+    clip_idx = np.stack([c for _, c in epoch_batches(len(records), batch,
+                                                     np.random.default_rng(13))])
+    widths = np.maximum(n_f, np.array(lengths)[clip_idx].max(axis=1))
+    assert (len(set(widths.tolist())) > 1) == widths_differ
+    store = frame_store(records)
+    frames = store[0][sample_frames(store, clip_idx, n_f, np.random.default_rng(14))]
+    rng = np.random.default_rng(14)
+    expected = np.stack([reference_sample_frames(records, c, n_f, rng) for c in clip_idx])
+    assert frames.shape == (clip_idx.shape[0], batch, n_f, 3)
+    assert frames.tobytes() == expected.tobytes()
+
+
+def test_frame_store_shares_a_loaded_corpus_and_copies_others(tmp_path):
+    train, _ = generate_corpus(SMALL)
+    path = tmp_path / "train.corpus"
+    save_corpus(train, path)
+    loaded = load_corpus(path)
+    rows, starts, lengths = frame_store(loaded)
+    assert rows.nbytes == sum(r.frames_raw.nbytes for r in loaded)
+    for rec, start, n in zip(loaded, starts, lengths):
+        view = rows[start:start + n]
+        assert view.__array_interface__ == rec.frames_raw.__array_interface__
+    # generated records, and a loaded record replaced by hand, are copied
+    for records in (train, loaded[:5] + [ClipRecord(**{**vars(loaded[5]),
+                                                       "frames_raw": train[5].frames_raw})]):
+        copy, starts, lengths = frame_store(records)
+        assert not any(np.shares_memory(copy, r.frames_raw) for r in records)
+        for rec, start, n in zip(records, starts, lengths):
+            assert np.array_equal(copy[start:start + n], rec.frames_raw)
+
+
+def test_load_from_a_pipe_copies_nothing_into_the_store(tmp_path):
+    # a pipe has no length to size the store from: each record keeps its own
+    # frames, and frame_store then copies them as it does generated records
+    train, _ = generate_corpus(SMALL)
+    path = tmp_path / "train.corpus"
+    save_corpus(train, path)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    piped = load_corpus(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert all(records_equal(a, b) for a, b in zip(piped, train)) and len(piped) == len(train)
+    rows = frame_store(piped)[0]
+    assert np.array_equal(rows, frame_store(train)[0])
+    assert not any(np.shares_memory(rows, r.frames_raw) for r in piped)

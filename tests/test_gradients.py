@@ -8,22 +8,17 @@ import pytest
 
 from pairsieve.gradients import NumericError, compute_gradients
 from pairsieve.losses import bce_loss, sigmoid
-from pairsieve.model import adv_logit, attend, embed, tensor_views
+from pairsieve.model import adv_logit, attend, embed, sample_gumbel, tensor_views
 
-from oracles import PinnedUniform, gradient_mismatches, random_problem, triplet_by_enumeration
+from oracles import gradient_mismatches, random_problem, triplet_by_enumeration
 
 DISC_TENSORS = ("disc.bvf", "disc.a_adv", "disc.b_adv")
 
 
-def _gate_rng(z):
-    """A PinnedUniform that forces the hard calls z.
-
-    sample_gumbel maps u to -log(-log(u)): about -6.6 for the smallest
-    float and 27.6 for 1 - 1e-12, a gap far wider than the gate logits of
-    these small problems.
-    """
-    lo, hi = np.finfo(float).tiny, 1.0 - 1e-12
-    return PinnedUniform(np.where(np.asarray(z)[:, None] == 1, [lo, hi], [hi, lo]))
+def _gumbels_forcing(z):
+    """Gate noise (B, 2) that forces the hard calls z: a gap of 30 between the
+    two sides, far wider than the gate logits of these small problems."""
+    return np.where(np.asarray(z)[:, None] == 1, [0.0, 30.0], [30.0, 0.0])
 
 
 def _pooled(params, xs, xf):
@@ -38,7 +33,7 @@ def test_forward_attention_rows_normalized():
     for kind in ("uniform", "dot", "multiplicative", "additive"):
         params, batch, cfg = random_problem(rng, attention=kind, n_frames=3, disc_on=False)
         xs, xf, labels = batch
-        fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
+        fwd = compute_gradients(params, *batch, cfg, "joint", None)[0]
         s = embed(params, "language", xs)[0]
         h = embed(params, "vision", xf)[0]
         v, alpha, _ = attend(params, s, h)
@@ -57,7 +52,7 @@ def test_forward_pair_scores_are_cosines():
     params, batch, cfg = random_problem(rng)
     xs, xf, labels = batch
     z = np.array([1, 0, 0, 0])
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", _gumbels_forcing(z))[0]
     s, v = _pooled(params, xs, xf)
     assert np.allclose(np.linalg.norm(s, axis=1), 1.0, atol=1e-12)
     p_lvc = (s * v).sum(axis=1)
@@ -71,7 +66,7 @@ def test_forward_bce_pairs_match_loss_module():
     params, batch, cfg = random_problem(rng)
     xs, xf, labels = batch
     z = np.array([0, 1, 0, 0])
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", _gumbels_forcing(z))[0]
     s, v = _pooled(params, xs, xf)
     t = params.tensors
     pair = bce_loss(labels, t["a_lvc"][0] * (s * v).sum(axis=1) + t["b_lvc"][0])
@@ -84,13 +79,12 @@ def test_forward_keep_tracks_sampler():
     rng = np.random.default_rng(3)
     params, batch, cfg = random_problem(rng, sampler="gumbel_hard")
     z = np.array([1, 0, 0, 1])
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", _gumbels_forcing(z))[0]
     assert np.array_equal(fwd.keep, 1.0 - z)
 
-    # the soft gate draws no noise, so an rng without methods serves: keep is
-    # 1 - sigmoid(f_adv / tau)
+    # the soft gate takes no noise: keep is 1 - sigmoid(f_adv / tau)
     params, batch, cfg = random_problem(rng, sampler="softmax_soft")
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=object())[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", None)[0]
     s, v = _pooled(params, *batch[:2])
     f_adv = adv_logit(params, (s * v).sum(axis=1), (s @ params.tensors["disc.bvf"].T).max(axis=1))
     assert np.allclose(fwd.keep, 1.0 - sigmoid(f_adv / cfg.tau), rtol=0, atol=1e-12)
@@ -100,18 +94,19 @@ def test_forward_keep_tracks_sampler():
 def test_forward_disc_off_keeps_everything():
     rng = np.random.default_rng(4)
     params, batch, cfg = random_problem(rng, disc_on=False)
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=rng)[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", None)[0]
     assert np.array_equal(fwd.keep, np.ones(4))
     assert fwd.lvc_weight == 4.0
     assert fwd.adv_sum == 0.0
 
 
 def test_forward_deterministic_with_fixed_gumbels():
-    # the gate's noise is the rng's only draw: same seed, same noise, same bits
+    # the gate's noise is an input: the same noise gives the same bits
     rng = np.random.default_rng(5)
     params, batch, cfg = random_problem(rng)
-    a, grad_a = compute_gradients(params, *batch, cfg, "joint", rng=np.random.default_rng(99))
-    b, grad_b = compute_gradients(params, *batch, cfg, "joint", rng=np.random.default_rng(99))
+    gumbels = sample_gumbel(np.random.default_rng(99), (4, 2))
+    a, grad_a = compute_gradients(params, *batch, cfg, "joint", gumbels)
+    b, grad_b = compute_gradients(params, *batch, cfg, "joint", gumbels.copy())
     assert a.keep.tobytes() == b.keep.tobytes()
     assert (a.lvc_sum, a.lvc_weight, a.adv_sum) == (b.lvc_sum, b.lvc_weight, b.adv_sum)
     assert grad_a.tobytes() == grad_b.tobytes()
@@ -122,7 +117,8 @@ def test_freeze_phase_zeroes_discriminator_gradients():
     for sampler in ("gumbel_hard", "softmax_soft"):
         for loss in ("bce", "triplet"):
             params, batch, cfg = random_problem(rng, sampler=sampler, loss=loss)
-            grads = tensor_views(compute_gradients(params, *batch, cfg, "freeze", rng=rng)[1],
+            gumbels = sample_gumbel(rng, (4, 2)) if sampler == "gumbel_hard" else None
+            grads = tensor_views(compute_gradients(params, *batch, cfg, "freeze", gumbels)[1],
                                  params.layout)
             for name in DISC_TENSORS:
                 assert not grads[name].any(), f"{name} should be zero in freeze"
@@ -131,7 +127,7 @@ def test_freeze_phase_zeroes_discriminator_gradients():
 def test_disc_off_zeroes_discriminator_gradients():
     rng = np.random.default_rng(7)
     params, batch, cfg = random_problem(rng, disc_on=False)
-    grad = compute_gradients(params, *batch, cfg, "joint", rng=rng)[1]
+    grad = compute_gradients(params, *batch, cfg, "joint", None)[1]
     # one gradient vector laid out like the parameters
     assert grad.shape == params.flat.shape
     grads = tensor_views(grad, params.layout)
@@ -144,12 +140,12 @@ def test_triplet_members_follow_gate():
     params, batch, cfg = random_problem(rng, loss="triplet", batch=6)
     # gate out the second positive: only pairs 0 and 2 stay members
     z = np.array([0, 1, 0, 0, 0, 0])
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", _gumbels_forcing(z))[0]
     assert fwd.lvc_weight == 2
 
     # a single member is not enough for a triplet
     z = np.array([0, 1, 1, 0, 0, 0])
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(z))[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", _gumbels_forcing(z))[0]
     assert fwd.lvc_weight == 0
     assert fwd.lvc_sum == 0.0
 
@@ -157,7 +153,7 @@ def test_triplet_members_follow_gate():
 def test_triplet_term_matches_loss_module():
     rng = np.random.default_rng(9)
     params, batch, cfg = random_problem(rng, loss="triplet", batch=8, n_frames=3)
-    fwd = compute_gradients(params, *batch, cfg, "joint", rng=_gate_rng(np.zeros(8)))[0]
+    fwd = compute_gradients(params, *batch, cfg, "joint", _gumbels_forcing(np.zeros(8)))[0]
     assert fwd.lvc_weight == 4
     s, v = _pooled(params, *batch[:2])
     sim = s[:4] @ v[:4].T
@@ -195,4 +191,4 @@ def test_nonfinite_loss_raises():
     params, batch, cfg = random_problem(rng)
     batch[0][0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-        compute_gradients(params, *batch, cfg, "joint", rng=rng)
+        compute_gradients(params, *batch, cfg, "joint", sample_gumbel(rng, (4, 2)))

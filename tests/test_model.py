@@ -27,7 +27,7 @@ from pairsieve.model import (
     vertex_bounds,
 )
 
-from oracles import PinnedUniform, frame_scores_by_formula, reference_bank
+from oracles import frame_scores_by_formula, reference_bank
 
 
 def _model(kind="dot", mode="residual", seed=0, d_in=6, d_emb=5, n_bvf=3, d_att=0):
@@ -201,35 +201,31 @@ def test_sample_gumbel_moments():
 
 
 def test_sample_gate_soft_is_deterministic():
-    # an rng without methods: the soft gate draws no noise
-    z, w = sample_gate(1.0, 0.5, "softmax_soft", rng=object())
+    # the soft gate takes no noise
+    z, w = sample_gate(1.0, 0.5, "softmax_soft", None)
     assert w == pytest.approx(1.0 / (1.0 + np.exp(-2.0)))
     assert z == 1
-    z, w = sample_gate(-1.0, 1.0, "softmax_soft", rng=object())
+    z, w = sample_gate(-1.0, 1.0, "softmax_soft", None)
     assert z == 0
-
-
-def _noise(gumbels):
-    """A generator whose one uniform draw sample_gumbel maps to these gumbels."""
-    return PinnedUniform(np.exp(-np.exp(-np.asarray(gumbels))))
 
 
 def test_sample_gate_hard_with_pinned_noise():
-    z, w = sample_gate(0.5, 1.0, "gumbel_hard", rng=_noise([0.2, 0.1]))
+    z, w = sample_gate(0.5, 1.0, "gumbel_hard", np.array([0.2, 0.1]))
     assert z == int(0.5 + 0.1 > 0.2) == 1
     assert w == pytest.approx(1.0 / (1.0 + np.exp(-0.4)))
-    z, _ = sample_gate(-2.0, 1.0, "gumbel_hard", rng=_noise([1.0, 0.5]))
+    z, _ = sample_gate(-2.0, 1.0, "gumbel_hard", np.array([1.0, 0.5]))
     assert z == 0
-    # one call gates a whole array of logits, drawing (..., 2) noise
+    # one call gates a whole array of logits, with (..., 2) noise
     z, w = sample_gate(np.array([0.5, -2.0]), 1.0, "gumbel_hard",
-                       rng=_noise([[0.2, 0.1], [1.0, 0.5]]))
+                       np.array([[0.2, 0.1], [1.0, 0.5]]))
     assert z.tolist() == [1, 0]
     assert w[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.4)))
-    # from a real generator, that draw is one sample_gumbel call of shape (3, 2)
+    # noise from sample_gumbel: side 1 against side 0, at temperature tau
     f = np.array([0.3, -0.2, 1.0])
-    z, w = sample_gate(f, 1.0, "gumbel_hard", rng=np.random.default_rng(0))
     g = sample_gumbel(np.random.default_rng(0), (3, 2))
+    z, w = sample_gate(f, 0.5, "gumbel_hard", g)
     assert np.array_equal(z, (f + g[:, 1] - g[:, 0] > 0).astype(int))
+    assert np.allclose(w, 1.0 / (1.0 + np.exp(-(f + g[:, 1] - g[:, 0]) / 0.5)), rtol=1e-12)
 
 
 def test_init_model_shapes_and_validation():

@@ -47,10 +47,15 @@ def test_training_step_hooks_record_one_span_per_step(tiny_corpus, monkeypatch):
                       bvf_count=2, seed=0)
     training.train(cfg, corpus)
     names = [row[0] for row in recorder.spans]
-    steps = 2 * math.ceil(len(corpus) / (cfg.batch_size // 2))
-    assert names.count("corpus.sample_frames") == steps
+    per_epoch = math.ceil(len(corpus) / (cfg.batch_size // 2))
+    steps = 2 * per_epoch
+    # an epoch draws its batches and all their frames before its first step
+    assert names.count("corpus.sample_frames") == 2
     assert names.count("gradients.compute_gradients") == steps
     assert names.count("optim.sgd_step") == steps
     # one resumption per batch plus the one that ends each epoch
     assert names.count("corpus.epoch_batches") == steps + 2
     assert names.count("model.init_bvf") == 1
+    epoch = ["corpus.epoch_batches"] * (per_epoch + 1) + ["corpus.sample_frames"]
+    epoch += ["gradients.compute_gradients", "optim.sgd_step"] * per_epoch
+    assert names == ["model.init_bvf"] + epoch * 2

@@ -1,6 +1,7 @@
 """The two-phase training loop: schedule, freezing, metrics, artifacts."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 from pairsieve import training
 from pairsieve.cli import main
 from pairsieve.config import ConfigError, TrainConfig
-from pairsieve.corpus import CorpusError, save_corpus
+from pairsieve.corpus import (CorpusError, CorpusSpec, epoch_batches, frame_store,
+                              generate_corpus, load_corpus, save_corpus)
 from pairsieve.gradients import NumericError
-from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint
+from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint, sample_gumbel
 from pairsieve.training import NO_DECAY, _EpochStats, metrics_csv_header, train
 
 from golden_grid import grid_digests
+from oracles import reference_sample_frames
 
 SMALL = TrainConfig(d_emb=8, batch_size=8, n_f=3, freeze_epochs=2,
                     joint_epochs=3, bvf_count=2, seed=0)
@@ -224,6 +227,93 @@ def test_train_refuses_a_misshapen_record_before_any_step(tiny_corpus, monkeypat
             train(SMALL, misshapen)
 
 
+@pytest.mark.parametrize("bad,message", [
+    (dict(tag="bogus"), "has unknown tag 'bogus'"),
+    ("frame", "has non-finite feature values"),
+    ("sentence", "has non-finite feature values"),
+], ids=["unknown-tag", "nan-frame", "inf-sentence"])
+def test_train_refuses_a_bad_tag_or_feature_before_any_step(tiny_corpus, monkeypatch, bad,
+                                                            message):
+    # a hand-built record skips load_corpus's checks: check_sizes names the clip
+    corpus, _ = tiny_corpus
+    rec = corpus[4]
+    if bad == "frame":
+        frames = rec.frames_raw.copy()
+        frames[-1, 2] = np.nan
+        bad = dict(frames_raw=frames)
+    elif bad == "sentence":
+        sentence = rec.sentence_raw.copy()
+        sentence[0] = -np.inf
+        bad = dict(sentence_raw=sentence)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "init_model", no_step)
+    monkeypatch.setattr(training, "sample_frames", no_step)
+    monkeypatch.setattr(training, "compute_gradients", no_step)
+    with pytest.raises(CorpusError, match=f"^clip {rec.id} {message}$"):
+        train(SMALL, corpus[:4] + [dataclasses.replace(rec, **bad)] + corpus[5:])
+
+
+@pytest.mark.parametrize("sampler", ["gumbel_hard", "softmax_soft"])
+def test_each_step_gets_the_draws_of_a_step_by_step_loop(tiny_corpus, monkeypatch, sampler):
+    # an epoch's frames and gate noise are drawn before its first step, yet each
+    # step gets the sentences, frames and noise that drawing them step by step
+    # from the same streams gives: the per-batch sampler, then a (B, 2) gumbel draw
+    corpus, _ = tiny_corpus
+    cfg = _cfg(sampler_kind=sampler)
+    seen = []
+
+    def recording(params, xs, xf, labels, cfg, phase, gumbels):
+        seen.append((xs, xf, gumbels))
+        return compute_gradients(params, xs, xf, labels, cfg, phase, gumbels)
+
+    compute_gradients = training.compute_gradients
+    monkeypatch.setattr(training, "compute_gradients", recording)
+    train(cfg, corpus)
+    _, _, ss_batch, ss_frame, ss_gate = np.random.SeedSequence(cfg.seed).spawn(5)
+    rng_batch, rng_frame, rng_gate = map(np.random.default_rng, (ss_batch, ss_frame, ss_gate))
+    sentences = np.stack([c.sentence_raw for c in corpus])
+    expected = []
+    for _ in range(cfg.freeze_epochs + cfg.joint_epochs):
+        for sentence_idx, clip_idx in epoch_batches(len(corpus), cfg.batch_size, rng_batch):
+            xf = reference_sample_frames(corpus, clip_idx, cfg.n_f, rng_frame)
+            gumbels = (sample_gumbel(rng_gate, (cfg.batch_size, 2))
+                       if sampler == "gumbel_hard" else None)
+            expected.append((sentences[sentence_idx], xf, gumbels))
+    assert len(seen) == len(expected)
+    for (xs, xf, g), (xs_ref, xf_ref, g_ref) in zip(seen, expected):
+        assert xs.tobytes() == xs_ref.tobytes() and xf.tobytes() == xf_ref.tobytes()
+        assert (g is None and g_ref is None) or g.tobytes() == g_ref.tobytes()
+
+
+def test_a_loaded_corpus_trains_without_a_copy_of_its_frames(tmp_path):
+    # frames are most of a corpus: train's own allocations on a loaded corpus stay
+    # below their size, while records built in memory are copied into one array
+    # first, and both train to the same bits
+    corpus, _ = generate_corpus(CorpusSpec(n_train=100, n_test=2, d=64, frame_len_min=40,
+                                           frame_len_max=50, seed=2))
+    save_corpus(corpus, tmp_path / "train.corpus")
+    loaded = load_corpus(tmp_path / "train.corpus")
+    rows = frame_store(loaded)[0]
+    frame_bytes = sum(r.frames_raw.nbytes for r in loaded)
+    assert rows.nbytes == frame_bytes
+    assert all(np.shares_memory(rows, r.frames_raw) for r in loaded)
+    cfg = _cfg(freeze_epochs=1, joint_epochs=1)
+    runs = []
+    for records in (loaded, corpus):
+        tracemalloc.start()
+        try:
+            params, metrics = train(cfg, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs.append((params.flat.tobytes(), [m.csv_row() for m in metrics], peak))
+    assert runs[0][:2] == runs[1][:2]
+    assert runs[0][2] < frame_bytes <= runs[1][2]
+
+
 def test_size_limits_admit_exactly_the_limit(tiny_corpus, monkeypatch):
     # d_emb=4 on the d=8 corpus, so d_in is the widest: 8 * 3 * 8 = 192 floats
     # per step tensor, and a model of 2 * (8 * 4 + 4) + 2 * 4 + 4 = 84 values
@@ -246,17 +336,15 @@ def test_epoch_stats_rates_from_planted_gates():
     # per-tag gate-out rates read gate = 1 - keep there alone; the negative half's
     # gates differ from the positive half's, so reading the wrong half changes them
     clean, loose, noise = 0, 1, 2
-    stats = _EpochStats()
-    stats.add(SimpleNamespace(keep=np.array([1.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 1.0, 1.0, 0.0]),
-                              lvc_sum=3.0, lvc_weight=2.0, adv_sum=1.5),
-              np.array([clean, loose, noise, noise, clean]))
-    stats.add(SimpleNamespace(keep=np.array([0.25, 1.0, 1.0, 0.0]),
-                              lvc_sum=1.0, lvc_weight=2.0, adv_sum=0.5),
-              np.array([noise, clean]))
-    row = stats.row(7, "joint", 0.01)
-    # positive gates: clean 0, 0.5, 0; loose 1; noise 1, 0, 0.75
-    assert (row.z1_rate_clean, row.z1_rate_loose, row.z1_rate_noise) == (0.5 / 3, 1.0, 1.75 / 3)
-    assert row.z0_fraction == 6.75 / 14
+    stats = _EpochStats(2, 6)
+    stats.add(0, SimpleNamespace(keep=np.array([0.5, 0.0, 0.0, 0.0, 1.0, 1.0]),
+                                 lvc_sum=3.0, lvc_weight=2.0, adv_sum=1.5))
+    stats.add(1, SimpleNamespace(keep=np.array([0.25, 1.0, 1.0, 1.0, 0.0, 0.0]),
+                                 lvc_sum=1.0, lvc_weight=2.0, adv_sum=0.5))
+    row = stats.row(7, "joint", 0.01, np.array([[clean, loose, noise], [noise, clean, clean]]))
+    # positive gates: clean 0.5, 0, 0; loose 1; noise 1, 0.75
+    assert (row.z1_rate_clean, row.z1_rate_loose, row.z1_rate_noise) == (0.5 / 3, 1.0, 1.75 / 2)
+    assert row.z0_fraction == 5.75 / 12
     assert row.loss_lvc == 4.0 / 4.0
-    assert row.loss_adv == 2.0 / 7.25
+    assert row.loss_adv == 2.0 / 6.25
     assert (row.epoch, row.phase, row.lr) == (7, "joint", 0.01)
