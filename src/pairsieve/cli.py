@@ -27,7 +27,7 @@ from .config import (
     train_config_from,
     write_manifest,
 )
-from .corpus import CorpusError, generate_corpus, load_corpus, save_corpus
+from .corpus import CorpusError, check_records, generate_corpus, load_corpus, save_corpus
 from .evaluation import (
     EvalError,
     bidirectional_retrieval,
@@ -116,23 +116,8 @@ def cmd_train(args):
     return 0
 
 
-def _check_dim(records, path, d, owner):
-    """A corpus scored by a model must have the model's feature dimension."""
-    if records and records[0].sentence_raw.shape[0] != d:
-        raise CorpusError(f"{path}: feature dimension {records[0].sentence_raw.shape[0]} "
-                          f"does not match {owner}={d}")
-
-
-def _load_scoring_inputs(args):
-    params = load_checkpoint(args.checkpoint)
-    records = load_corpus(args.corpus)
-    _check_dim(records, args.corpus, params.tensors["language.weight"].shape[0],
-               "the checkpoint's d_in")
-    return params, records
-
-
 def cmd_eval(args):
-    params, records = _load_scoring_inputs(args)
+    params, records = load_checkpoint(args.checkpoint), load_corpus(args.corpus)
     report = bidirectional_retrieval(params, records)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
@@ -146,10 +131,7 @@ def cmd_ablate(args):
     values = _load_values(args)
     corpus = load_corpus(args.corpus)
     test_records = load_corpus(args.test_corpus)
-    if corpus:
-        _check_dim(test_records, args.test_corpus, corpus[0].sentence_raw.shape[0],
-                   "the training corpus's d")
-    check_eval_size(test_records)
+    check_eval_size(test_records, check_records(corpus))
     axis_values = ABLATION_AXES[args.axis]
     if args.values:
         axis_values = [parse_value(args.axis, item) for item in args.values.split(",")]
@@ -192,7 +174,7 @@ def cmd_ablate(args):
 
 
 def cmd_attention_dump(args):
-    params, records = _load_scoring_inputs(args)
+    params, records = load_checkpoint(args.checkpoint), load_corpus(args.corpus)
     rows = export_attention(params, records)
 
     def write_rows(fh):  # each row as it is formatted: no whole-file string

@@ -85,16 +85,30 @@ class ClipRecord:
     tag: str
     grounded: np.ndarray      # (F,) bool
 
-    def validate(self):
+    def validate(self, d=None):
+        """The one per-record rule; a record that breaks it is a CorpusError naming it.
+
+        The tag is one of TAGS; the sentence is 1-d, of d values when d is
+        given; the frames are a 2-d stack of at least one frame as wide as
+        the sentence; grounded is a 1-d mask of one flag per frame; every
+        feature is finite; a noise record grounds no frame and a clean one
+        at least half of them. check_records runs it over a corpus.
+        """
         if self.tag not in TAGS:
             raise CorpusError(f"record {self.id}: unknown tag {self.tag!r}")
+        if self.sentence_raw.ndim != 1:
+            raise CorpusError(f"record {self.id}: sentence must be 1-d, "
+                              f"has shape {self.sentence_raw.shape}")
+        if d is not None and self.sentence_raw.shape[0] != d:
+            raise CorpusError(f"record {self.id}: feature dimension "
+                              f"{self.sentence_raw.shape[0]}, expected {d}")
         if self.frames_raw.ndim != 2 or self.frames_raw.shape[0] < 1:
             raise CorpusError(f"record {self.id}: frames must be a non-empty 2-d stack")
-        d = self.sentence_raw.shape[0]
-        if self.frames_raw.shape[1] != d:
+        if self.frames_raw.shape[1] != self.sentence_raw.shape[0]:
             raise CorpusError(f"record {self.id}: frame dimension != sentence dimension")
-        if self.grounded.shape[0] != self.frames_raw.shape[0]:
-            raise CorpusError(f"record {self.id}: grounded mask length != frame count")
+        if self.grounded.shape != self.frames_raw.shape[:1]:
+            raise CorpusError(f"record {self.id}: grounded must be a 1-d mask of one flag "
+                              f"per frame, has shape {self.grounded.shape}")
         for name, values in (("sentence", self.sentence_raw), ("frames", self.frames_raw)):
             if not np.isfinite(values).all():
                 raise CorpusError(f"record {self.id}: non-finite feature values in {name}")
@@ -102,6 +116,15 @@ class ClipRecord:
             raise CorpusError(f"record {self.id}: noise records cannot have grounded frames")
         if self.tag == "clean" and self.grounded.sum() * 2 < self.frames_raw.shape[0]:
             raise CorpusError(f"record {self.id}: clean records need >= half the frames grounded")
+
+
+def check_records(records, d=None):
+    """Validate each record in order, all of one feature dimension: d when it is
+    given, else the first record's. Returns that dimension (d for no records)."""
+    for rec in records:
+        rec.validate(d)
+        d = rec.sentence_raw.shape[0]
+    return d
 
 
 @dataclass(frozen=True)
@@ -199,10 +222,8 @@ def _make_record(rec_id, tag, concepts, spec, rng):
         vec = _units(vec + sigma * noise)
     # copies, not views: a view keeps vec as a third array object per record,
     # 4% more peak memory at n_train=40000, d=4
-    record = ClipRecord(id=rec_id, sentence_raw=vec[0].copy(), frames_raw=vec[1:].copy(),
-                        tag=tag, grounded=grounded)
-    record.validate()
-    return record
+    return ClipRecord(id=rec_id, sentence_raw=vec[0].copy(), frames_raw=vec[1:].copy(),
+                      tag=tag, grounded=grounded)
 
 
 def generate_corpus(spec):
@@ -251,10 +272,11 @@ def save_corpus(records, path):
 
     The sentence and the frames (row after row) are base64 strings of
     little-endian float64, so every float round-trips bit for bit; id,
-    tag and the 0/1 grounded list are plain JSON. The file is replaced
-    atomically (files.write_atomically).
+    tag and the 0/1 grounded list are plain JSON. The records are checked
+    first (check_records), so a file is written only when load_corpus would
+    read it back; it is replaced atomically (files.write_atomically).
     """
-    d = int(records[0].sentence_raw.shape[0]) if records else 0
+    d = check_records(records) or 0
     with write_atomically(path) as fh:
         fh.write(json.dumps({"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "d": d}) + "\n")
         for rec in records:
@@ -475,7 +497,7 @@ def sample_frames(store, clip_idx, n_f, rng):
     frames with the n_f smallest of its first L keys: a uniform subset,
     without replacement. A shorter clip keeps every frame and fills the
     remaining slots with frame floor(key * L), uniform reuse. n_f >= 1 and
-    every clip has a frame (TrainConfig.validate, training.check_sizes).
+    every clip has a frame (TrainConfig.validate, ClipRecord.validate).
     """
     _, starts, lengths = store
     n_batches, batch = clip_idx.shape

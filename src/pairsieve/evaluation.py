@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BLOCK_CLIPS, length_chunks
+from .corpus import BLOCK_CLIPS, check_records, length_chunks
 from .model import (additive_pair_scores, attend, clip_bounds, clip_scores, embed,
                     query_projection, vertex_bounds)
 
@@ -60,13 +60,15 @@ class EvalError(ValueError):
     """Bad inputs to a metric or an empty evaluation set."""
 
 
-def check_eval_size(records):
-    """Refuse an empty test set or one of more than MAX_EVAL_CLIPS clips."""
+def check_eval_size(records, d_in):
+    """An empty test set or one of more than MAX_EVAL_CLIPS clips is an EvalError;
+    corpus.check_records then checks each record against the model's d_in."""
     if not records:
         raise EvalError("no records to evaluate")
     if len(records) > MAX_EVAL_CLIPS:
         raise EvalError(f"test set has {len(records)} clips; eval takes at most "
                         f"{MAX_EVAL_CLIPS}")
+    check_records(records, d_in)
 
 
 def embed_queries(params, records):
@@ -291,12 +293,13 @@ def _direction_report(ranks):
 def bidirectional_retrieval(params, records):
     """Evaluate both directions over a test set of matched pairs.
 
-    The test set is size-checked first (check_eval_size); each clip's
-    own-pair score is computed next (own_pair_scores), and the clips are
-    then scored and ranked BLOCK_CLIPS at a time, in one share of the
-    blocks per usable core (_sum_over_shares).
+    The test set and its records are checked against the model first
+    (check_eval_size); each clip's own-pair score is computed next
+    (own_pair_scores), and the clips are then scored and ranked
+    BLOCK_CLIPS at a time, in one share of the blocks per usable core
+    (_sum_over_shares).
     """
-    check_eval_size(records)
+    check_eval_size(records, params.tensors["language.weight"].shape[0])
     queries = embed_queries(params, records)
     near = own_pair_scores(params, records, queries)
     n = len(records)
@@ -349,12 +352,15 @@ def report_summary(report):
 def export_attention(params, records):
     """Per-frame attention of each record under its own sentence.
 
-    The weights are those own_pair_scores pools with. Returns a list of
-    dict rows in record and frame order: clip id, frame index, grounded
-    flag, weight, and weight relative to the clip's strongest frame.
+    The records are checked first (corpus.check_records against the
+    model's d_in), and the weights are those own_pair_scores pools with.
+    Returns a list of dict rows in record and frame order: clip id, frame
+    index, grounded flag, weight, and weight relative to the clip's
+    strongest frame.
     """
     if not records:
         raise EvalError("no records to dump")
+    check_records(records, params.tensors["language.weight"].shape[0])
     alphas = [None] * len(records)
     for chunk, _, _, alpha in _own_pairs(params, records, embed_queries(params, records)[0]):
         for i, a in zip(chunk, alpha):

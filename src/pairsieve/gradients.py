@@ -32,8 +32,9 @@ formulas are not written here: embedding, attention, pooling, the gate
 logit and the gate sampler come from model and the triplet hinges from
 losses, the code eval and attention-dump run too. Neither the step nor
 those formulas check their input: train checks its config
-(TrainConfig.validate) and corpus (training.check_sizes) once, before
-the first step, and builds every batch from them.
+(TrainConfig.validate) and each record (ClipRecord.validate, run by
+training.check_sizes) once, before the first step, and builds every
+batch from them.
 """
 
 from __future__ import annotations

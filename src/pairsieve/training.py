@@ -17,9 +17,9 @@ frame_store), computes and takes the SGD step. The step's keep weights
 and loss sums go into (S, B) and (S, 3) arrays that _EpochStats turns
 into the metrics row at the epoch's end: loss means divide the loss
 sums, and the adversarial mean divides by the discarded mass, the sum
-of 1 - keep. check_sizes holds the record checks (tag, shapes,
-finiteness) and size checks that train and ablate both run before
-allocating; the step checks nothing again.
+of 1 - keep. check_sizes runs the record rule (corpus.check_records)
+and the size checks that train and ablate both run before allocating;
+the step checks nothing again.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .config import ConfigError
-from .corpus import TAGS, CorpusError, epoch_batches, frame_store, sample_frames
+from .corpus import TAGS, CorpusError, check_records, epoch_batches, frame_store, sample_frames
 from .gradients import NumericError, compute_gradients, first_nonfinite
 from .model import (init_bvf, init_model, model_layout, sample_gumbel, save_checkpoint,
                     tensor_views)
@@ -120,28 +120,17 @@ class _EpochStats:
 def check_sizes(cfg, corpus):
     """train's checks of a config against its corpus; returns (store, sentences).
 
-    The corpus needs at least 2 clips and batch_size // 2 clips. Each
-    clip needs a known tag, a 1-d sentence and a 2-d stack of at least one
-    frame, all of one feature dimension, and finite features; this is the
-    only check of a hand-built ClipRecord before the step uses it. A step
+    The corpus needs at least 2 clips and batch_size // 2 clips, each of
+    them valid and all of one feature dimension (corpus.check_records): the
+    one check of a hand-built ClipRecord before the step uses it. A step
     tensor of more than MAX_STEP_FLOATS or a model of more than
     model.MAX_MODEL_VALUES values is refused before anything is allocated.
-    The finiteness check reads the corpus's frame_store and its (n, d_in)
-    sentence matrix, one pass each, and looks for the clip only when one
-    fails; those two are returned for the steps to gather from.
+    The corpus's frame_store and its (n, d_in) sentence matrix are returned
+    for the steps to gather from.
     """
     if len(corpus) < 2:
         raise CorpusError("training needs at least 2 clips")
-    d_in = corpus[0].sentence_raw.size  # not shape[0]: the loop checks clip 0's rank first
-    for c in corpus:
-        if c.tag not in TAGS:
-            raise CorpusError(f"clip {c.id} has unknown tag {c.tag!r}")
-        if c.sentence_raw.ndim != 1 or c.frames_raw.ndim != 2 or c.frames_raw.shape[0] < 1:
-            raise CorpusError(f"clip {c.id} needs a 1-d sentence and at least one frame in a "
-                              f"2-d stack, has shapes {c.sentence_raw.shape} and "
-                              f"{c.frames_raw.shape}")
-        if c.sentence_raw.shape[0] != d_in or c.frames_raw.shape[1] != d_in:
-            raise CorpusError(f"clip {c.id} has feature dimension != {d_in}")
+    d_in = check_records(corpus)
     # a larger positive half repeats clips, which then hinge against their own copies
     if cfg.batch_size // 2 > len(corpus):
         raise CorpusError(f"batch_size {cfg.batch_size} needs at least {cfg.batch_size // 2} "
@@ -152,15 +141,7 @@ def check_sizes(cfg, corpus):
                           f"exceeds the limit of {MAX_STEP_FLOATS} floats per step tensor")
     model_layout(d_in, cfg.d_emb, cfg.attention_kind, cfg.input_mode, cfg.bvf_count,
                  cfg.d_att)
-    store = frame_store(corpus)
-    sentences = np.stack([c.sentence_raw for c in corpus])
-    # a sum is finite only if every term is, and it allocates nothing; an
-    # overflowing sum of finite values finds no clip below and passes
-    if not (np.isfinite(store[0].sum()) and np.isfinite(sentences.sum())):
-        for c in corpus:
-            if not (np.isfinite(c.sentence_raw).all() and np.isfinite(c.frames_raw).all()):
-                raise CorpusError(f"clip {c.id} has non-finite feature values")
-    return store, sentences
+    return frame_store(corpus), np.stack([c.sentence_raw for c in corpus])
 
 
 # non-finite values are caught by the checks in the step loop and reported

@@ -6,11 +6,14 @@ import os
 import re
 import threading
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pairsieve import corpus, evaluation, training
 from pairsieve.cli import main
+from pairsieve.config import TrainConfig
 from pairsieve.corpus import (
     MAX_CORPUS_FLOATS,
     ClipRecord,
@@ -24,7 +27,9 @@ from pairsieve.corpus import (
     sample_frames,
     save_corpus,
 )
+from pairsieve.evaluation import bidirectional_retrieval, export_attention
 from pairsieve.model import init_model, save_checkpoint
+from pairsieve.training import train
 
 from oracles import (corpus_fields, corpus_line, records_equal, reference_corpus,
                      reference_sample_frames)
@@ -213,6 +218,74 @@ def test_corpus_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
         save_corpus(train, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["train.corpus"]
+
+
+def _bad_record(rec, kind):
+    """rec broken in one way the record rule refuses."""
+    if kind in ("nan-frame", "inf-sentence"):
+        field = "frames_raw" if kind == "nan-frame" else "sentence_raw"
+        values = getattr(rec, field).copy()
+        values.flat[-3] = np.nan if kind == "nan-frame" else -np.inf
+        return replace(rec, **{field: values})
+    return replace(rec, **{
+        "frames-5-wide": dict(frames_raw=rec.frames_raw[:, :5]),
+        "3-d-frames": dict(frames_raw=rec.frames_raw[:, :, None]),
+        "no-frames": dict(frames_raw=rec.frames_raw[:0], grounded=rec.grounded[:0]),
+        "2-d-sentence": dict(sentence_raw=rec.sentence_raw[:, None]),
+        "0-d-sentence": dict(sentence_raw=rec.sentence_raw[0, ...]),
+        "2-d-mask": dict(grounded=rec.grounded[:, None]),
+        "short-mask": dict(grounded=rec.grounded[:-1]),
+        "unknown-tag": dict(tag="bogus"),
+        "grounded-noise": dict(tag="noise"),
+        "other-d": dict(sentence_raw=rec.sentence_raw[:5], frames_raw=rec.frames_raw[:, :5]),
+    }[kind])
+
+
+BAD_RECORD_MESSAGES = {
+    "frames-5-wide": "frame dimension != sentence dimension",
+    "3-d-frames": "frames must be a non-empty 2-d stack",
+    "no-frames": "frames must be a non-empty 2-d stack",
+    "2-d-sentence": r"sentence must be 1-d, has shape \(8, 1\)",
+    "0-d-sentence": r"sentence must be 1-d, has shape \(\)",
+    "2-d-mask": r"grounded must be a 1-d mask of one flag per frame, has shape \(\d+, 1\)",
+    "short-mask": r"grounded must be a 1-d mask of one flag per frame, has shape \(\d+,\)",
+    "nan-frame": "non-finite feature values in frames",
+    "inf-sentence": "non-finite feature values in sentence",
+    "unknown-tag": "unknown tag 'bogus'",
+    "grounded-noise": "noise records cannot have grounded frames",
+    "other-d": "feature dimension 5, expected 8",
+}
+
+
+@pytest.mark.parametrize("entry", ["train", "bidirectional_retrieval", "export_attention",
+                                   "save_corpus"])
+@pytest.mark.parametrize("kind", list(BAD_RECORD_MESSAGES))
+def test_every_entry_point_refuses_a_bad_record_before_any_work(tmp_path, monkeypatch, kind,
+                                                                 entry):
+    # ClipRecord.validate is the one record rule: a hand-built record that breaks
+    # it is a CorpusError naming it, from each entry point, before any step or
+    # score and before save_corpus opens a file
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(training, "compute_gradients", no_work)
+    monkeypatch.setattr(evaluation, "score_matrix", no_work)
+    monkeypatch.setattr(evaluation, "_own_pairs", no_work)
+    monkeypatch.setattr(corpus, "write_atomically", no_work)
+    _, records = generate_corpus(SMALL)
+    records[1] = _bad_record(records[1], kind)
+    params = init_model(8, 6, "dot", "residual", 2, np.random.default_rng(0))
+    call = {
+        "train": lambda: train(TrainConfig(d_emb=6, batch_size=4, n_f=3, bvf_count=2),
+                               records),
+        "bidirectional_retrieval": lambda: bidirectional_retrieval(params, records),
+        "export_attention": lambda: export_attention(params, records),
+        "save_corpus": lambda: save_corpus(records, tmp_path / "bad.corpus"),
+    }[entry]
+    with pytest.raises(CorpusError,
+                       match=f"^record {records[1].id}: {BAD_RECORD_MESSAGES[kind]}$"):
+        call()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_empty_file_is_empty_corpus(tmp_path):

@@ -664,15 +664,28 @@ def test_export_attention_matches_per_record_oracle_across_chunks(kind, monkeypa
 
 
 def test_export_attention_names_the_first_nonfinite_clip_in_record_order():
-    # clip b has 5 frames and comes between two 3-frame clips; the 3-frame chunk is
-    # pooled first, but b is the first non-finite clip in record order
-    three = _records(n=2, seed=1, frames=(3, 3))
-    five = _records(n=1, seed=2, frames=(5, 5))
-    records = [replace(three[0], id="a"),
-               replace(five[0], id="b", frames_raw=five[0].frames_raw * np.nan),
-               replace(three[1], id="c", frames_raw=three[1].frames_raw * np.nan)]
-    params = init_model(8, 6, "dot", "residual", 2, np.random.default_rng(4))
-    with np.errstate(all="ignore"), pytest.raises(EvalError, match="^clip b: attention"):
-        export_attention(params, records)
+    # finite records whose additive logits overflow under a w_score of 1e308 in
+    # some clips and not in others reach the guard on the attention weights
+    params = init_model(8, 6, "additive", "residual", 2, np.random.default_rng(4))
+    params.tensors["attention.w_score"][...] = 1e308
+
+    def finite(rec):
+        try:
+            export_attention(params, [rec])
+        except EvalError:
+            return False
+        return True
+
+    with np.errstate(all="ignore"):
+        three = _records(n=20, seed=1, frames=(3, 3))
+        five = _records(n=20, seed=2, frames=(5, 5))
+        a = next(r for r in three if finite(r))
+        b = next(r for r in five if not finite(r))
+        c = next(r for r in three if not finite(r))
+        # clip b has 5 frames and comes between two 3-frame clips; the 3-frame chunk
+        # is pooled first, but b is the first non-finite clip in record order
+        records = [replace(a, id="a"), replace(b, id="b"), replace(c, id="c")]
+        with pytest.raises(EvalError, match="^clip b: attention weights must be finite$"):
+            export_attention(params, records)
     with pytest.raises(EvalError, match="no records to evaluate"):
         bidirectional_retrieval(params, [])

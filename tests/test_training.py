@@ -203,57 +203,10 @@ def test_corpus_validation(tiny_corpus):
     )]
     with pytest.raises(CorpusError):
         train(SMALL, mixed)
-
-
-@pytest.mark.parametrize("at", [0, 4])
-def test_train_refuses_a_misshapen_record_before_any_step(tiny_corpus, monkeypatch, at):
-    # check_sizes is the one check of a hand-built record: a 2-d sentence, 3-d
-    # frames or no frames at all is a CorpusError before anything is sampled
-    corpus, _ = tiny_corpus
-    rec = corpus[at]
-
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(training, "init_model", no_step)
-    monkeypatch.setattr(training, "sample_frames", no_step)
-    monkeypatch.setattr(training, "compute_gradients", no_step)
-    for bad in (dict(sentence_raw=rec.sentence_raw[:, None]),
-                dict(frames_raw=rec.frames_raw[:, :, None]),
-                dict(frames_raw=rec.frames_raw[:0], grounded=rec.grounded[:0])):
-        misshapen = corpus[:at] + [dataclasses.replace(rec, **bad)] + corpus[at + 1:]
-        with pytest.raises(CorpusError, match=f"^clip {rec.id} needs a 1-d sentence and at "
-                                              "least one frame in a 2-d stack"):
-            train(SMALL, misshapen)
-
-
-@pytest.mark.parametrize("bad,message", [
-    (dict(tag="bogus"), "has unknown tag 'bogus'"),
-    ("frame", "has non-finite feature values"),
-    ("sentence", "has non-finite feature values"),
-], ids=["unknown-tag", "nan-frame", "inf-sentence"])
-def test_train_refuses_a_bad_tag_or_feature_before_any_step(tiny_corpus, monkeypatch, bad,
-                                                            message):
-    # a hand-built record skips load_corpus's checks: check_sizes names the clip
-    corpus, _ = tiny_corpus
-    rec = corpus[4]
-    if bad == "frame":
-        frames = rec.frames_raw.copy()
-        frames[-1, 2] = np.nan
-        bad = dict(frames_raw=frames)
-    elif bad == "sentence":
-        sentence = rec.sentence_raw.copy()
-        sentence[0] = -np.inf
-        bad = dict(sentence_raw=sentence)
-
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(training, "init_model", no_step)
-    monkeypatch.setattr(training, "sample_frames", no_step)
-    monkeypatch.setattr(training, "compute_gradients", no_step)
-    with pytest.raises(CorpusError, match=f"^clip {rec.id} {message}$"):
-        train(SMALL, corpus[:4] + [dataclasses.replace(rec, **bad)] + corpus[5:])
+    # the first record is checked before its dimension is taken as the corpus's
+    first = dataclasses.replace(corpus[0], sentence_raw=corpus[0].sentence_raw[:, None])
+    with pytest.raises(CorpusError, match=f"^record {corpus[0].id}: sentence must be 1-d"):
+        train(SMALL, [first] + corpus[1:])
 
 
 @pytest.mark.parametrize("sampler", ["gumbel_hard", "softmax_soft"])
