@@ -27,7 +27,7 @@ from .config import (
     train_config_from,
     write_manifest,
 )
-from .corpus import CorpusError, check_records, generate_corpus, load_corpus, save_corpus
+from .corpus import TAGS, CorpusError, check_records, generate_corpus, load_corpus, save_corpus
 from .evaluation import (
     EvalError,
     bidirectional_retrieval,
@@ -87,7 +87,7 @@ def cmd_gen_corpus(args):
         __version__,
     )
     tags = [r.tag for r in train_recs]
-    counts = {t: tags.count(t) for t in ("clean", "loose", "noise")}
+    counts = {t: tags.count(t) for t in TAGS}
     print(f"wrote {len(train_recs)} train / {len(test_recs)} test records to {args.out} "
           f"(train tags: {counts})")
     return 0
@@ -175,12 +175,14 @@ def cmd_ablate(args):
 
 def cmd_attention_dump(args):
     params, records = load_checkpoint(args.checkpoint), load_corpus(args.corpus)
-    rows = export_attention(params, records)
+    weights = export_attention(params, records)
 
-    def write_rows(fh):  # each row as it is formatted: no whole-file string
+    def write_rows(fh):  # each line as it is formatted: no whole-file string
         fh.write("clip_id,frame,grounded,alpha,alpha_rel\n")
-        fh.writelines(f"{r['clip_id']},{r['frame']},{r['grounded']},"
-                      f"{repr(r['alpha'])},{repr(r['alpha_rel'])}\n" for r in rows)
+        for rec, alpha in zip(records, weights):
+            top = alpha.max()  # a finite softmax peaks at 1/F or more
+            fh.writelines(f"{rec.id},{f},{int(g)},{float(a)!r},{float(a / top)!r}\n"
+                          for f, (g, a) in enumerate(zip(rec.grounded, alpha)))
 
     if args.out is None:
         write_rows(sys.stdout)
@@ -251,10 +253,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"pairsieve: numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError, ModelError, EvalError) as exc:
-        print(f"pairsieve: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, CorpusError, ModelError, EvalError, OSError) as exc:
         print(f"pairsieve: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -51,7 +51,8 @@ class CorpusError(ValueError):
 
 
 def _units(x):
-    """The rows of x scaled to unit norm; a row of norm ~ 0 is a CorpusError.
+    """The rows of x scaled to unit norm; a row of norm ~ 0 is a CorpusError, and
+    so is one whose norm is not finite (it overflowed), which would scale to 0 or NaN.
 
     The norm is sqrt(vecdot(x, x)), the same BLAS dot that np.linalg.norm
     takes for one vector, so each row gets the bits it would get alone.
@@ -59,6 +60,8 @@ def _units(x):
     norms = np.sqrt(np.vecdot(x, x))
     if (norms < 1e-12).any():
         raise CorpusError("degenerate feature vector (norm ~ 0)")
+    if not np.isfinite(norms).all():
+        raise CorpusError("feature vector norm is not finite (overflow)")
     return x / norms[:, None]
 
 
@@ -200,21 +203,16 @@ def _make_record(rec_id, tag, concepts, spec, rng):
     if tag == "clean":
         n_grounded = int(rng.integers((n_frames + 1) // 2, n_frames + 1))
         grounded[rng.choice(n_frames, size=n_grounded, replace=False)] = True
-        for i in range(n_frames):
-            draw(i + 1, own if grounded[i] else rng.choice(rest, size=m, replace=False))
-    elif tag == "loose":
-        g = int(rng.integers(n_frames))
-        grounded[g] = True
+    elif tag == "loose":  # one grounded frame, sharing one of the sentence's concepts
+        grounded[int(rng.integers(n_frames))] = True
         shared = own[int(rng.integers(m))]
-        for i in range(n_frames):
-            if i == g:
-                subset = np.concatenate([[shared], rng.choice(rest, size=m - 1, replace=False)])
-                draw(i + 1, subset)
-            else:
-                draw(i + 1, rng.choice(rest, size=m, replace=False))
-    else:  # noise
-        for i in range(n_frames):
+    for i in range(n_frames):
+        if not grounded[i]:
             draw(i + 1, rng.choice(rest, size=m, replace=False))
+        elif tag == "clean":
+            draw(i + 1, own)
+        else:
+            draw(i + 1, np.concatenate([[shared], rng.choice(rest, size=m - 1, replace=False)]))
 
     # unit-norm composition of each subset, jittered, then re-normalized
     vec = _units(concepts[subsets].sum(axis=1))
@@ -240,7 +238,7 @@ def generate_corpus(spec):
     feature_noise_sigma is 0. The vectors are then built in one pass over
     the record: each subset's concepts summed and scaled to unit norm,
     jittered by sigma times its noise and scaled to unit norm again. A
-    vector of norm ~ 0 is a CorpusError.
+    vector of norm ~ 0 or of a norm that overflows is a CorpusError.
     """
     spec.validate()
     root = np.random.SeedSequence(spec.seed)
@@ -347,10 +345,11 @@ def _parse_record_line(obj, lineno, d_expected, d_source, decode):
             raise CorpusError(f"line {lineno}: field 'frames' holds {frames.shape[0]} floats, "
                               f"not whole rows of d={d}")
         frames = frames.reshape(-1, d)
-    record = ClipRecord(
-        id=str(obj["id"]), sentence_raw=sentence, frames_raw=frames,
-        tag=str(obj["tag"]), grounded=_list_array(obj, "grounded", lineno) != 0,
-    )
+    grounded = _list_array(obj, "grounded", lineno)
+    if not set(obj["grounded"]) <= {0, 1}:  # JSON true and false count as 1 and 0
+        raise CorpusError(f"line {lineno}: field 'grounded' must hold only 0/1 flags")
+    record = ClipRecord(id=str(obj["id"]), sentence_raw=sentence, frames_raw=frames,
+                        tag=str(obj["tag"]), grounded=grounded != 0)
     try:
         record.validate()
     except CorpusError as exc:

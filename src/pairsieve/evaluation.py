@@ -15,13 +15,14 @@ same for any number of cores.
 Video search ranks clips for each sentence (rows), sentence search
 ranks sentences for each clip (columns). Before any block is scored,
 own_pair_scores computes near[i], pair i's score, in training's batched
-embed and attend over clips of one length, the pass export_attention
-takes its weights from, and every candidate in both directions is
-ranked against near. near differs from the block's diagonal entry by
-rounding only, which each block checks, so a block's rank counts depend
-on that block and near alone. Beyond its corpus, a test set of n clips
-then needs one block and its masks. Each query has exactly one relevant
-item, so average precision reduces to 1/rank.
+embed and attend over clips of one length, the pass whose weights
+export_attention returns for attention-dump, and every candidate in
+both directions is ranked against near. near differs from the block's
+diagonal entry by rounding only, which each block checks, so a block's
+rank counts (ranks_ahead) depend on that block and near alone, and a
+rank is 1 plus their sum over the blocks. Beyond its corpus, a test set
+of n clips then needs one block and its masks. Each query has exactly
+one relevant item, so average precision reduces to 1/rank.
 
 Additive attention is filtered before it is refined. Pair (i, j)
 needs only its score's side of two bands, near[i] +- 2 TIE_BAND and
@@ -51,7 +52,7 @@ DEFAULT_RECALL_KS = (1, 5, 10)
 # n x BLOCK_CLIPS block of scores (32 MiB here) and scores n^2 pairs
 MAX_EVAL_CLIPS = 2**15
 
-# how far a diagonal entry may lie from near before retrieval_ranks refuses
+# how far a diagonal entry may lie from near before ranks_ahead refuses
 # it, and half the margin of the additive filter's bands; scores are bounded
 # by 1 in absolute value, and near differs from the diagonal by rounding only
 TIE_BAND = 1e-6
@@ -183,45 +184,40 @@ class RetrievalReport:
     sentence_search: DirectionReport
 
 
-def retrieval_ranks(blocks, near):
-    """1-based ranks of the matched pairs over column blocks of the score matrix.
+def ranks_ahead(lo, block, near):
+    """The candidates ahead of the matched pairs in one column block of the score matrix.
 
-    blocks are (lo, block) pairs in clip order: block holds the (n, w)
-    columns lo..lo + w of the n x n matrix. near[i] is pair i's score
-    (own_pair_scores), and every candidate is ranked against it:
-    video[i] ranks clip i for sentence i over row i, sentence[j] ranks
-    sentence j for clip j over column j. A candidate ranks ahead if it
-    scores higher, or the same at a lower index. Each diagonal entry is
-    checked to lie within TIE_BAND of near, and one that does not is an
-    EvalError naming the clip. Over only some of the blocks, a rank is 1
-    plus the candidates ahead in them.
+    block holds the (n, w) columns lo..lo + w of the n x n matrix, and
+    near[i] is pair i's score (own_pair_scores), which every candidate
+    is ranked against. Returns a (2, n) int64 array: row 0 counts the
+    clips ahead of clip i for sentence i in row i of the block, row 1
+    the sentences ahead of sentence j for clip j in column j (0 outside
+    lo..lo + w). A candidate ranks ahead if it scores higher, or the
+    same at a lower index, so a rank is 1 plus the counts summed over
+    every block. Each diagonal entry is checked to lie within TIE_BAND
+    of near, and one that does not is an EvalError naming the clip.
     """
-    near = np.asarray(near, dtype=float)
-    if not np.isfinite(near).all():
+    if not (np.isfinite(near).all() and np.isfinite(block).all()):
         raise EvalError("scores must be finite")
-    n = near.shape[0]
-    video, sentence = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-    for lo, block in blocks:
-        if not np.isfinite(block).all():
-            raise EvalError("scores must be finite")
-        hi = lo + block.shape[1]
-        own = np.arange(lo, hi)
-        off = np.abs(block[own, own - lo] - near[lo:hi]) > TIE_BAND
-        if off.any():
-            i = lo + int(np.argmax(off))
-            raise EvalError(f"clip {i}: own-pair score differs from its pre-pass value "
-                            f"by {abs(block[i, i - lo] - near[i]):.3g}, beyond {TIE_BAND:g}")
-        ahead = block == near[:, None]
-        ahead &= np.tri(n, hi - lo, k=-lo - 1, dtype=bool)  # column lo + j < row i
-        ahead |= block > near[:, None]
-        ahead[own, own - lo] = False
-        video += np.count_nonzero(ahead, axis=1)
-        ahead = block == near[lo:hi]
-        ahead &= ~np.tri(n, hi - lo, k=-lo, dtype=bool)  # row i < column lo + j
-        ahead |= block > near[lo:hi]
-        ahead[own, own - lo] = False
-        sentence[lo:hi] += np.count_nonzero(ahead, axis=0)
-    return video, sentence
+    n, hi = near.shape[0], lo + block.shape[1]
+    own = np.arange(lo, hi)
+    off = np.abs(block[own, own - lo] - near[lo:hi]) > TIE_BAND
+    if off.any():
+        i = lo + int(np.argmax(off))
+        raise EvalError(f"clip {i}: own-pair score differs from its pre-pass value "
+                        f"by {abs(block[i, i - lo] - near[i]):.3g}, beyond {TIE_BAND:g}")
+    counts = np.zeros((2, n), dtype=np.int64)
+    ahead = block == near[:, None]
+    ahead &= np.tri(n, hi - lo, k=-lo - 1, dtype=bool)  # column lo + j < row i
+    ahead |= block > near[:, None]
+    ahead[own, own - lo] = False
+    counts[0] = np.count_nonzero(ahead, axis=1)
+    ahead = block == near[lo:hi]
+    ahead &= ~np.tri(n, hi - lo, k=-lo, dtype=bool)  # row i < column lo + j
+    ahead |= block > near[lo:hi]
+    ahead[own, own - lo] = False
+    counts[1, lo:hi] = np.count_nonzero(ahead, axis=0)
+    return counts
 
 
 def _share_sum(count, share):
@@ -305,8 +301,8 @@ def bidirectional_retrieval(params, records):
     n = len(records)
 
     def ahead(lo):  # the candidates ahead in the block of clips lo.., per row and per column
-        block = score_matrix(params, records, queries, near, lo, min(lo + BLOCK_CLIPS, n))
-        return np.array(retrieval_ranks([(lo, block)], near)) - 1
+        return ranks_ahead(lo, score_matrix(params, records, queries, near, lo,
+                                            min(lo + BLOCK_CLIPS, n)), near)
 
     video_ranks, sentence_ranks = 1 + _sum_over_shares(ahead, range(0, n, BLOCK_CLIPS))
     return RetrievalReport(
@@ -354,9 +350,9 @@ def export_attention(params, records):
 
     The records are checked first (corpus.check_records against the
     model's d_in), and the weights are those own_pair_scores pools with.
-    Returns a list of dict rows in record and frame order: clip id, frame
-    index, grounded flag, weight, and weight relative to the clip's
-    strongest frame.
+    Returns each record's (F,) weights, in record order; a record whose
+    weights are not all finite is an EvalError naming the first such
+    record.
     """
     if not records:
         raise EvalError("no records to dump")
@@ -365,17 +361,7 @@ def export_attention(params, records):
     for chunk, _, _, alpha in _own_pairs(params, records, embed_queries(params, records)[0]):
         for i, a in zip(chunk, alpha):
             alphas[i] = a
-    rows = []
     for rec, alpha in zip(records, alphas):
         if not np.isfinite(alpha).all():
             raise EvalError(f"clip {rec.id}: attention weights must be finite")
-        top = alpha.max()
-        for f in range(alpha.shape[0]):
-            rows.append({
-                "clip_id": rec.id,
-                "frame": f,
-                "grounded": int(rec.grounded[f]),
-                "alpha": float(alpha[f]),
-                "alpha_rel": float(alpha[f] / top) if top > 0 else 0.0,
-            })
-    return rows
+    return alphas

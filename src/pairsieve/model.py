@@ -283,8 +283,7 @@ def vertex_bounds(p, r):
     frames = len(p)
     low = np.zeros((frames + 1, p.shape[1]))  # low[k] = L_k
     low[1:] = np.sort(p, axis=0)
-    for k in range(2, frames + 1):
-        low[k] += low[k - 1]
+    np.cumsum(low, axis=0, out=low)
     total, q = low[-1], 1.0 - r
     weight = np.arange(1.0, frames + 1)[:, None] * q + r * frames  # row k - 1: k + r (F - k)
     return (((total - q * low[-2::-1]) / weight).max(axis=0),

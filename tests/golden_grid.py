@@ -11,8 +11,9 @@ input modes x 2 losses x 2 samplers with the discriminator on, then
   runs train on the corpus as load_corpus reads it back, whose frames
   share one array, the way the train command gets them.
 - The scoring digest covers, per run, report_csv of the final
-  parameters on the test records and repr() of export_attention on
-  all 70 records.
+  parameters on the test records and repr() of the attention-dump
+  rows of all 70 records: oracles.attention_rows over the weights
+  export_attention returns.
 
 The values depend on the numpy and BLAS build, so no test pins them;
 ROADMAP.md records them for this repository's reference machine.
@@ -33,6 +34,8 @@ from pairsieve.corpus import CorpusSpec, generate_corpus, load_corpus, save_corp
 from pairsieve.evaluation import bidirectional_retrieval, export_attention, report_csv
 from pairsieve.model import ATTENTION_KINDS, INPUT_MODES, SAMPLER_KINDS
 from pairsieve.training import train
+
+from oracles import attention_rows
 
 CORPUS = CorpusSpec(n_train=60, n_test=10, d=8, k=12, seed=9)
 BASE = TrainConfig(d_emb=8, batch_size=8, n_f=3, freeze_epochs=2, joint_epochs=3,
@@ -68,7 +71,8 @@ def grid_digests(work_dir):
             with open(os.path.join(run_dir, name), "rb") as fh:
                 runs.update(fh.read())
         scoring.update(report_csv(bidirectional_retrieval(params, test_recs)).encode())
-        scoring.update(repr(export_attention(params, train_recs + test_recs)).encode())
+        records = train_recs + test_recs
+        scoring.update(repr(attention_rows(records, export_attention(params, records))).encode())
     return runs.hexdigest(), scoring.hexdigest()
 
 

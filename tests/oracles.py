@@ -282,18 +282,24 @@ def frame_scores_by_formula(params, s, h):
 
 
 def reference_attention_dump(params, records):
-    """export_attention's rows, one record at a time: the record's sentence and
+    """export_attention's weights, one record at a time: the record's sentence and
     frames embedded alone, each frame scored by its formula, then the softmax."""
-    rows = []
+    weights = []
     for rec in records:
         s = embed(params, "language", rec.sentence_raw)[0]
         e = frame_scores_by_formula(params, s, embed(params, "vision", rec.frames_raw)[0])
         w = np.exp(e - e.max())
-        alpha = w / w.sum()
-        rows += [{"clip_id": rec.id, "frame": f, "grounded": int(rec.grounded[f]),
-                  "alpha": float(a), "alpha_rel": float(a / alpha.max())}
-                 for f, a in enumerate(alpha)]
-    return rows
+        weights.append(w / w.sum())
+    return weights
+
+
+def attention_rows(records, weights):
+    """One dict per frame, in record and frame order, from each record's attention
+    weights: clip id, frame index, grounded flag, weight, and weight relative to
+    the clip's strongest frame (the attention-dump columns)."""
+    return [{"clip_id": rec.id, "frame": f, "grounded": int(rec.grounded[f]),
+             "alpha": float(a), "alpha_rel": float(a / alpha.max())}
+            for rec, alpha in zip(records, weights) for f, a in enumerate(alpha)]
 
 
 def reference_bank(params, clips, rng):

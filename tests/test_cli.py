@@ -20,7 +20,7 @@ from pairsieve.corpus import load_corpus
 from pairsieve.model import ATTENTION_KINDS, init_model, load_checkpoint, save_checkpoint
 from pairsieve.training import train
 
-from oracles import corpus_fields, corpus_line, reference_attention_dump
+from oracles import attention_rows, corpus_fields, corpus_line, reference_attention_dump
 
 CORPUS_KEYS = ["--set", "n_train=30", "--set", "n_test=8",
                "--set", "d=8", "--set", "k=12"]
@@ -205,12 +205,11 @@ def test_attention_dump_rows_come_in_corpus_and_frame_order(workspace, tmp_path,
     lines = out.read_text().splitlines()
     assert lines[0] == "clip_id,frame,grounded,alpha,alpha_rel"
     rows = [line.split(",") for line in lines[1:]]
-    assert [(r[0], int(r[1])) for r in rows] == [
-        (rec.id, f) for rec in records for f in range(rec.frames_raw.shape[0])]
-    want = reference_attention_dump(load_checkpoint(checkpoint), records)
-    assert [int(r[2]) for r in rows] == [w["grounded"] for w in want]
-    assert np.allclose([float(r[3]) for r in rows], [w["alpha"] for w in want],
-                       rtol=0, atol=1e-15)
+    want = attention_rows(records, reference_attention_dump(load_checkpoint(checkpoint), records))
+    assert [(r[0], int(r[1]), int(r[2])) for r in rows] == [
+        (w["clip_id"], w["frame"], w["grounded"]) for w in want]
+    assert np.allclose([[float(r[3]), float(r[4])] for r in rows],
+                       [[w["alpha"], w["alpha_rel"]] for w in want], rtol=0, atol=1e-15)
 
 
 def test_attention_dump_command(workspace, capsys):

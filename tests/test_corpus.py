@@ -94,21 +94,29 @@ def _antipodal_bank(k, d, seed):
     return np.stack([v, -v, w, -w])
 
 
-@pytest.mark.parametrize("sigma", [0.05, 0.0])
+@pytest.mark.parametrize("sigma", [0.05, 0.0, 1e200, 1e308])
 def test_degenerate_feature_vector_is_an_error(tmp_path, monkeypatch, capsys, sigma):
-    # with concepts v, -v, w, -w a subset {v, -v} or {w, -w} sums to exactly zero
-    monkeypatch.setattr("pairsieve.corpus.build_concept_bank", _antipodal_bank)
-    settings = {"n_train": 20, "n_test": 5, "d": 4, "k": 4, "concepts_per_pair": 2,
-                "feature_noise_sigma": sigma}
-    with pytest.raises(CorpusError, match=r"^degenerate feature vector \(norm ~ 0\)$"):
-        generate_corpus(CorpusSpec(**settings))
+    # with concepts v, -v, w, -w a subset {v, -v} or {w, -w} sums to exactly zero;
+    # with a sigma of 1e200 or 1e308 a jittered vector's norm overflows, and would
+    # scale the vector to a zero or NaN row
+    if sigma < 1:
+        monkeypatch.setattr("pairsieve.corpus.build_concept_bank", _antipodal_bank)
+        settings = {"n_train": 20, "n_test": 5, "d": 4, "k": 4, "concepts_per_pair": 2}
+        message = "degenerate feature vector (norm ~ 0)"
+    else:
+        settings = {"n_train": 20, "n_test": 5}
+        message = "feature vector norm is not finite (overflow)"
+    settings["feature_noise_sigma"] = sigma
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        with np.errstate(all="ignore"):
+            generate_corpus(CorpusSpec(**settings))
     out = tmp_path / "corpus"
     argv = ["gen-corpus", "--out", str(out)]
     for key, value in settings.items():
         argv += ["--set", f"{key}={value}"]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "pairsieve: error: degenerate feature vector (norm ~ 0)\n"
-    assert not list(tmp_path.rglob("*.corpus"))
+    assert capsys.readouterr().err == f"pairsieve: error: {message}\n"
+    assert not out.exists()
 
 def test_degenerate_fractions_all_clean():
     spec = CorpusSpec(n_train=10, n_test=2, d=8, k=12,
@@ -299,6 +307,38 @@ def test_load_reports_line_numbers(tmp_path):
     # the features as base64 float64, version 1 as JSON number lists
     for version in (2, 1):
         _check_line_numbers(tmp_path, version)
+
+
+def test_load_refuses_grounded_flags_other_than_0_and_1(tmp_path, capsys):
+    # a grounded flag other than 0 or 1 is an error naming its line, in either file
+    # version and through the CLI; JSON true and false load as 1 and 0. Each bad value
+    # replaces a 1, so a loader that took any nonzero value as grounded would load
+    # the record's own mask; "X" is written as 1e400, which json.dumps cannot write.
+    save_corpus(generate_corpus(SMALL)[0], tmp_path / "train.corpus")
+    header, recs = corpus_fields(tmp_path / "train.corpus")
+    rec = next(r for r in recs if r["tag"] == "clean")
+    other = next(r for r in recs if r is not rec)
+    flags, g = rec["grounded"], rec["grounded"].index(1)
+    bad = [flags[:g] + [value] + flags[g + 1:] for value in (0.5, 7, -1, "X")]
+    bad.append([str(f) for f in flags])
+    path = tmp_path / "flags.corpus"
+    for version in (2, 1):
+        head = json.dumps(dict(header, version=version)) + "\n" + corpus_line(other, version)
+
+        def write(grounded):
+            line = corpus_line(dict(rec, grounded=grounded), version).replace('"X"', "1e400")
+            path.write_text(head + "\n" + line + "\n")
+
+        write([bool(f) for f in flags])
+        assert load_corpus(path)[1].grounded.tolist() == [bool(f) for f in flags]
+        for grounded in bad:
+            write(grounded)
+            with pytest.raises(CorpusError, match="^line 3: field 'grounded' must hold only "
+                                                  "0/1 flags$"):
+                load_corpus(path)
+            assert main(["train", "--corpus", str(path), "--quiet"]) == 1
+            assert capsys.readouterr().err == ("pairsieve: error: line 3: field 'grounded' "
+                                               "must hold only 0/1 flags\n")
 
 
 def _check_line_numbers(tmp_path, version):

@@ -20,9 +20,9 @@ from pairsieve.evaluation import (
     export_attention,
     own_pair_scores,
     random_baseline_map,
+    ranks_ahead,
     report_csv,
     report_summary,
-    retrieval_ranks,
 )
 from pairsieve.model import ATTENTION_KINDS, attend, embed, init_model, save_checkpoint
 
@@ -35,13 +35,13 @@ def test_rank_of_basic_and_ties():
     scores = np.array([[0.5, 0.3, 0.5],
                        [0.9, 0.1, 0.5],
                        [0.5, 0.3, 0.5]])
-    video, sentence = retrieval_ranks([(0, scores)], np.diag(scores))
+    video, sentence = _ranks([(0, scores)], np.diag(scores))
     # ties break by candidate index: an equal score before the matched item
     # outranks it (row 2, column 2), an equal score after it does not (row 0,
     # column 0)
     assert video.tolist() == [1, 3, 2]
     assert sentence.tolist() == [2, 3, 3]
-    video, sentence = retrieval_ranks([(0, np.array([[0.7]]))], [0.7])
+    video, sentence = _ranks([(0, np.array([[0.7]]))], [0.7])
     assert video.tolist() == sentence.tolist() == [1]
 
 
@@ -51,13 +51,18 @@ def test_ranks_match_per_query_oracle():
     for trial in range(200):
         n = int(rng.integers(1, 31))
         scores = rng.integers(0, 3, size=(n, n)).astype(float)
-        video, sentence = retrieval_ranks([(0, scores)], np.diag(scores))
+        video, sentence = _ranks([(0, scores)], np.diag(scores))
         assert video.tolist() == [rank_of(scores[i, :], i) for i in range(n)], trial
         assert sentence.tolist() == [rank_of(scores[:, j], j) for j in range(n)], trial
 
 
 def _blocks(scores, width):
     return [(lo, scores[:, lo:lo + width]) for lo in range(0, scores.shape[1], width)]
+
+
+def _ranks(blocks, near):
+    """(video, sentence) 1-based ranks: 1 plus ranks_ahead's counts over the blocks."""
+    return 1 + sum(ranks_ahead(lo, block, np.asarray(near, dtype=float)) for lo, block in blocks)
 
 
 def _ranks_against(scores, near):
@@ -91,13 +96,13 @@ def test_blocked_ranks_match_per_query_oracle_for_every_width():
         for shift in (0.0, TIE_BAND / 2, -TIE_BAND / 2):
             near = np.diag(scores) + shift
             want = _ranks_against(scores, near)
-            video, sentence = retrieval_ranks([(0, scores)], near)
+            video, sentence = _ranks([(0, scores)], near)
             assert (video.tolist(), sentence.tolist()) == want, (m, shift)
             for width in range(1, m + 1):
-                video, sentence = retrieval_ranks(_blocks(scores, width), near)
+                video, sentence = _ranks(_blocks(scores, width), near)
                 assert (video.tolist(), sentence.tolist()) == want, (m, width, shift)
     # every entry of a constant matrix ties with near, and ranks by index
-    video, sentence = retrieval_ranks(_blocks(np.zeros((n, n)), 4), np.zeros(n))
+    video, sentence = _ranks(_blocks(np.zeros((n, n)), 4), np.zeros(n))
     assert video.tolist() == sentence.tolist() == list(range(1, n + 1))
     # an entry strictly between the diagonal and near ranks by near: entry (0, 2)
     # lies above the diagonal 0 but below near[0] = near[2], and entry (3, 1) below
@@ -107,7 +112,7 @@ def test_blocked_ranks_match_per_query_oracle_for_every_width():
     scores[0, 2], scores[3, 1] = TIE_BAND / 4, -TIE_BAND / 4
     near = np.array([1, -1, 1, -1]) * TIE_BAND / 2
     for width in range(1, 5):
-        video, sentence = retrieval_ranks(_blocks(scores, width), near)
+        video, sentence = _ranks(_blocks(scores, width), near)
         assert (video.tolist(), sentence.tolist()) == ([1, 1, 1, 2], [1, 2, 1, 1]), width
     assert _ranks_against(scores, near) == ([1, 1, 1, 2], [1, 2, 1, 1])
 
@@ -121,7 +126,7 @@ def test_ranks_refuse_a_near_score_off_the_diagonal():
         near[row] += 2 * TIE_BAND
         for width in range(1, 8):
             with pytest.raises(EvalError, match=f"^clip {row}: own-pair score differs "):
-                retrieval_ranks(_blocks(scores, width), near)
+                _ranks(_blocks(scores, width), near)
 
 
 def test_ranks_reject_non_finite_scores():
@@ -129,12 +134,12 @@ def test_ranks_reject_non_finite_scores():
         scores = np.eye(3)
         scores[1, 2] = bad
         with pytest.raises(EvalError, match="scores must be finite"):
-            retrieval_ranks([(0, scores)], np.diag(scores))
+            _ranks([(0, scores)], np.diag(scores))
         # also when only the last of several blocks holds it
         scores = np.eye(7)
         scores[0, 6] = bad
         with pytest.raises(EvalError, match="scores must be finite"):
-            retrieval_ranks(_blocks(scores, 3), np.diag(scores))
+            _ranks(_blocks(scores, 3), np.diag(scores))
 
 
 def test_ap_and_recall_from_rank():
@@ -239,7 +244,7 @@ def test_score_matrix_matches_per_pair_loop(kind, monkeypatch):
         near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
         scores, scored = _check_pruned(params, records, kind, near)
         assert np.diag(scored).all()
-        ranks = retrieval_ranks([(0, scores)], near)
+        ranks = _ranks([(0, scores)], near)
         want = _per_pair_scores(params, records)
         assert ranks[0].tolist() == [rank_of(want[i, :], i) for i in range(40)], d_att
         assert ranks[1].tolist() == [rank_of(want[:, j], j) for j in range(40)], d_att
@@ -260,7 +265,7 @@ def test_pruned_ranks_match_per_pair_oracle():
         scores, scored = _check_pruned(params, records, "additive", near)
         assert np.diag(scored).all()  # a diagonal entry is always scored exactly
         want = _per_pair_scores(params, records)
-        video, sentence = retrieval_ranks(_blocks(scores, 7), near)
+        video, sentence = _ranks(_blocks(scores, 7), near)
         assert video.tolist() == [rank_of(want[i, :], i) for i in range(30)]
         assert sentence.tolist() == [rank_of(want[:, j], j) for j in range(30)]
 
@@ -474,7 +479,7 @@ def test_ranks_and_report_are_the_same_for_any_core_count(kind, monkeypatch):
     for width in (7, 20):
         monkeypatch.setattr(evaluation, "BLOCK_CLIPS", width)
         near = own_pair_scores(params, records, evaluation.embed_queries(params, records))
-        want = [r.tolist() for r in retrieval_ranks(_blocks(full_score_matrix(params, records),
+        want = [r.tolist() for r in _ranks(_blocks(full_score_matrix(params, records),
                                                             width), near)]
         _cores(monkeypatch, 1)
         serial = bidirectional_retrieval(params, records)
@@ -627,21 +632,14 @@ def test_report_csv_round_trips_floats():
 
 
 def test_export_attention_rows():
+    # one row of weights per record, in record order: one weight per frame, summing to 1
     records = _records(n=4, seed=5)
     params = init_model(8, 6, "dot", "residual", 2, np.random.default_rng(4))
-    rows = export_attention(params, records)
-    assert len(rows) == sum(r.frames_raw.shape[0] for r in records)
-    by_clip = {}
-    for row in rows:
-        by_clip.setdefault(row["clip_id"], []).append(row)
-    for rec in records:
-        clip_rows = by_clip[rec.id]
-        assert [r["frame"] for r in clip_rows] == list(range(rec.frames_raw.shape[0]))
-        assert [r["grounded"] for r in clip_rows] == [int(g) for g in rec.grounded]
-        alphas = np.array([r["alpha"] for r in clip_rows])
-        assert np.isclose(alphas.sum(), 1.0, atol=1e-12)
-        rels = [r["alpha_rel"] for r in clip_rows]
-        assert np.isclose(max(rels), 1.0)
+    weights = export_attention(params, records)
+    assert [alpha.shape for alpha in weights] == [rec.grounded.shape for rec in records]
+    for alpha in weights:
+        assert np.isclose(alpha.sum(), 1.0, atol=1e-12)
+        assert (alpha > 0).all()
 
     with pytest.raises(EvalError):
         export_attention(params, [])
@@ -650,17 +648,16 @@ def test_export_attention_rows():
 @pytest.mark.parametrize("kind", ATTENTION_KINDS)
 def test_export_attention_matches_per_record_oracle_across_chunks(kind, monkeypatch):
     # clips of 1 to 10 frames in chunks of two: length groups interleave in record
-    # order and split over chunks, and the rows still come in record and frame order
+    # order and split over chunks, and the weights still come in record order
     monkeypatch.setattr(evaluation, "BLOCK_CLIPS", 2)
     records = _records(n=25, seed=16, frames=(1, 10))
     lengths = [r.frames_raw.shape[0] for r in records]
     assert lengths != sorted(lengths) and max(map(lengths.count, lengths)) > 2
     params = init_model(8, 6, kind, "residual", 2, np.random.default_rng(5), d_att=3)
-    rows, want = export_attention(params, records), reference_attention_dump(params, records)
-    assert [(r["clip_id"], r["frame"], r["grounded"]) for r in rows] == [
-        (r["clip_id"], r["frame"], r["grounded"]) for r in want]
-    for key in ("alpha", "alpha_rel"):
-        assert np.allclose([r[key] for r in rows], [r[key] for r in want], rtol=0, atol=1e-15)
+    got, want = export_attention(params, records), reference_attention_dump(params, records)
+    assert [alpha.shape for alpha in got] == [(n,) for n in lengths]
+    for alpha, ref in zip(got, want, strict=True):
+        assert np.allclose(alpha, ref, rtol=0, atol=1e-15)
 
 
 def test_export_attention_names_the_first_nonfinite_clip_in_record_order():
