@@ -13,13 +13,14 @@ index arrays from epoch_batches. frame_store lays every record's frames
 out as rows of one array, and sample_frames draws a whole epoch's frame
 choices as row indices into it, in one call.
 
-A corpus file is one JSON object per line: a header, then one record per
-line. From version 2 on, a record's sentence and frame features are
-base64 strings of little-endian float64 values, frames row after row;
-version 1 wrote them as JSON number lists and is still read.
-load_corpus decodes the frames of every record into one array, sized
-from the file's length, and each record's frames_raw is a view of its
-rows there: frame_store then hands that array to training as it is.
+A corpus file starts with JSON lines: a header, then one line per record.
+Version 3, which save_corpus writes, follows them with one block of
+little-endian float64 rows: every record's frames in record order, then
+every record's sentence. load_corpus reads that block with one call into
+one array, and each record's features are views of its rows there, so
+frame_store hands the frames to training as they are. Versions 1 and 2,
+which hold each record's features in its line (as JSON number lists, or
+as base64 strings of float64), are still read.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import base64
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +39,10 @@ from .files import write_atomically
 TAGS = ("clean", "loose", "noise")
 
 CORPUS_FORMAT = "pairsieve-corpus"
-CORPUS_VERSION = 2
+CORPUS_VERSION = 3
 # gen-corpus refuses a spec whose feature arrays could exceed this many floats
-# (1 GiB as float64), before it draws anything
+# (1 GiB as float64), before it draws anything, and load_corpus a version-3
+# header that asks for more from a pipe
 MAX_CORPUS_FLOATS = 2**27
 # eval scores and ranks this many clips at a time, and each pass over whole clips
 # (own-pair scores, attention-dump, the bank seed) embeds at most this many of one length
@@ -261,33 +264,30 @@ def generate_corpus(spec):
     return train, test
 
 
-def _base64_floats(a):
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
 def save_corpus(records, path):
-    """Write records as line-delimited JSON in format version 2.
+    """Write records in format version 3.
 
-    The sentence and the frames (row after row) are base64 strings of
-    little-endian float64, so every float round-trips bit for bit; id,
-    tag and the 0/1 grounded list are plain JSON. The records are checked
-    first (check_records), so a file is written only when load_corpus would
-    read it back; it is replaced atomically (files.write_atomically).
+    The header line holds d, records (the record count) and rows (their
+    total frame count); each record's line holds its id, tag, frame count
+    and 0/1 grounded list. One block of little-endian float64 follows: every
+    record's frames, row after row in record order, then every record's
+    sentence, so every float round-trips bit for bit. The records are
+    checked first (check_records), so a file is written only when
+    load_corpus would read it back; it is replaced atomically
+    (files.write_atomically).
     """
     d = check_records(records) or 0
+    rows = sum(rec.frames_raw.shape[0] for rec in records)
     with write_atomically(path) as fh:
-        fh.write(json.dumps({"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "d": d}) + "\n")
+        fh.write(json.dumps({"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "d": d,
+                             "records": len(records), "rows": rows}) + "\n")
         for rec in records:
-            line = json.dumps(
-                {
-                    "id": rec.id,
-                    "tag": rec.tag,
-                    "sentence": _base64_floats(rec.sentence_raw),
-                    "frames": _base64_floats(rec.frames_raw),
-                    "grounded": [int(g) for g in rec.grounded],
-                }
-            )
+            line = json.dumps({"id": rec.id, "tag": rec.tag, "frames": rec.frames_raw.shape[0],
+                               "grounded": [int(g) for g in rec.grounded]})
             fh.write(line + "\n")
+        fh.flush()
+        for features in [rec.frames_raw for rec in records] + [rec.sentence_raw for rec in records]:
+            fh.buffer.write(np.ascontiguousarray(features, dtype="<f8"))
 
 
 def _list_array(obj, field, lineno):
@@ -327,12 +327,48 @@ def _base64_array(obj, field, lineno):
 _FEATURE_DECODERS = {1: _list_array, 2: _base64_array}
 
 
-def _parse_record_line(obj, lineno, d_expected, d_source, decode):
+def _record_object(line, lineno, fields):
+    """A record line's JSON object, which must hold every one of fields."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise CorpusError(f"line {lineno}: invalid record: {exc}") from exc
     if not isinstance(obj, dict):
         raise CorpusError(f"line {lineno}: record is not a JSON object")
-    for field in ("id", "tag", "sentence", "frames", "grounded"):
+    for field in fields:
         if field not in obj:
             raise CorpusError(f"line {lineno}: missing field {field!r}")
+    return obj
+
+
+def _grounded_flags(obj, lineno):
+    """A record's grounded list of 0/1 flags as a bool mask; JSON true and false
+    count as 1 and 0, and any other value is a CorpusError naming the line."""
+    grounded = _list_array(obj, "grounded", lineno)
+    if not set(obj["grounded"]) <= {0, 1}:
+        raise CorpusError(f"line {lineno}: field 'grounded' must hold only 0/1 flags")
+    return grounded != 0
+
+
+def _claim_id(first_line, record, lineno):
+    """Note the line record's id is first used on; a repeated id is a CorpusError
+    naming both lines."""
+    if record.id in first_line:
+        raise CorpusError(f"line {lineno}: record id {record.id!r} already used "
+                          f"on line {first_line[record.id]}")
+    first_line[record.id] = lineno
+
+
+def _validated(record, lineno):
+    """record once ClipRecord.validate passes; its CorpusError is prefixed with the line."""
+    try:
+        record.validate()
+    except CorpusError as exc:
+        raise CorpusError(f"line {lineno}: {exc}") from None
+    return record
+
+
+def _parse_record_line(obj, lineno, d_expected, d_source, decode):
     sentence = decode(obj, "sentence", lineno)
     d = sentence.shape[0]
     if d_expected is not None and d != d_expected:
@@ -345,16 +381,9 @@ def _parse_record_line(obj, lineno, d_expected, d_source, decode):
             raise CorpusError(f"line {lineno}: field 'frames' holds {frames.shape[0]} floats, "
                               f"not whole rows of d={d}")
         frames = frames.reshape(-1, d)
-    grounded = _list_array(obj, "grounded", lineno)
-    if not set(obj["grounded"]) <= {0, 1}:  # JSON true and false count as 1 and 0
-        raise CorpusError(f"line {lineno}: field 'grounded' must hold only 0/1 flags")
     record = ClipRecord(id=str(obj["id"]), sentence_raw=sentence, frames_raw=frames,
-                        tag=str(obj["tag"]), grounded=grounded != 0)
-    try:
-        record.validate()
-    except CorpusError as exc:
-        raise CorpusError(f"line {lineno}: {exc}") from None
-    return record
+                        tag=str(obj["tag"]), grounded=_grounded_flags(obj, lineno))
+    return _validated(record, lineno)
 
 
 def _text_lines(path, fh):
@@ -379,23 +408,119 @@ def _frame_capacity(version, size):
     return size // 2 if version == 1 else size * 3 // 32
 
 
+def _line_records(fh, lines, header, version):
+    """The records of a version-1 or version-2 file, whose features are in its lines.
+
+    Frames are copied into one array of as many rows as the file's length
+    allows (_frame_capacity), and each record's frames_raw becomes a view
+    of its rows there.
+    """
+    decode = _FEATURE_DECODERS[version]
+    d, d_source = header.get("d"), "header"
+    if d is not None and type(d) is not int:
+        raise CorpusError(f"line 1: header d must be an integer or null, got {d!r}")
+    size = os.fstat(fh.fileno()).st_size
+    records = []
+    first_line = {}
+    store, used = None, 0
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        obj = _record_object(line, lineno, ("id", "tag", "sentence", "frames", "grounded"))
+        record = _parse_record_line(obj, lineno, d, d_source, decode)
+        if d is None:
+            d, d_source = record.sentence_raw.shape[0], f"line {lineno}"
+        _claim_id(first_line, record, lineno)
+        if store is None:
+            store = np.empty((_frame_capacity(version, size) // d, d))
+        n = record.frames_raw.shape[0]
+        # a pipe reports size 0 and a file may grow while it is read: frames
+        # past the capacity keep arrays of their own, and frame_store copies
+        if used + n <= store.shape[0]:
+            store[used:used + n] = record.frames_raw
+            record.frames_raw = store[used:used + n]
+            used += n
+        records.append(record)
+    return records
+
+
+def _block_records(path, fh, lines, header):
+    """The records of a version-3 file, whose features are views of its float64 block.
+
+    The header's d, records and rows bound the block before it is
+    allocated: by the bytes left in a regular file, by MAX_CORPUS_FLOATS
+    for a pipe, which has no length. The record lines come next, exactly
+    as many as the header says, and then the block, read with one
+    readinto, which must fill it exactly and leave nothing behind. Each
+    record is checked (ClipRecord.validate) once its features are read.
+    """
+    for key in ("d", "records", "rows"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            raise CorpusError(f"line 1: header {key} must be a non-negative integer, "
+                              f"got {header.get(key)!r}")
+    d, count, rows = header["d"], header["records"], header["rows"]
+    if count and not d:
+        raise CorpusError("line 1: header d must be positive in a corpus with records")
+    nbytes = (rows + count) * d * 8
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        room, what = info.st_size - fh.tell(), "the bytes left in the file"
+    else:
+        room, what = 8 * MAX_CORPUS_FLOATS, f"the limit of {MAX_CORPUS_FLOATS} floats"
+    if nbytes > room:
+        raise CorpusError(f"line 1: header sizes need {nbytes} bytes of features, "
+                          f"more than {what} ({room})")
+    block = np.empty((rows + count, d), dtype="<f8")  # no page is touched before readinto
+    records, first_line, used = [], {}, 0
+    for i in range(count):
+        lineno, line = next(lines, (None, None))
+        if line is None:
+            raise CorpusError(f"{path}: header records={count}, but the file ends after "
+                              f"{i} record lines")
+        obj = _record_object(line, lineno, ("id", "tag", "frames", "grounded"))
+        n = obj["frames"]
+        if type(n) is not int or n < 1:
+            raise CorpusError(f"line {lineno}: field 'frames' must be a positive frame count, "
+                              f"got {n!r}")
+        if used + n > rows:
+            raise CorpusError(f"line {lineno}: frame counts pass the header's rows={rows}")
+        record = ClipRecord(id=str(obj["id"]), sentence_raw=block[rows + i],
+                            frames_raw=block[used:used + n], tag=str(obj["tag"]),
+                            grounded=_grounded_flags(obj, lineno))
+        _claim_id(first_line, record, lineno)
+        used += n
+        records.append(record)
+    if used != rows:
+        raise CorpusError(f"line 1: header rows={rows}, but the frame counts sum to {used}")
+    got = fh.readinto(block)
+    if got != nbytes or fh.read(1):
+        raise CorpusError(f"{path}: the feature block must be {nbytes} bytes, but the file "
+                          f"holds {got if got < nbytes else 'more'}")
+    for lineno, record in enumerate(records, start=2):
+        _validated(record, lineno)
+    return records
+
+
 def load_corpus(path):
     """Load a corpus file; an empty file is an empty corpus.
 
-    The file is parsed one line at a time and never held whole; the
-    header's version (1 or 2) picks how features are decoded. Every
-    malformed record, including one that repeats an earlier id or whose
-    dimension differs from the header's d, is a CorpusError naming its
-    line. A header with "d": null takes d from the first record; any
-    other d that is not an integer is a line-1 CorpusError.
+    The header's version picks the reader. Version 3's record lines hold
+    no features: its block of float64 rows is read with one call into one
+    array, and each record's frames and sentence are views of its rows
+    (_block_records). Versions 1 and 2 are parsed one line at a time, and
+    each record's frames are copied into one array (_line_records).
+    Either way the file is never held whole, and frame_store returns the
+    frames' array without a copy (for versions 1 and 2, from a regular
+    file only).
 
-    The records' frames are decoded into one array of as many rows as the
-    file's length allows (_frame_capacity); pages that no frame reaches
-    are never touched and cost no memory. Each record's frames_raw is a
-    view of its rows, so frame_store returns that array without a copy.
+    Every malformed record, including one that repeats an earlier id, one
+    whose dimension differs from the header's d and one with a non-finite
+    feature, is a CorpusError naming its line; so is a version-3 header
+    whose sizes do not match its record lines and block. In versions 1
+    and 2 a header with "d": null takes d from the first record, and any
+    other d that is not an integer is a line-1 CorpusError.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         lines = _text_lines(path, fh)
         first = next(lines, None)
         if first is None:
@@ -407,40 +532,11 @@ def load_corpus(path):
         if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
             raise CorpusError(f"line 1: not a {CORPUS_FORMAT} file")
         version = header.get("version")
-        decode = _FEATURE_DECODERS.get(version) if type(version) is int else None
-        if decode is None:
+        if type(version) is not int or version not in (*_FEATURE_DECODERS, CORPUS_VERSION):
             raise CorpusError(f"line 1: unsupported corpus version {version!r}")
-        d, d_source = header.get("d"), "header"
-        if d is not None and type(d) is not int:
-            raise CorpusError(f"line 1: header d must be an integer or null, got {d!r}")
-        records = []
-        first_line = {}
-        store, used = None, 0
-        for lineno, line in lines:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise CorpusError(f"line {lineno}: invalid record: {exc}") from exc
-            record = _parse_record_line(obj, lineno, d, d_source, decode)
-            if d is None:
-                d, d_source = record.sentence_raw.shape[0], f"line {lineno}"
-            if record.id in first_line:
-                raise CorpusError(f"line {lineno}: record id {record.id!r} already used "
-                                  f"on line {first_line[record.id]}")
-            first_line[record.id] = lineno
-            if store is None:
-                store = np.empty((_frame_capacity(version, size) // d, d))
-            n = record.frames_raw.shape[0]
-            # a pipe reports size 0 and a file may grow while it is read: frames
-            # past the capacity keep arrays of their own, and frame_store copies
-            if used + n <= store.shape[0]:
-                store[used:used + n] = record.frames_raw
-                record.frames_raw = store[used:used + n]
-                used += n
-            records.append(record)
-    return records
+        if version == CORPUS_VERSION:
+            return _block_records(path, fh, lines, header)
+        return _line_records(fh, lines, header, version)
 
 
 def frame_store(records):

@@ -1,15 +1,18 @@
-"""Golden grid: two SHA-256 digests over every training configuration.
+"""Golden grid: SHA-256 digests of the grid's corpus file and over every
+training configuration.
 
-A refactor that must not change numbers reproduces both digests. The
-input is the criterion-8 corpus (60 train and 10 test records) and
+A refactor that must not change numbers reproduces the run and scoring
+digests. The input is the criterion-8 corpus (60 train and 10 test records) and
 training config, run once per configuration: 4 attention kinds x 3
 input modes x 2 losses x 2 samplers with the discriminator on, then
 4 attention kinds x 2 losses x 2 samplers with it off.
 
-- The run digest covers the saved train corpus, then each run's
-  metrics.csv, checkpoint_freeze.json and checkpoint_final.json. The
-  runs train on the corpus as load_corpus reads it back, whose frames
-  share one array, the way the train command gets them.
+- The corpus digest covers the train corpus file as save_corpus writes
+  it, so a change of the file format moves that line alone.
+- The run digest covers each run's metrics.csv, checkpoint_freeze.json
+  and checkpoint_final.json. The runs train on the corpus as load_corpus
+  reads it back, whose frames share one array, the way the train command
+  gets them.
 - The scoring digest covers, per run, report_csv of the final
   parameters on the test records and repr() of the attention-dump
   rows of all 70 records: oracles.attention_rows over the weights
@@ -55,14 +58,15 @@ def grid_configs():
 
 
 def grid_digests(work_dir):
-    """(run digest, scoring digest) as hex strings; runs are written under work_dir."""
+    """(corpus digest, run digest, scoring digest) as hex strings; runs are
+    written under work_dir."""
     train_recs, test_recs = generate_corpus(CORPUS)
     corpus_path = os.path.join(work_dir, "train.corpus")
     save_corpus(train_recs, corpus_path)
     train_recs = load_corpus(corpus_path)
-    runs = hashlib.sha256()
     with open(corpus_path, "rb") as fh:
-        runs.update(fh.read())
+        corpus = hashlib.sha256(fh.read())
+    runs = hashlib.sha256()
     scoring = hashlib.sha256()
     for i, cfg in enumerate(grid_configs()):
         run_dir = os.path.join(work_dir, f"run{i:02d}")
@@ -73,12 +77,13 @@ def grid_digests(work_dir):
         scoring.update(report_csv(bidirectional_retrieval(params, test_recs)).encode())
         records = train_recs + test_recs
         scoring.update(repr(attention_rows(records, export_attention(params, records))).encode())
-    return runs.hexdigest(), scoring.hexdigest()
+    return corpus.hexdigest(), runs.hexdigest(), scoring.hexdigest()
 
 
 def main():
     with tempfile.TemporaryDirectory() as work_dir:
-        runs, scoring = grid_digests(work_dir)
+        corpus, runs, scoring = grid_digests(work_dir)
+    print(f"corpus  {corpus}")
     print(f"runs    {runs}")
     print(f"scoring {scoring}")
     return 0

@@ -5,7 +5,7 @@ per-query retrieval rank, the whole score matrix from eval's blocks,
 additive attention's exact scores of one clip against every query at
 once, frame scores by formula, the attention dump and the background bank
 computed one record at a time, exact record equality, a corpus-file
-reader and writer that edit records field by field in either file
+reader and writer that edit records field by field in any file
 version, and the corpus generator drawn and normalised one vector at a
 time.
 
@@ -329,22 +329,25 @@ def records_equal(a, b):
 
 
 def corpus_fields(path):
-    """(header, records) of a version-2 corpus file, as JSON dicts.
+    """(header, records) of a version-3 corpus file, as JSON dicts.
 
     Each record's "sentence" becomes a (d,) array and "frames" a (F, d)
-    array, decoded independently of pairsieve.corpus.
+    array, read from the file's float64 block independently of
+    pairsieve.corpus: the block holds every record's frames, then every
+    record's sentence.
     """
-    header, *lines = path.read_text().splitlines()
-    header = json.loads(header)
-    assert header["version"] == 2, header
-    records = []
-    for line in lines:
-        rec = json.loads(line)
-        sentence = np.frombuffer(base64.b64decode(rec["sentence"]), "<f8")
-        rec["sentence"] = sentence
-        rec["frames"] = np.frombuffer(base64.b64decode(rec["frames"]), "<f8").reshape(
-            -1, sentence.shape[0])
-        records.append(rec)
+    data = path.read_bytes()
+    lines = data.split(b"\n", 1 + json.loads(data.split(b"\n", 1)[0])["records"])
+    header = json.loads(lines[0])
+    assert header["version"] == 3, header
+    records = [json.loads(line) for line in lines[1:-1]]
+    d, rows = header["d"], header["rows"]
+    block = np.frombuffer(lines[-1], "<f8").reshape(rows + len(records), d)
+    start = 0
+    for i, rec in enumerate(records):
+        rec["sentence"] = block[rows + i]
+        rec["frames"] = block[start:start + rec["frames"]]
+        start += rec["frames"].shape[0]
     return header, records
 
 
@@ -352,19 +355,48 @@ def corpus_line(record, version):
     """One record line in a corpus file version, from corpus_fields' form.
 
     "frames" may be a list of rows of unequal length: version 1 writes
-    the rows as they are, version 2 writes their floats one after another.
+    the rows as they are, version 2 writes their floats one after another,
+    and version 3 writes only their count, since its features go to the
+    block (feature_block).
     """
     rec = dict(record)
     rows = [np.asarray(row, dtype=float) for row in rec["frames"]]
     if version == 1:
         rec["sentence"] = np.asarray(rec["sentence"], dtype=float).tolist()
         rec["frames"] = [row.tolist() for row in rows]
-    else:
+    elif version == 2:
         rec["sentence"] = base64.b64encode(
             np.asarray(rec["sentence"], dtype="<f8").tobytes()).decode()
         rec["frames"] = base64.b64encode(
             np.concatenate(rows).astype("<f8").tobytes()).decode()
+    else:
+        del rec["sentence"]
+        rec["frames"] = len(rows)
     return json.dumps(rec)
+
+
+def feature_block(records):
+    """A version-3 float64 block from corpus_fields' form: every record's frame
+    rows in record order, then every record's sentence."""
+    return b"".join(np.asarray(values, dtype="<f8").tobytes()
+                    for values in [r["frames"] for r in records] + [r["sentence"] for r in records])
+
+
+def corpus_bytes(records, version, **header):
+    """A whole corpus file in a version, from corpus_fields' form.
+
+    The header holds the format, the version and the first record's d
+    (0 for no records), and in version 3 the record count and the total
+    frame rows; keyword arguments replace or add header entries. Version
+    3 ends in feature_block(records).
+    """
+    head = {"format": "pairsieve-corpus", "version": version,
+            "d": len(records[0]["sentence"]) if records else 0}
+    if version == 3:
+        head.update(records=len(records), rows=sum(len(r["frames"]) for r in records))
+    text = "".join(line + "\n" for line in [json.dumps({**head, **header})]
+                   + [corpus_line(rec, version) for rec in records])
+    return text.encode() + (feature_block(records) if version == 3 else b"")
 
 
 def _unit(x):

@@ -20,7 +20,7 @@ from pairsieve.corpus import load_corpus
 from pairsieve.model import ATTENTION_KINDS, init_model, load_checkpoint, save_checkpoint
 from pairsieve.training import train
 
-from oracles import attention_rows, corpus_fields, corpus_line, reference_attention_dump
+from oracles import attention_rows, corpus_bytes, corpus_fields, reference_attention_dump
 
 CORPUS_KEYS = ["--set", "n_train=30", "--set", "n_test=8",
                "--set", "d=8", "--set", "k=12"]
@@ -251,34 +251,36 @@ def test_exit_code_one_on_bad_input(workspace, tmp_path, capsys):
     doc["tensors"]["vision.weight"]["data"][0] = float("nan")
     nan_ckpt = tmp_path / "nan.json"
     nan_ckpt.write_text(json.dumps(doc))
-    lines = corpus.read_text().splitlines()
-    dup_corpus = tmp_path / "dup.corpus"
-    dup_corpus.write_text("\n".join(lines[:3] + lines[1:2]) + "\n")
-    for ckpt, records in ((nan_ckpt, corpus), (checkpoint, dup_corpus)):
+    _, train_fields = corpus_fields(corpus)
+    bad_runs = [(nan_ckpt, corpus)]
+    for version in (3, 2):
+        dup_corpus = tmp_path / f"dup_v{version}.corpus"
+        dup_corpus.write_bytes(corpus_bytes(train_fields[:2] + train_fields[:1], version))
+        bad_runs.append((checkpoint, dup_corpus))
+    for ckpt, records in bad_runs:
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(records)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pairsieve: error:") and err.count("\n") == 1, err
 
     # a record one dimension short under "d": null, and a corpus whose d is not the
     # checkpoint's d_in, each end in one error line from eval and attention-dump;
-    # each case is written in both corpus file versions
+    # each case is written in every corpus file version that has it (version 3's d
+    # is never null)
     test_corpus = workspace / "corpus" / "test.corpus"
-    header, records = corpus_fields(test_corpus)
+    _, records = corpus_fields(test_corpus)
     short = [dict(rec, sentence=rec["sentence"][:-1], frames=rec["frames"][:, :-1])
              for rec in records]
-    for version in (2, 1):
-        full_lines = [corpus_line(rec, version) for rec in records]
-        short_lines = [corpus_line(rec, version) for rec in short]
-        ragged_corpus = tmp_path / f"ragged_v{version}.corpus"
-        ragged_corpus.write_text("\n".join(
-            [json.dumps({**header, "version": version, "d": None}), *full_lines[:2],
-             short_lines[2]]) + "\n")
+    for version in (3, 2, 1):
+        cases = []
+        if version < 3:
+            ragged_corpus = tmp_path / f"ragged_v{version}.corpus"
+            ragged_corpus.write_bytes(corpus_bytes(records[:2] + short[2:], version, d=None))
+            cases.append((ragged_corpus, "line 4: dimension mismatch"))
         narrow_corpus = tmp_path / f"narrow_v{version}.corpus"
-        narrow_corpus.write_text("\n".join(
-            [json.dumps({**header, "version": version, "d": 7}), *short_lines]) + "\n")
+        narrow_corpus.write_bytes(corpus_bytes(short, version))
+        cases.append((narrow_corpus, "feature dimension 7"))
         assert load_corpus(narrow_corpus)[0].sentence_raw.shape == (7,)
-        for bad_corpus, why in ((ragged_corpus, "line 4: dimension mismatch"),
-                                (narrow_corpus, "feature dimension 7")):
+        for bad_corpus, why in cases:
             for command in (["eval"], ["attention-dump", "--out", str(tmp_path / "att.csv")]):
                 assert main(command + ["--checkpoint", str(checkpoint),
                                        "--corpus", str(bad_corpus)]) == 1

@@ -31,8 +31,8 @@ from pairsieve.evaluation import bidirectional_retrieval, export_attention
 from pairsieve.model import init_model, save_checkpoint
 from pairsieve.training import train
 
-from oracles import (corpus_fields, corpus_line, records_equal, reference_corpus,
-                     reference_sample_frames)
+from oracles import (corpus_bytes, corpus_fields, corpus_line, feature_block, records_equal,
+                     reference_corpus, reference_sample_frames)
 
 SMALL = CorpusSpec(n_train=60, n_test=10, d=8, k=12, seed=5)
 
@@ -303,31 +303,32 @@ def test_load_empty_file_is_empty_corpus(tmp_path):
 
 
 def test_load_reports_line_numbers(tmp_path):
-    # every case is written as a real record of each file version: version 2 carries
-    # the features as base64 float64, version 1 as JSON number lists
+    # every case is written as a real record of each line-feature file version:
+    # version 2 carries the features as base64 float64, version 1 as JSON number
+    # lists (version 3's own cases are in test_load_refuses_malformed_version_3)
     for version in (2, 1):
         _check_line_numbers(tmp_path, version)
 
 
 def test_load_refuses_grounded_flags_other_than_0_and_1(tmp_path, capsys):
-    # a grounded flag other than 0 or 1 is an error naming its line, in either file
+    # a grounded flag other than 0 or 1 is an error naming its line, in every file
     # version and through the CLI; JSON true and false load as 1 and 0. Each bad value
     # replaces a 1, so a loader that took any nonzero value as grounded would load
-    # the record's own mask; "X" is written as 1e400, which json.dumps cannot write.
+    # the record's own mask; "X" is written as 1e400, which json.dumps cannot write
+    # (the first '"X"' in the file, which is in the lines, before any block).
     save_corpus(generate_corpus(SMALL)[0], tmp_path / "train.corpus")
-    header, recs = corpus_fields(tmp_path / "train.corpus")
+    _, recs = corpus_fields(tmp_path / "train.corpus")
     rec = next(r for r in recs if r["tag"] == "clean")
     other = next(r for r in recs if r is not rec)
     flags, g = rec["grounded"], rec["grounded"].index(1)
     bad = [flags[:g] + [value] + flags[g + 1:] for value in (0.5, 7, -1, "X")]
     bad.append([str(f) for f in flags])
     path = tmp_path / "flags.corpus"
-    for version in (2, 1):
-        head = json.dumps(dict(header, version=version)) + "\n" + corpus_line(other, version)
+    for version in (3, 2, 1):
 
         def write(grounded):
-            line = corpus_line(dict(rec, grounded=grounded), version).replace('"X"', "1e400")
-            path.write_text(head + "\n" + line + "\n")
+            data = corpus_bytes([other, dict(rec, grounded=grounded)], version)
+            path.write_bytes(data.replace(b'"X"', b"1e400", 1))
 
         write([bool(f) for f in flags])
         assert load_corpus(path)[1].grounded.tolist() == [bool(f) for f in flags]
@@ -346,7 +347,7 @@ def _check_line_numbers(tmp_path, version):
     path = tmp_path / "bad.corpus"
     save_corpus(train[:3], path)
     header, recs = corpus_fields(path)
-    header["version"] = version
+    header = {"format": header["format"], "version": version, "d": header["d"]}
     lines = [json.dumps(header)] + [corpus_line(rec, version) for rec in recs]
 
     # frames one float short: a ragged list, or a payload that is not whole rows
@@ -435,8 +436,8 @@ def test_load_rejects_malformed_base64_features(tmp_path):
     train, _ = generate_corpus(SMALL)
     path = tmp_path / "bad.corpus"
     save_corpus(train[:2], path)
-    head, first, second = path.read_text().splitlines()
-    header, recs = corpus_fields(path)
+    _, recs = corpus_fields(path)
+    head, first, second = corpus_bytes(recs, 2).decode().splitlines()
     sentence, frames = recs[1]["sentence"], recs[1]["frames"]
     text = json.loads(second)
     nan_frames = frames.copy()
@@ -477,20 +478,25 @@ def test_version_1_file_loads_bit_identical_to_its_version_2_resave(tmp_path):
                                  "frames": rec.frames_raw.tolist(),
                                  "grounded": rec.grounded.astype(int).tolist()}) + "\n")
     old = load_corpus(v1)
+    # the same records as a version-2 file, and as save_corpus's version-3 resave
+    v3 = tmp_path / "v3.corpus"
+    save_corpus(old, v3)
+    header, fields = corpus_fields(v3)
+    assert header["version"] == 3
     v2 = tmp_path / "v2.corpus"
-    save_corpus(old, v2)
-    assert json.loads(v2.read_text().splitlines()[0])["version"] == 2
-    new = load_corpus(v2)
-    assert len(old) == len(new) == len(train)
-    for a, b, rec in zip(old, new, train):
-        assert records_equal(a, b) and records_equal(a, rec)
-        for x, y in ((a.sentence_raw, b.sentence_raw), (a.frames_raw, b.frames_raw)):
-            assert x.dtype == y.dtype == np.float64
-            assert x.flags.writeable and y.flags.writeable
-    # version 2: save -> load -> save is byte-identical
-    again = tmp_path / "again.corpus"
-    save_corpus(new, again)
-    assert again.read_bytes() == v2.read_bytes()
+    v2.write_bytes(corpus_bytes(fields, 2))
+    for path in (v2, v3):
+        new = load_corpus(path)
+        assert len(old) == len(new) == len(train)
+        for a, b, rec in zip(old, new, train):
+            assert records_equal(a, b) and records_equal(a, rec)
+            for x, y in ((a.sentence_raw, b.sentence_raw), (a.frames_raw, b.frames_raw)):
+                assert x.dtype == y.dtype == np.float64
+                assert x.flags.writeable and y.flags.writeable
+        # load -> save of either file is the version-3 file, byte for byte
+        again = tmp_path / "again.corpus"
+        save_corpus(new, again)
+        assert again.read_bytes() == v3.read_bytes()
 
 
 def _mutated(data, kind, rng):
@@ -512,35 +518,54 @@ def _mutated(data, kind, rng):
         rec[field] = "".join(chars)
     else:  # a JSON value swap, in the header or a record
         lineno = int(rng.integers(len(lines)))
-        rec = json.loads(lines[lineno])
-        key = sorted(rec)[rng.integers(len(rec))]
-        value = rec[key]
-        if isinstance(value, str):
-            swapped = 3
-        elif isinstance(value, (int, float)):
-            swapped = str(value)
-        else:
-            swapped = json.dumps(value)
-        rec[key] = (swapped, None, float("nan"), 1e308, [[1.0, [2.0]]])[rng.integers(5)]
+        rec = _value_swapped(json.loads(lines[lineno]), rng)
     lines[lineno] = json.dumps(rec)
     return ("\n".join(lines) + "\n").encode()
 
 
+def _value_swapped(obj, rng, off_by_one=False):
+    """obj with one value replaced: by one of another JSON type, null, NaN, 1e308,
+    a nested list, or with off_by_one an integer's neighbour."""
+    key = sorted(obj)[rng.integers(len(obj))]
+    value = obj[key]
+    if isinstance(value, str):
+        swapped = 3
+    elif isinstance(value, (int, float)):
+        swapped = str(value)
+    else:
+        swapped = json.dumps(value)
+    choices = [swapped, None, float("nan"), 1e308, [[1.0, [2.0]]]]
+    if off_by_one and type(value) is int:
+        choices += [value - 1, value + 1]
+    obj[key] = choices[rng.integers(len(choices))]
+    return obj
+
+
 def test_load_corpus_mutation_fuzz(tmp_path, capsys):
-    # ~300 seeded mutations of a 5-record corpus: each load returns records or
-    # raises CorpusError, never another exception; `eval` on a rejected file ends
-    # in one error line
+    # ~300 seeded mutations of a 5-record version-2 corpus: each load returns
+    # records or raises CorpusError, never another exception; `eval` on a rejected
+    # file ends in one error line
     train, _ = generate_corpus(SMALL)
     path = tmp_path / "fuzz.corpus"
     save_corpus(train[:5], path)
-    data = path.read_bytes()
+    data = corpus_bytes(corpus_fields(path)[1], 2)
     kinds = ("byte flip", "truncation", "base64 swap", "JSON value swap")
     rng = np.random.default_rng(zlib.crc32(b"load_corpus mutation fuzz"))
+    outcomes, rejected = _fuzz(path, data, kinds, _mutated, rng)
+    assert sorted(rejected) == sorted(kinds), outcomes
+    assert sum(n for (_, outcome), n in outcomes.items() if outcome == "loaded") > 0, outcomes
+    _eval_rejects_each(tmp_path, path, rejected, capsys)
+
+
+def _fuzz(path, data, kinds, mutate, rng):
+    """Load 300 seeded mutations of data, of kinds in turn: each load returns records
+    or raises CorpusError, never another exception. Returns the count of each
+    (kind, outcome) and the first rejected file of each kind."""
     outcomes = {}
     rejected = {}
     for i in range(300):
         kind = kinds[i % len(kinds)]
-        path.write_bytes(_mutated(data, kind, rng))
+        path.write_bytes(mutate(data, kind, rng))
         try:
             records = load_corpus(path)
         except CorpusError:
@@ -552,9 +577,11 @@ def test_load_corpus_mutation_fuzz(tmp_path, capsys):
             assert all(isinstance(r, ClipRecord) for r in records), i
             outcome = "loaded"
         outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
-    assert sorted(rejected) == sorted(kinds), outcomes
-    assert sum(n for (_, outcome), n in outcomes.items() if outcome == "loaded") > 0, outcomes
+    return outcomes, rejected
 
+
+def _eval_rejects_each(tmp_path, path, rejected, capsys):
+    """`eval` on each rejected file, written to path, exits 1 with one error line."""
     checkpoint = tmp_path / "checkpoint.json"
     save_checkpoint(init_model(8, 6, "dot", "residual", 2, np.random.default_rng(0)), checkpoint)
     for kind, bad in rejected.items():
@@ -562,6 +589,139 @@ def test_load_corpus_mutation_fuzz(tmp_path, capsys):
         assert main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pairsieve: error:") and err.count("\n") == 1, (kind, err)
+
+
+def _mutated_v3(data, n_records, kind, rng):
+    """One mutation of a version-3 corpus file: in its block, after it, or a JSON
+    edit of its header or of one record line."""
+    *lines, block = data.split(b"\n", n_records + 1)
+    if kind == "block byte flip":
+        block = bytearray(block)
+        block[rng.integers(len(block))] ^= int(rng.integers(1, 256))
+    elif kind == "block truncation":
+        block = block[:rng.integers(len(block))]
+    elif kind == "appended bytes":
+        block += rng.bytes(int(rng.integers(1, 17)))
+    else:
+        lineno = 0 if kind == "header edit" else int(rng.integers(1, len(lines)))
+        lines[lineno] = json.dumps(_value_swapped(json.loads(lines[lineno]), rng,
+                                                  off_by_one=True)).encode()
+    return b"\n".join(lines) + b"\n" + bytes(block)
+
+
+def test_load_corpus_mutation_fuzz_version_3(tmp_path, capsys):
+    # ~300 seeded mutations of a 5-record version-3 corpus: each load returns
+    # records or raises CorpusError, never another exception; `eval` on a rejected
+    # file ends in one error line
+    train, _ = generate_corpus(SMALL)
+    path = tmp_path / "fuzz.corpus"
+    save_corpus(train[:5], path)
+    data = path.read_bytes()
+    kinds = ("block byte flip", "block truncation", "appended bytes", "header edit",
+             "record line edit")
+    rng = np.random.default_rng(zlib.crc32(b"load_corpus version 3 mutation fuzz"))
+    outcomes, rejected = _fuzz(path, data, kinds,
+                               lambda data, kind, rng: _mutated_v3(data, 5, kind, rng), rng)
+    # a flipped byte in the block is most often another finite float, which loads
+    assert sorted(rejected) == sorted(kinds[1:]), outcomes
+    assert outcomes.get(("block byte flip", "loaded"), 0) > 0, outcomes
+    _eval_rejects_each(tmp_path, path, rejected, capsys)
+
+
+def test_load_refuses_malformed_version_3(tmp_path, capsys):
+    # each malformed version-3 file is one CorpusError, and one error line with
+    # exit code 1 through the CLI
+    train, _ = generate_corpus(SMALL)
+    path = tmp_path / "train.corpus"
+    save_corpus(train[:3], path)
+    header, recs = corpus_fields(path)
+    good = path.read_bytes()
+    assert good == corpus_bytes(recs, 3)
+    rows = header["rows"]
+    nbytes = (rows + 3) * 8 * 8
+    lines = [corpus_line(rec, 3) for rec in recs]
+    block = feature_block(recs)
+    where = re.escape(str(path))
+
+    def file(head=None, body=None, tail=block):
+        head = json.dumps({**header, **(head or {})})
+        return "".join(line + "\n" for line in [head, *(lines if body is None else body)]
+                       ).encode() + tail
+
+    cases = []
+    for key in ("d", "records", "rows"):
+        for value in (-1, "3", 2.0, None, True, [3]):
+            cases.append((file({key: value}), f"line 1: header {key} must be a non-negative "
+                                             f"integer, got {re.escape(repr(value))}"))
+    cases += [
+        (file({"d": 0}), "line 1: header d must be positive in a corpus with records"),
+        # the header asks for more bytes than the file holds: refused before any
+        # allocation, so 2**40 rows is no MemoryError
+        (file({"rows": 2**40}), f"line 1: header sizes need {(2**40 + 3) * 64} bytes of "
+                                f"features, more than the bytes left in the file \\(\\d+\\)"),
+        (file({"records": 2**40}), f"line 1: header sizes need {(rows + 2**40) * 64} bytes .*"),
+        (file(tail=block[:-8]), f"{where}: the feature block must be {nbytes} bytes, but the "
+                                f"file holds {nbytes - 8}"),
+        # a block cut short enough is refused by that first check
+        (file(tail=block[:8]), f"line 1: header sizes need {nbytes} bytes of features, more "
+                               f"than the bytes left in the file \\(\\d+\\)"),
+        (file(tail=block + b"\0" * 8), f"{where}: the feature block must be {nbytes} bytes, "
+                                       f"but the file holds more"),
+        (file(tail=block + b"\n"), f"{where}: .* the file holds more"),
+        # frame counts against the header's rows
+        (file({"rows": rows + 1}), f"line 1: header rows={rows + 1}, but the frame counts "
+                                   f"sum to {rows}"),
+        (file({"rows": rows - 1}), f"line 4: frame counts pass the header's rows={rows - 1}"),
+        # fewer record lines than the header says: the block is read as lines, or
+        # the file ends
+        (file({"records": 4}), "line 5: .*|.*line 5: not UTF-8 text.*"),
+        (file({"records": 2}, tail=b""), "line 1: header sizes need .*"),
+        (b'{"format": "pairsieve-corpus", "version": 3, "d": 1, "records": 2, "rows": 1}\n'
+         b'{"id": "a", "tag": "noise", "frames": 1, "grounded": [0]}\n',
+         f"{where}: header records=2, but the file ends after 1 record lines"),
+        # a record line's own checks name its line
+        (file(body=[lines[0], "", *lines[1:]]), "line 3: invalid record: Expecting value: .*"),
+        (file(body=lines[:2] + ["[1, 2]"]), "line 4: record is not a JSON object"),
+        (file(body=lines[:2] + [lines[0]]), f"line 4: record id {recs[0]['id']!r} already "
+                                            f"used on line 2"),
+    ]
+    for field in ("id", "tag", "frames", "grounded"):
+        bad = json.loads(lines[1])
+        del bad[field]
+        cases.append((file(body=[lines[0], json.dumps(bad), lines[2]]),
+                      f"line 3: missing field '{field}'"))
+    for value in (0, -2, 2.5, "4", None, True, [4]):
+        bad = dict(json.loads(lines[1]), frames=value)
+        cases.append((file(body=[lines[0], json.dumps(bad), lines[2]]),
+                      f"line 3: field 'frames' must be a positive frame count, got "
+                      f"{re.escape(repr(value))}"))
+    for field, message in (("grounded", "field 'grounded' must hold only 0/1 flags"),
+                           ("tag", f"record {recs[1]['id']}: unknown tag 'vague'")):
+        bad = dict(json.loads(lines[1]), **{field: [2] * recs[1]["frames"].shape[0]
+                                            if field == "grounded" else "vague"})
+        cases.append((file(body=[lines[0], json.dumps(bad), lines[2]]), f"line 3: {message}"))
+    short_mask = dict(json.loads(lines[1]), grounded=recs[1]["grounded"][:-1])
+    cases.append((file(body=[lines[0], json.dumps(short_mask), lines[2]]),
+                  f"line 3: record {recs[1]['id']}: grounded must be a 1-d mask .*"))
+    # a non-finite value in the block names its record's line
+    for i, field, value in ((1, "frames", np.nan), (2, "sentence", -np.inf),
+                            (0, "frames", np.inf)):
+        values = recs[i][field].copy()
+        values.flat[-1] = value
+        changed = [dict(rec, **{field: values}) if j == i else rec for j, rec in enumerate(recs)]
+        cases.append((file(tail=feature_block(changed)),
+                      f"line {i + 2}: record {recs[i]['id']}: non-finite feature values "
+                      f"in {field}"))
+
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(CorpusError, match=f"^({message})$") as info:
+            load_corpus(path)
+        assert "\n" not in str(info.value)
+        assert main(["train", "--corpus", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"pairsieve: error: {info.value}\n"
+    path.write_bytes(good)
+    assert all(records_equal(a, b) for a, b in zip(load_corpus(path), train[:3]))
 
 
 def test_load_rejects_wrong_format_or_version(tmp_path):
@@ -737,15 +897,19 @@ def test_sample_frames_draws_an_epoch_as_its_batches_would(lengths, n_f, batch, 
 
 
 def test_frame_store_shares_a_loaded_corpus_and_copies_others(tmp_path):
+    # a corpus loaded from a version-3 file (save_corpus) or a version-2 file
+    # shares its frames' array with frame_store
     train, _ = generate_corpus(SMALL)
     path = tmp_path / "train.corpus"
     save_corpus(train, path)
-    loaded = load_corpus(path)
-    rows, starts, lengths = frame_store(loaded)
-    assert rows.nbytes == sum(r.frames_raw.nbytes for r in loaded)
-    for rec, start, n in zip(loaded, starts, lengths):
-        view = rows[start:start + n]
-        assert view.__array_interface__ == rec.frames_raw.__array_interface__
+    v2 = tmp_path / "v2.corpus"
+    v2.write_bytes(corpus_bytes(corpus_fields(path)[1], 2))
+    for loaded in (load_corpus(v2), load_corpus(path)):
+        rows, starts, lengths = frame_store(loaded)
+        assert rows.nbytes == sum(r.frames_raw.nbytes for r in loaded)
+        for rec, start, n in zip(loaded, starts, lengths):
+            view = rows[start:start + n]
+            assert view.__array_interface__ == rec.frames_raw.__array_interface__
     # generated records, and a loaded record replaced by hand, are copied
     for records in (train, loaded[:5] + [ClipRecord(**{**vars(loaded[5]),
                                                        "frames_raw": train[5].frames_raw})]):
@@ -755,20 +919,49 @@ def test_frame_store_shares_a_loaded_corpus_and_copies_others(tmp_path):
             assert np.array_equal(copy[start:start + n], rec.frames_raw)
 
 
+def _load_through_a_pipe(tmp_path, data):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        return load_corpus(pipe)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        pipe.unlink()
+
+
 def test_load_from_a_pipe_copies_nothing_into_the_store(tmp_path):
-    # a pipe has no length to size the store from: each record keeps its own
-    # frames, and frame_store then copies them as it does generated records
+    # a version-2 file read from a pipe has no length to size the store from:
+    # each record keeps its own frames, and frame_store then copies them as it
+    # does generated records
     train, _ = generate_corpus(SMALL)
     path = tmp_path / "train.corpus"
     save_corpus(train, path)
-    pipe = tmp_path / "pipe"
-    os.mkfifo(pipe)
-    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
-    writer.start()
-    piped = load_corpus(pipe)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    piped = _load_through_a_pipe(tmp_path, corpus_bytes(corpus_fields(path)[1], 2))
     assert all(records_equal(a, b) for a, b in zip(piped, train)) and len(piped) == len(train)
     rows = frame_store(piped)[0]
     assert np.array_equal(rows, frame_store(train)[0])
     assert not any(np.shares_memory(rows, r.frames_raw) for r in piped)
+
+
+def test_version_3_from_a_pipe_shares_its_block(tmp_path):
+    # version 3 states its sizes, so a pipe's block is read into one array as a
+    # file's is, and frame_store hands back its frame rows without a copy
+    train, _ = generate_corpus(SMALL)
+    path = tmp_path / "train.corpus"
+    save_corpus(train, path)
+    piped = _load_through_a_pipe(tmp_path, path.read_bytes())
+    assert all(records_equal(a, b) for a, b in zip(piped, train)) and len(piped) == len(train)
+    rows, starts, lengths = frame_store(piped)
+    assert rows.nbytes == sum(r.frames_raw.nbytes for r in piped)
+    for rec, start, n in zip(piped, starts, lengths):
+        assert rows[start:start + n].__array_interface__ == rec.frames_raw.__array_interface__
+    assert all(np.shares_memory(rows.base, r.sentence_raw) for r in piped)
+    # a header that asks a pipe for more than MAX_CORPUS_FLOATS is refused before
+    # anything is allocated or read
+    huge = corpus_bytes([], 3, d=8, rows=MAX_CORPUS_FLOATS // 8 + 1)
+    with pytest.raises(CorpusError, match=f"^line 1: header sizes need {8 * MAX_CORPUS_FLOATS + 64} "
+                                          f"bytes of features, more than the limit of "):
+        _load_through_a_pipe(tmp_path, huge)

@@ -17,7 +17,7 @@ from pairsieve.model import ModelError, init_bvf, init_model, load_checkpoint, s
 from pairsieve.training import NO_DECAY, _EpochStats, metrics_csv_header, train
 
 from golden_grid import grid_digests
-from oracles import reference_sample_frames
+from oracles import corpus_bytes, corpus_fields, reference_sample_frames
 
 SMALL = TrainConfig(d_emb=8, batch_size=8, n_f=3, freeze_epochs=2,
                     joint_epochs=3, bvf_count=2, seed=0)
@@ -242,20 +242,24 @@ def test_each_step_gets_the_draws_of_a_step_by_step_loop(tiny_corpus, monkeypatc
 
 
 def test_a_loaded_corpus_trains_without_a_copy_of_its_frames(tmp_path):
-    # frames are most of a corpus: train's own allocations on a loaded corpus stay
-    # below their size, while records built in memory are copied into one array
-    # first, and both train to the same bits
+    # frames are most of a corpus: train's own allocations on a corpus loaded from
+    # a version-3 file (save_corpus) or a version-2 file stay below their size,
+    # while records built in memory are copied into one array first, and all three
+    # train to the same bits
     corpus, _ = generate_corpus(CorpusSpec(n_train=100, n_test=2, d=64, frame_len_min=40,
                                            frame_len_max=50, seed=2))
-    save_corpus(corpus, tmp_path / "train.corpus")
-    loaded = load_corpus(tmp_path / "train.corpus")
-    rows = frame_store(loaded)[0]
-    frame_bytes = sum(r.frames_raw.nbytes for r in loaded)
-    assert rows.nbytes == frame_bytes
-    assert all(np.shares_memory(rows, r.frames_raw) for r in loaded)
+    save_corpus(corpus, tmp_path / "v3.corpus")
+    (tmp_path / "v2.corpus").write_bytes(
+        corpus_bytes(corpus_fields(tmp_path / "v3.corpus")[1], 2))
+    loaded = [load_corpus(tmp_path / f"v{version}.corpus") for version in (3, 2)]
+    frame_bytes = sum(r.frames_raw.nbytes for r in corpus)
+    for records in loaded:
+        rows = frame_store(records)[0]
+        assert rows.nbytes == frame_bytes
+        assert all(np.shares_memory(rows, r.frames_raw) for r in records)
     cfg = _cfg(freeze_epochs=1, joint_epochs=1)
     runs = []
-    for records in (loaded, corpus):
+    for records in (*loaded, corpus):
         tracemalloc.start()
         try:
             params, metrics = train(cfg, records)
@@ -263,8 +267,8 @@ def test_a_loaded_corpus_trains_without_a_copy_of_its_frames(tmp_path):
         finally:
             tracemalloc.stop()
         runs.append((params.flat.tobytes(), [m.csv_row() for m in metrics], peak))
-    assert runs[0][:2] == runs[1][:2]
-    assert runs[0][2] < frame_bytes <= runs[1][2]
+    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+    assert max(runs[0][2], runs[1][2]) < frame_bytes <= runs[2][2]
 
 
 def test_size_limits_admit_exactly_the_limit(tiny_corpus, monkeypatch):
